@@ -11,21 +11,20 @@ machinery remains an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chaos import ChaosExpansion, to_table
-from .errors import InvalidLambda, OrderTooSmall
+from .chenstein import _check_lambda
+from .errors import OrderTooSmall
 from .kernels import (
     Kernel,
-    contract,
     inner_product,
     kernel_add,
     norm_sq,
     slice_kernel,
     sym_offdiag_weighted_contract,
-    weighted_contract,
 )
 from .malliavin import gradient_pathwise, minus_gradient_pseudo_inverse
 from .model import (
@@ -39,13 +38,6 @@ from .model import (
 )
 
 J2_RATE_CONSTANT = 2.5 + math.sqrt(2.0)
-
-
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InvalidLambda(f"Poisson mean must be positive and finite, got {lam!r}")
-    return lam
 
 
 def _tv_factors(lam: float) -> tuple:
@@ -90,13 +82,36 @@ def _sign_table(model: ProbabilityModel, k: int) -> np.ndarray:
     return np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
 
 
-def _paired_gradient_terms(model: ProbabilityModel, table: FunctionalTable):
-    """Shared setup: pathwise D_k F and -D_k L^{-1}(F - E[F]) for every k."""
+def _gradient_pass(model: ProbabilityModel, table: FunctionalTable, lam: float):
+    """Shared first pass of the enumeration bounds.
+
+    Checks lambda and integer-valuedness, then returns lambda, E[F], the
+    pairs (D_k F, -D_k L^{-1}(F - E[F])) for k = 1..N, and the expected
+    carre-du-champ gap E|lam - <DF, -DL^{-1}(F - EF)>|.
+    """
+    lam = _check_lambda(lam)
+    integer_values(table)
+    mean = expectation(model, table)
     grads = [
         gradient_pathwise(model, table, k).values for k in range(1, model.size + 1)
     ]
     minus_dl = [t.values for t in minus_gradient_pseudo_inverse(model, table)]
-    return grads, minus_dl
+    inner = np.zeros(model.num_outcomes)
+    for dk, gk in zip(grads, minus_dl):
+        inner += dk * gk
+    gap = stable_sum(model.outcome_weights * np.abs(lam - inner))
+    return lam, mean, list(zip(grads, minus_dl)), gap
+
+
+def _signed_remainder(model: ProbabilityModel, pairs, scale: float) -> float:
+    """E sum_k (scale/sqrt(pq)) D_kF (D_kF + sqrt(pq) X_k) |-D_k L^{-1}(F-EF)|."""
+    third = np.zeros(model.num_outcomes)
+    for k, (dk, gk) in enumerate(pairs, start=1):
+        sigma = model.sigma[k - 1]
+        third += (
+            (scale / sigma) * dk * (dk + sigma * _sign_table(model, k)) * np.abs(gk)
+        )
+    return stable_sum(model.outcome_weights * third)
 
 
 def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> BoundReport:
@@ -106,24 +121,11 @@ def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> B
     expected absolute carre-du-champ gap |lam - <DF, -DL^{-1}(F-EF)>|, then the
     same factor times E<(1/sqrt(pq)) DF (DF + sqrt(pq) X), |-DL^{-1}(F-EF)|>.
     """
-    lam = _check_lambda(lam)
-    integer_values(table)
+    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
     sup_f, diff_f = _tv_factors(lam)
-    w = model.outcome_weights
-    mean = expectation(model, table)
-    grads, minus_dl = _paired_gradient_terms(model, table)
-    inner = np.zeros(model.num_outcomes)
-    third = np.zeros(model.num_outcomes)
-    for k in range(1, model.size + 1):
-        dk = grads[k - 1]
-        gk = minus_dl[k - 1]
-        inner += dk * gk
-        sigma = model.sigma[k - 1]
-        third += (1.0 / sigma) * dk * (dk + sigma * _sign_table(model, k)) * np.abs(gk)
     t1 = sup_f * abs(lam - mean)
-    t2 = diff_f * stable_sum(w * np.abs(lam - inner))
-    t3 = diff_f * stable_sum(w * third)
-    return _report(lam, t1, t2, t3, "main")
+    t3 = diff_f * _signed_remainder(model, pairs, 1.0)
+    return _report(lam, t1, diff_f * gap, t3, "main")
 
 
 def main_bound_reduced(
@@ -131,27 +133,19 @@ def main_bound_reduced(
 ) -> BoundReport:
     """Same bound with the sign variable integrated out of the third term:
     sqrt(pq) X is replaced by its mean sqrt(pq)(p - q) coordinatewise."""
-    lam = _check_lambda(lam)
-    integer_values(table)
+    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
     sup_f, diff_f = _tv_factors(lam)
     w = model.outcome_weights
-    mean = expectation(model, table)
-    grads, minus_dl = _paired_gradient_terms(model, table)
-    inner = np.zeros(model.num_outcomes)
     per_k = []
-    for k in range(1, model.size + 1):
-        dk = grads[k - 1]
-        gk = minus_dl[k - 1]
-        inner += dk * gk
+    for k, (dk, gk) in enumerate(pairs, start=1):
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
         per_k.append(
             (1.0 / sigma) * stable_sum(w * dk * (dk + drift) * np.abs(gk))
         )
     t1 = sup_f * abs(lam - mean)
-    t2 = diff_f * stable_sum(w * np.abs(lam - inner))
     t3 = diff_f * stable_sum(per_k)
-    return _report(lam, t1, t2, t3, "main_reduced")
+    return _report(lam, t1, diff_f * gap, t3, "main_reduced")
 
 
 def wasserstein_bound(
@@ -160,28 +154,12 @@ def wasserstein_bound(
     """Wasserstein-distance analogue with the Lipschitz-test-class factors
     1, 1 ^ 8/(3 sqrt(2 e lam)) and 4/3 ^ 2/lam; the second-difference factor
     multiplies the half-weighted gradient product."""
-    lam = _check_lambda(lam)
-    integer_values(table)
-    c1 = 1.0
+    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
     c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
     c3 = min(4.0 / 3.0, 2.0 / lam)
-    w = model.outcome_weights
-    mean = expectation(model, table)
-    grads, minus_dl = _paired_gradient_terms(model, table)
-    inner = np.zeros(model.num_outcomes)
-    third = np.zeros(model.num_outcomes)
-    for k in range(1, model.size + 1):
-        dk = grads[k - 1]
-        gk = minus_dl[k - 1]
-        inner += dk * gk
-        sigma = model.sigma[k - 1]
-        third += (
-            (0.5 / sigma) * dk * (dk + sigma * _sign_table(model, k)) * np.abs(gk)
-        )
-    t1 = c1 * abs(lam - mean)
-    t2 = c2 * stable_sum(w * np.abs(lam - inner))
-    t3 = c3 * stable_sum(w * third)
-    return _report(lam, t1, t2, t3, "wasserstein")
+    t1 = abs(lam - mean)
+    t3 = c3 * _signed_remainder(model, pairs, 0.5)
+    return _report(lam, t1, c2 * gap, t3, "wasserstein")
 
 
 def j1_bound(
@@ -243,41 +221,24 @@ def _jm_coefficient(m: int, r: int, ell: int) -> float:
     )
 
 
-def _grouped_fluctuation_kernels(model: ProbabilityModel, f: Kernel) -> dict:
-    """Kernels of sum_k (D_k J_m(f))^2 / m^2 above order 0, grouped by order.
+def _grouped_kernels(model: ProbabilityModel, f: Kernel, m: int) -> dict:
+    """Kernels above order 0 of sum_k (D_k J_m(f))^2 / m^2 (f of order m) or
+    of (J_{m-1}(f))^2 (f a slice of order m - 1), grouped by order.
 
     For each r = 1..m, l = 1..r the symmetrized off-diagonal weighted
-    contraction of f with itself at (r, l) enters with coefficient
-    (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at order s = 2m - r - l; kernels of equal
-    order are summed before any norm is taken.
+    contraction of f with itself at (r, l), shifted down by m - order(f) in
+    both indices, enters with coefficient (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at
+    order s = 2m - r - l; kernels of equal order are summed before any norm is
+    taken.
     """
-    m = f.order
+    offset = m - f.order
     grouped: dict[int, Kernel] = {}
     for r in range(1, m + 1):
         for ell in range(1, r + 1):
             s = 2 * m - r - ell
             if s == 0:
                 continue
-            part = sym_offdiag_weighted_contract(model, f, f, r, ell)
-            if part.is_zero():
-                continue
-            scaled = part.scaled(_jm_coefficient(m, r, ell))
-            grouped[s] = kernel_add(grouped[s], scaled) if s in grouped else scaled
-    return grouped
-
-
-def _grouped_slice_kernels(model: ProbabilityModel, fk: Kernel, m: int) -> dict:
-    """Kernels of (J_{m-1}(f(., k)))^2 above order 0, grouped by order.
-
-    Same coefficients as the fluctuation grouping, but the slice of order
-    m - 1 is contracted with itself at (r - 1, l - 1)."""
-    grouped: dict[int, Kernel] = {}
-    for r in range(1, m + 1):
-        for ell in range(1, r + 1):
-            s = 2 * m - r - ell
-            if s == 0:
-                continue
-            part = sym_offdiag_weighted_contract(model, fk, fk, r - 1, ell - 1)
+            part = sym_offdiag_weighted_contract(model, f, f, r - offset, ell - offset)
             if part.is_zero():
                 continue
             scaled = part.scaled(_jm_coefficient(m, r, ell))
@@ -308,7 +269,7 @@ def jm_bound(
     sup_f, diff_f = _tv_factors(lam)
     var = math.factorial(m) * inner_product(f, f)
 
-    grouped = _grouped_fluctuation_kernels(model, f)
+    grouped = _grouped_kernels(model, f, m)
     fluct = stable_sum(
         math.factorial(s) * norm_sq(kernel) for s, kernel in grouped.items()
     )
@@ -321,7 +282,7 @@ def jm_bound(
             continue
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        sliced_groups = _grouped_slice_kernels(model, fk, m)
+        sliced_groups = _grouped_kernels(model, fk, m)
         pieces = [((math.factorial(m - 1)) * norm_sq(fk)) ** 2]
         for s, kernel in sliced_groups.items():
             if s == m - 1:
@@ -345,12 +306,6 @@ def jm_bound(
     )
 
 
-def _offdiag_raw_norm_sq(raw) -> float:
-    return stable_sum(
-        v * v for key, v in raw.entries.items() if len(set(key)) == len(key)
-    )
-
-
 def j2_bound(
     model: ProbabilityModel,
     f: Kernel,
@@ -358,52 +313,16 @@ def j2_bound(
     lam: float,
     check_integer: bool = True,
 ) -> BoundReport:
-    """Order-2 specialization with explicit coefficients 4, 8 and 8, 16, 8."""
+    """Order-2 bound for F = shift + J_2(f): :func:`jm_bound` at m = 2.
+
+    At m = 2 the grouped contractions carry the explicit coefficients 4, 8
+    (fluctuation block) and 8, 16, 8 (coordinate block); the report is tagged
+    ``method="j2"``.  Kernels of any other order are rejected.
+    """
     lam = _check_lambda(lam)
     if f.order != 2:
         raise OrderTooSmall(f"expected an order-2 kernel, got order {f.order}")
-    if check_integer:
-        integer_values(to_table(model, ChaosExpansion(float(shift), {2: f})))
-    sup_f, diff_f = _tv_factors(lam)
-    var = 2.0 * inner_product(f, f)
-
-    first_block = math.sqrt(
-        4.0 * norm_sq(weighted_contract(model, f, f, 2, 1))
-        + 8.0 * _offdiag_raw_norm_sq(contract(f, f, 1, 1))
-    )
-
-    per_k = []
-    for k in range(1, model.size + 1):
-        fk = slice_kernel(f, k)
-        if fk.is_zero():
-            continue
-        pq = model.p[k - 1] * model.q[k - 1]
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        sq_norm = norm_sq(fk)
-        tensor_sq = _offdiag_raw_norm_sq(contract(fk, fk, 0, 0))
-        mixed = weighted_contract(model, fk, fk, 1, 0)
-        combined = dict(mixed.entries)
-        for (i,), c in fk.entries.items():
-            combined[(i,)] = combined.get((i,), 0.0) + 0.5 * drift * c
-        mixed_sq = stable_sum(v * v for v in combined.values())
-        per_k.append((8.0 * sq_norm * sq_norm + 16.0 * tensor_sq + 8.0 * mixed_sq) / pq)
-    second_block = math.sqrt(var) * math.sqrt(stable_sum(per_k))
-
-    t1 = sup_f * abs(lam - float(shift))
-    t2 = diff_f * abs(lam - var)
-    t3 = math.fsum((diff_f * first_block, diff_f * second_block))
-    return _report(
-        lam,
-        t1,
-        t2,
-        t3,
-        "j2",
-        {
-            "term_fluctuation": diff_f * first_block,
-            "term_coordinate_block": diff_f * second_block,
-        },
-    )
+    return replace(jm_bound(model, f, shift, lam, check_integer), method="j2")
 
 
 def second_order_bound(
@@ -503,6 +422,21 @@ def j2_example_kernel(n: int) -> tuple:
     return model, kernel
 
 
+def _j2_example_record(n, lam, a1, a3, a4, a5, a6, a7) -> J2Example:
+    """Assemble A1 + 2 sqrt(A3) + 2 sqrt(2 A4) + 2 sqrt(2 A5) + 4 sqrt(A6);
+    A2 vanishes because lambda is matched to the variance."""
+    total = math.fsum(
+        (
+            a1,
+            2 * math.sqrt(a3),
+            2 * math.sqrt(2 * a4),
+            2 * math.sqrt(2 * a5),
+            4 * math.sqrt(a6),
+        )
+    )
+    return J2Example(n, lam, a1, 0.0, a3, a4, a5, a6, a7, total)
+
+
 def j2_example(n: int) -> J2Example:
     """Closed forms of the example's bound ingredients and their assembly.
 
@@ -518,26 +452,17 @@ def j2_example(n: int) -> J2Example:
     a4 = (nf - 1) ** 5 * (nf - 2) / (16 * nf ** 8)
     a5 = (nf - 1) ** 4 / (16 * nf ** 5)
     a6 = (nf - 1) ** 4 * (nf - 2) / (16 * nf ** 6)
-    total = math.fsum(
-        (
-            a1,
-            2 * math.sqrt(a3),
-            2 * math.sqrt(2 * a4),
-            2 * math.sqrt(2 * a5),
-            4 * math.sqrt(a6),
-        )
-    )
-    return J2Example(n, lam, a1, 0.0, a3, a4, a5, a6, 0.0, total)
+    return _j2_example_record(n, lam, a1, a3, a4, a5, a6, 0.0)
 
 
 def j2_example_machinery(n: int) -> J2Example:
-    """The same record with every ingredient recomputed through the general
-    contraction machinery; must match the closed forms to 1e-12 relative."""
+    """The same record with every ingredient recomputed through the fused
+    contraction engine; must match the closed forms to 1e-12 relative."""
     model, f = j2_example_kernel(n)
     lam = 2.0 * inner_product(f, f)
     a1 = abs(lam - 0.0)
-    a3 = norm_sq(weighted_contract(model, f, f, 2, 1))
-    a4 = _offdiag_raw_norm_sq(contract(f, f, 1, 1))
+    a3 = norm_sq(sym_offdiag_weighted_contract(model, f, f, 2, 1))
+    a4 = norm_sq(sym_offdiag_weighted_contract(model, f, f, 1, 1))
     a5_parts = []
     a6_parts = []
     a7_parts = []
@@ -547,24 +472,14 @@ def j2_example_machinery(n: int) -> J2Example:
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
         a5_parts.append(norm_sq(fk) ** 2 / pq)
-        a6_parts.append(_offdiag_raw_norm_sq(contract(fk, fk, 0, 0)) / pq)
-        combined = dict(weighted_contract(model, fk, fk, 1, 0).entries)
-        for (i,), c in fk.entries.items():
-            combined[(i,)] = combined.get((i,), 0.0) + 0.5 * drift * c
-        a7_parts.append(stable_sum(v * v for v in combined.values()) / pq)
+        tensor = sym_offdiag_weighted_contract(model, fk, fk, 0, 0)
+        a6_parts.append(norm_sq(tensor) / pq)
+        mixed = sym_offdiag_weighted_contract(model, fk, fk, 1, 0)
+        a7_parts.append(norm_sq(kernel_add(mixed, fk.scaled(0.5 * drift))) / pq)
     a5 = stable_sum(a5_parts)
     a6 = stable_sum(a6_parts)
     a7 = stable_sum(a7_parts)
-    total = math.fsum(
-        (
-            a1,
-            2 * math.sqrt(a3),
-            2 * math.sqrt(2 * a4),
-            2 * math.sqrt(2 * a5),
-            4 * math.sqrt(a6),
-        )
-    )
-    return J2Example(n, lam, a1, 0.0, a3, a4, a5, a6, a7, total)
+    return _j2_example_record(n, lam, a1, a3, a4, a5, a6, a7)
 
 
 def j2_example_integer_form(n: int) -> FunctionalTable:

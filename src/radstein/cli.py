@@ -60,6 +60,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float; booleans do not count."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _emit(payload: dict, rows: list, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps({**payload, "rows": rows}, indent=2) + "\n"
@@ -90,12 +95,12 @@ def _parse_kernels(node, location: str) -> dict:
         key, coeff = pair
         if not isinstance(key, list) or not key:
             raise SpecParseError("index tuple must be a nonempty list", where)
-        if any(not isinstance(i_, int) or i_ < 1 for i_ in key):
+        if any(type(i_) is not int or i_ < 1 for i_ in key):
             raise SpecParseError("indices must be 1-based integers", where)
         if any(a >= b for a, b in zip(key, key[1:])):
             raise SpecParseError("index tuple must be strictly increasing", where)
-        if not isinstance(coeff, (int, float)):
-            raise SpecParseError("coefficient must be a number", where)
+        if not _is_number(coeff):
+            raise SpecParseError("coefficient must be a finite number", where)
         grouped.setdefault(len(key), []).append((tuple(key), float(coeff)))
     return {
         order: Kernel.from_pairs(order, pairs) for order, pairs in grouped.items()
@@ -107,7 +112,7 @@ def _resolve_lambda(policy, mean: float, var: float, location: str) -> float:
         lam = mean
     elif policy == "variance":
         lam = var
-    elif isinstance(policy, (int, float)):
+    elif _is_number(policy):
         lam = float(policy)
     else:
         raise SpecParseError(
@@ -116,6 +121,19 @@ def _resolve_lambda(policy, mean: float, var: float, location: str) -> float:
     if not (math.isfinite(lam) and lam > 0):
         raise SpecParseError(f"resolved lambda {lam!r} is not positive", location)
     return lam
+
+
+def _bernoulli_expansion(model) -> ChaosExpansion:
+    """sum_k (X_k + 1)/2 as its mean plus the order-1 kernel k -> sqrt(p_k q_k)."""
+    kernel = Kernel(1, {(k,): model.sigma[k - 1] for k in range(1, model.size + 1)})
+    return ChaosExpansion(float(np.sum(model.p)), {1: kernel})
+
+
+def _j2_example_exact_tv(n: int, lam: float) -> float:
+    """Exact total variation between the order-2 star example's law and Po(lam)."""
+    model, kernel = bounds_mod.j2_example_kernel(n)
+    table = to_table(model, ChaosExpansion(0.0, {2: kernel}))
+    return tv_atoms_vs_poisson(atom_law(model, table.values), lam).value
 
 
 def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
@@ -137,8 +155,6 @@ def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
 
 
 def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
-    if not isinstance(doc, dict):
-        raise SpecParseError("spec document must be a JSON object", "$")
     functional = doc.get("functional")
     if not isinstance(functional, dict) or len(functional) != 1:
         raise SpecParseError(
@@ -146,9 +162,22 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
             "$.functional",
         )
     form, payload = next(iter(functional.items()))
-    seed = int(doc.get("seed", 0))
+    seed = doc.get("seed", 0)
+    if not (type(seed) is int and 0 <= seed < 2**128):
+        raise SpecParseError(
+            f"seed must be an integer in [0, 2^128), got {seed!r}", "$.seed"
+        )
     mc_samples = doc.get("mc_samples")
+    if mc_samples is not None and type(mc_samples) is not int:
+        raise SpecParseError(
+            f"mc_samples must be an integer or null, got {mc_samples!r}",
+            "$.mc_samples",
+        )
     requested = doc.get("bounds")
+    if requested is not None and not (
+        isinstance(requested, list) and all(isinstance(m, str) for m in requested)
+    ):
+        raise SpecParseError("bounds must be a list of method names", "$.bounds")
 
     if form == "j2_example":
         n = payload.get("n") if isinstance(payload, dict) else None
@@ -166,48 +195,43 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
             raise SpecParseError(
                 "the j2_example closed forms are assembled at lambda = Var", "$.lambda"
             )
-        exact = None
-        if n <= ENUMERATION_CAP:
-            model, kernel = bounds_mod.j2_example_kernel(n)
-            table = to_table(model, ChaosExpansion(0.0, {2: kernel}))
-            exact = tv_atoms_vs_poisson(atom_law(model, table.values), lam).value
-        total = record.total * (1e-4 if shrink else 1.0)
-        rows = [
-            {
-                "method": "j2_example",
-                "lambda": record.lam,
-                "term_mean_shift": record.a1,
-                "term_variance_like": record.a2,
-                "term_remainder": total - record.a1 - record.a2,
-                "total": total,
-                "exact_kind": "tv",
-                "exact": exact,
-                "dominates": (
-                    None if exact is None else total >= exact - _DOMINATION_SLACK
-                ),
-            }
-        ]
-        return rows, {"functional": "j2_example", "n": n}
+        exact = _j2_example_exact_tv(n, lam) if n <= ENUMERATION_CAP else None
+        report = bounds_mod.BoundReport(
+            record.lam,
+            record.a1,
+            record.a2,
+            record.total - record.a1 - record.a2,
+            record.total,
+            "j2_example",
+        )
+        row = _bound_row(report, exact, "tv", shrink)
+        return [row], {"functional": "j2_example", "n": n}
 
     model_node = doc.get("model")
     if not isinstance(model_node, dict) or "p" not in model_node:
         raise SpecParseError("model must be an object with a 'p' vector", "$.model")
+    if not isinstance(model_node["p"], list) or not all(
+        _is_number(pk) for pk in model_node["p"]
+    ):
+        raise SpecParseError("p must be a list of numbers", "$.model.p")
     try:
         model = build_model(model_node["p"])
     except RadsteinError as err:
         raise SpecParseError(str(err), "$.model.p") from err
 
     if form == "bernoulli":
-        expansion = ChaosExpansion(
-            float(np.sum(model.p)),
-            {1: Kernel(1, {(k,): model.sigma[k - 1] for k in range(1, model.size + 1)})},
-        )
+        expansion = _bernoulli_expansion(model)
         default_methods = ["bernoulli"]
     elif form == "chaos":
         if not isinstance(payload, dict):
             raise SpecParseError("chaos literal must be an object", "$.functional.chaos")
         kernels = _parse_kernels(payload.get("kernels", []), "$.functional.chaos.kernels")
-        expansion = ChaosExpansion(float(payload.get("mean", 0.0)), kernels)
+        mean = payload.get("mean", 0.0)
+        if not _is_number(mean):
+            raise SpecParseError(
+                "mean must be a finite number", "$.functional.chaos.mean"
+            )
+        expansion = ChaosExpansion(float(mean), kernels)
         if expansion.max_index() > model.size:
             raise SpecParseError(
                 f"kernel index {expansion.max_index()} exceeds model size {model.size}",
@@ -343,6 +367,8 @@ def _cmd_bound(args) -> int:
     except json.JSONDecodeError as err:
         sys.stderr.write(f"spec is not valid JSON: {err}\n")
         return EXIT_VALIDATION
+    if not isinstance(doc, dict):
+        raise SpecParseError("spec document must be a JSON object", "$")
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.mc_samples is not None:
@@ -371,9 +397,7 @@ def _cmd_j2_rate(args) -> int:
         exact = None
         dominates = None
         if n <= 12:
-            model, kernel = bounds_mod.j2_example_kernel(n)
-            table = to_table(model, ChaosExpansion(0.0, {2: kernel}))
-            exact = tv_atoms_vs_poisson(atom_law(model, table.values), record.lam).value
+            exact = _j2_example_exact_tv(n, record.lam)
             dominates = total >= exact - _DOMINATION_SLACK
             domination_ok = domination_ok and dominates
         rows.append(
@@ -438,10 +462,7 @@ def _cmd_bernoulli(args) -> int:
         dist = distribution(model, bounds_mod.bernoulli_sum_table(model))
         exact = tv_exact(dist, lam).value
     elif args.mc_samples:
-        expansion = ChaosExpansion(
-            mean,
-            {1: Kernel(1, {(k,): model.sigma[k - 1] for k in range(1, model.size + 1)})},
-        )
+        expansion = _bernoulli_expansion(model)
         exact = tv_monte_carlo(
             model,
             lambda signs: evaluate_on_signs(model, expansion, signs),

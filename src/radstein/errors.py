@@ -66,5 +66,5 @@ class SpecParseError(RadsteinError):
     """An experiment specification document is malformed."""
 
     def __init__(self, message, location=""):
-        super().__init__(f"{location}: {message}" if location else message)
+        super().__init__(message)
         self.location = location

@@ -16,6 +16,13 @@ contraction of f (order n) with g (order m) are laid out as
 
 and the weighted contraction multiplies each entry by the product of the
 model's phi over the identified-but-unsummed slots.
+
+:class:`RawTensor` and the plain contractions built on it (:func:`contract`,
+:func:`weighted_contract`, :func:`symmetrize`, :func:`to_kernel`,
+:func:`kernel_as_raw`) are the reference path: they expand every permutation
+explicitly and serve as the definition that tests check against.  The bounds
+and the product formula use only :func:`sym_offdiag_weighted_contract`, which
+computes the symmetrized off-diagonal kernel directly from sparse entries.
 """
 
 from __future__ import annotations
@@ -191,7 +198,7 @@ def contract(f: Kernel, g: Kernel, r: int, ell: int) -> RawTensor:
     The result has order n + m - r - l with the block layout documented in the
     module docstring.  Each output coefficient is the correctly rounded sum of
     all products contributing to that position, so the result is independent
-    of enumeration order and matches :func:`contract_dense` exactly.
+    of enumeration order.
     """
     n, m = f.order, g.order
     _check_contraction_indices(n, m, r, ell)
@@ -216,31 +223,6 @@ def contract(f: Kernel, g: Kernel, r: int, ell: int) -> RawTensor:
                                     [prod] * weight
                                 )
     entries = {key: stable_sum(vals) for key, vals in terms.items()}
-    return RawTensor(n + m - r - ell, entries)
-
-
-def contract_dense(f: Kernel, g: Kernel, r: int, ell: int, support=None) -> RawTensor:
-    """Nested-loop evaluation of the contraction definition; test oracle."""
-    n, m = f.order, g.order
-    _check_contraction_indices(n, m, r, ell)
-    if support is None:
-        support = sorted(
-            set(itertools.chain(*f.entries)) | set(itertools.chain(*g.entries))
-        )
-    entries = {}
-    for fi in itertools.product(support, repeat=n - r):
-        for ki in itertools.product(support, repeat=r - ell):
-            for gj in itertools.product(support, repeat=m - r):
-                vals = []
-                for a in itertools.product(support, repeat=ell):
-                    if len(set(a)) != ell:
-                        continue
-                    fv = f.value(fi + ki + a)
-                    gv = g.value(gj + ki + a)
-                    vals.append(fv * gv)
-                total = stable_sum(vals)
-                if total != 0.0:
-                    entries[fi + ki + gj] = total
     return RawTensor(n + m - r - ell, entries)
 
 
@@ -340,13 +322,7 @@ def sym_offdiag_weighted_contract(
     at the increasing tuple U = (T_f union T_g) minus the summed indices.
     """
     n, m = f.order, g.order
-    if ell == r:
-        _check_contraction_indices(n, m, r, ell)
-    elif not (1 <= r <= min(n, m)) or not (0 <= ell <= r - 1):
-        raise InvalidContractionIndices(
-            f"weighted contraction needs 1 <= r <= min(n, m) and 0 <= l < r, "
-            f"got r={r}, l={ell}"
-        )
+    _check_contraction_indices(n, m, r, ell)  # l < r already forces r >= 1
     out_order = n + m - r - ell
     base = (
         math.factorial(n - r)

@@ -91,6 +91,55 @@ def brute_contract(f, g, r, ell, support):
     return out
 
 
+def explicit_j2_bound(p, f, shift, lam):
+    """Order-2 total-variation bound for shift + J_2(f) in its explicit form,
+    with coefficients 4, 8 (fluctuation block) and 8, 16, 8 (coordinate
+    block), every contraction evaluated by :func:`brute_contract` and phi
+    derived from p.  Returns (remainder term, total)."""
+    support = list(range(1, len(p) + 1))
+    q = [1.0 - pk for pk in p]
+    sigma = [math.sqrt(pk * qk) for pk, qk in zip(p, q)]
+    phi = [(qk - pk) / s for pk, qk, s in zip(p, q, sigma)]
+    sup_f = min(1.0, math.sqrt(2.0 / (math.e * lam)))
+    diff_f = -math.expm1(-lam) / lam
+
+    def offdiag_sq(entries):
+        return math.fsum(
+            v * v for key, v in entries.items() if len(set(key)) == len(key)
+        )
+
+    def phi_weighted(entries):
+        return {(i,): v * phi[i - 1] for (i,), v in entries.items()}
+
+    var = 2.0 * (2 * math.fsum(c * c for c in f.entries.values()))
+    first_block = math.sqrt(
+        4.0 * offdiag_sq(phi_weighted(brute_contract(f, f, 2, 1, support)))
+        + 8.0 * offdiag_sq(brute_contract(f, f, 1, 1, support))
+    )
+    ff = full_function(f)
+    per_k = []
+    for k in support:
+        fk = Kernel(1, {(i,): ff[(i, k)] for i in support if (i, k) in ff})
+        if fk.is_zero():
+            continue
+        drift = sigma[k - 1] * (p[k - 1] - q[k - 1])
+        sq_norm = math.fsum(c * c for c in fk.entries.values())
+        tensor_sq = offdiag_sq(brute_contract(fk, fk, 0, 0, support))
+        mixed = phi_weighted(brute_contract(fk, fk, 1, 0, support))
+        for key, c in fk.entries.items():
+            mixed[key] = mixed.get(key, 0.0) + 0.5 * drift * c
+        mixed_sq = offdiag_sq(mixed)
+        per_k.append(
+            (8.0 * sq_norm * sq_norm + 16.0 * tensor_sq + 8.0 * mixed_sq)
+            / (p[k - 1] * q[k - 1])
+        )
+    second_block = math.sqrt(var) * math.sqrt(math.fsum(per_k))
+    t1 = sup_f * abs(lam - shift)
+    t2 = diff_f * abs(lam - var)
+    t3 = math.fsum((diff_f * first_block, diff_f * second_block))
+    return t3, math.fsum((t1, t2, t3))
+
+
 def poisson_binomial_pmf(p):
     """Exact pmf of a sum of independent Bernoulli(p_k), by PGF convolution."""
     probs = np.array([1.0])

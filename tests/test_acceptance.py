@@ -21,7 +21,6 @@ from radstein.bounds import (
     bernoulli_bound,
     bernoulli_sum_table,
     j1_bound,
-    j2_bound,
     j2_example,
     j2_example_kernel,
     j2_example_machinery,
@@ -371,18 +370,17 @@ def test_criterion_08_consistency_chain():
         assert j1_bound(model, f, shift, lam).total == pytest.approx(
             main_bound(model, table, lam).total, abs=1e-10
         )
-    # j2 equals the general fixed-order bound at order 2
+    # the general fixed-order bound at order 2 equals the explicit j2 form
     for _ in range(10):
         size = rng.randint(3, 7)
-        model = build_model([rng.uniform(0.1, 0.9) for _ in range(size)])
+        p = [rng.uniform(0.1, 0.9) for _ in range(size)]
+        model = build_model(p)
         f = oracles.rand_kernel(rng, 2, size)
         lam = rng.uniform(0.2, 2.5)
         shift = float(rng.randint(0, 3))
         assert jm_bound(model, f, shift, lam, check_integer=False).total == (
             pytest.approx(
-                j2_bound(model, f, shift, lam, check_integer=False).total,
-                abs=1e-10,
-                rel=1e-10,
+                oracles.explicit_j2_bound(p, f, shift, lam)[1], abs=1e-10, rel=1e-10
             )
         )
     # the second-order bound collapses to the closed form on Bernoulli sums

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -241,9 +242,11 @@ class TestFixedOrderBounds:
         lam = rng.uniform(0.3, 3.0)
         shift = float(rng.randint(0, 4))
         a = jm_bound(model, f, shift, lam, check_integer=False)
+        remainder, total = oracles.explicit_j2_bound(model.p, f, shift, lam)
+        assert a.total == pytest.approx(total, abs=1e-10, rel=1e-10)
+        assert a.term_remainder == pytest.approx(remainder, abs=1e-10, rel=1e-10)
         b = j2_bound(model, f, shift, lam, check_integer=False)
-        assert a.total == pytest.approx(b.total, abs=1e-10, rel=1e-10)
-        assert a.term_remainder == pytest.approx(b.term_remainder, abs=1e-10, rel=1e-10)
+        assert (b.method, b.total) == ("j2", a.total)
 
     def test_order_one_rejected(self):
         model = build_model([0.5, 0.5])
@@ -290,6 +293,68 @@ class TestFixedOrderBounds:
         assert report.detail["order"] == 3
 
 
+class TestReferencePathUnused:
+    """The bounds and the product formula run on the fused contraction only;
+    the permutation-expanding reference path is left to the tests."""
+
+    REFERENCE = (
+        "RawTensor",
+        "contract",
+        "weighted_contract",
+        "symmetrize",
+        "to_kernel",
+        "kernel_as_raw",
+    )
+
+    def test_production_never_calls_the_reference_path(self, monkeypatch, tmp_path):
+        import sys
+
+        from radstein import kernels
+        from radstein.chaos import multiply
+        from radstein.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("production code reached the reference path")
+
+        for name in self.REFERENCE:
+            original = getattr(kernels, name)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.split(".")[0] != "radstein" or module is None:
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+
+        rng = random.Random(31)
+        model = build_model(oracles.rand_model_p(rng, 6))
+        f2 = oracles.rand_kernel(rng, 2, 6)
+        f3 = oracles.rand_kernel(rng, 3, 6, density=0.4)
+        j2_bound(model, f2, 1.0, 1.5, check_integer=False)
+        jm_bound(model, f2, 1.0, 1.5, check_integer=False)
+        jm_bound(model, f3, 1.0, 1.5, check_integer=False)
+        multiply(model, f2, f3)
+        j2_example_machinery(9)
+
+        pair_model, f, shift = integer_pair_functional(0)
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "model": {"p": pair_model.p.tolist()},
+                    "functional": {
+                        "chaos": {
+                            "mean": shift,
+                            "kernels": [[list(k), c] for k, c in f.entries.items()],
+                        }
+                    },
+                    "bounds": ["j2", "jm"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["bound", str(spec), "--out", str(tmp_path / "rows.json")]) == 0
+
+
 class TestFixedOrderGrouping:
     """The grouped contraction kernels against an enumeration oracle.
 
@@ -300,7 +365,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
     def test_fluctuation_kernels_match_decomposition(self, m, seed):
-        from radstein.bounds import _grouped_fluctuation_kernels
+        from radstein.bounds import _grouped_kernels
         from radstein.chaos import decompose
         from radstein.kernels import inner_product
         from radstein.malliavin import gradient_pathwise
@@ -317,7 +382,7 @@ class TestFixedOrderGrouping:
         assert observed.mean == pytest.approx(
             math.factorial(m) * inner_product(f, f), abs=1e-10
         )
-        grouped = _grouped_fluctuation_kernels(model, f)
+        grouped = _grouped_kernels(model, f, m)
         orders = {s for s, k in grouped.items() if not k.is_zero()}
         for s in orders | set(observed.kernels):
             expected = grouped.get(s, Kernel.zero(s)).scaled(float(m))
@@ -329,7 +394,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 4), (3, 5)])
     def test_slice_kernels_match_decomposition(self, m, seed):
-        from radstein.bounds import _grouped_slice_kernels
+        from radstein.bounds import _grouped_kernels
         from radstein.chaos import decompose
         from radstein.kernels import kernel_add, norm_sq, slice_kernel
         from radstein.malliavin import gradient_pathwise
@@ -352,7 +417,7 @@ class TestFixedOrderGrouping:
             assert observed.mean == pytest.approx(
                 math.factorial(m - 1) * norm_sq(fk), abs=1e-10
             )
-            grouped = _grouped_slice_kernels(model, fk, m)
+            grouped = _grouped_kernels(model, fk, m)
             special = grouped.get(m - 1, Kernel.zero(m - 1))
             special = kernel_add(special, fk.scaled(drift / m))
             grouped = {**grouped, m - 1: special}

@@ -151,7 +151,37 @@ class TestBound:
         )
         code = main(["bound", str(spec), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "$.functional.chaos.kernels" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("$.functional.chaos.kernels") == 1
+
+    @pytest.mark.parametrize(
+        "field,location",
+        [
+            ({"seed": "abc"}, "$.seed"),
+            ({"seed": -1}, "$.seed"),
+            ({"functional": {"chaos": {"mean": "x"}}}, "$.functional.chaos.mean"),
+            ({"mc_samples": 1.5}, "$.mc_samples"),
+            ({"mc_samples": "many"}, "$.mc_samples"),
+            ({"model": {"p": "0.1"}}, "$.model.p"),
+            ({"model": {"p": [0.5, "0.5"]}}, "$.model.p"),
+            ({"bounds": 5}, "$.bounds"),
+            ({"lambda": True}, "$.lambda"),
+        ],
+    )
+    def test_malformed_field_exits_two_at_its_location(
+        self, field, location, tmp_path, capsys
+    ):
+        doc = {
+            "model": {"p": [0.5, 0.5]},
+            "functional": {"chaos": {"mean": 1.0, "kernels": [[[1], 0.5]]}},
+            **field,
+        }
+        spec = tmp_path / "malformed.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["bound", str(spec), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error at {location}: ")
+        assert err.count(location) == 1
 
     def test_shrink_total_negative_control(self, bernoulli_spec, tmp_path):
         code, text = run_cli(
