@@ -3,9 +3,11 @@
 Every operation returns a :class:`BoundReport` whose three public terms sum
 to the total: the mean-shift term, the variance-like term, and the remainder
 collecting everything else.  A ``detail`` mapping carries the finer per-term
-split for reporting.  Gradients entering expectations are always computed by
-coordinate flips on value tables, never through the chaos route, so the chaos
-machinery remains an independent cross-check.
+split for reporting.  Gradients entering expectations are computed by
+coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
+coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`); the
+sparse ``Kernel`` route is the independent cross-check in ``verify`` and the
+tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chaos import ChaosExpansion, to_table
+from .chaos import ChaosExpansion, mask_orders, to_table
 from .chenstein import _check_lambda
 from .errors import OrderTooSmall
 from .kernels import (
@@ -26,7 +28,7 @@ from .kernels import (
     slice_kernel,
     sym_offdiag_weighted_contract,
 )
-from .malliavin import gradient_pathwise, minus_gradient_pseudo_inverse
+from .malliavin import flip_difference, gradient_pathwise, pseudo_inverse_table
 from .model import (
     FunctionalTable,
     ProbabilityModel,
@@ -77,41 +79,56 @@ def _report(lam, t1, t2, t3, method, detail=None) -> BoundReport:
     )
 
 
-def _sign_table(model: ProbabilityModel, k: int) -> np.ndarray:
-    idx = np.arange(model.num_outcomes)
-    return np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
+STREAMED_METHODS = ("main", "main_reduced", "wasserstein")
 
 
-def _gradient_pass(model: ProbabilityModel, table: FunctionalTable, lam: float):
-    """Shared first pass of the enumeration bounds.
-
-    Checks lambda and integer-valuedness, then returns lambda, E[F], the
-    pairs (D_k F, -D_k L^{-1}(F - E[F])) for k = 1..N, and the expected
-    carre-du-champ gap E|lam - <DF, -DL^{-1}(F - EF)>|.
-    """
+def enumeration_bounds(
+    model: ProbabilityModel, table: FunctionalTable, lam: float, methods
+) -> dict:
+    """The bounds named in ``methods`` (a subset of :data:`STREAMED_METHODS`)
+    from one pass over k = 1..N, as method -> report.  The pass keeps E[F],
+    <DF, -DL^{-1}(F - EF)>, the signed remainder summed over k and the reduced
+    remainder's per-k sums: O(2^N) memory.  D_k F and -D_k L^{-1}(F - EF) do
+    not depend on omega_k, so each is formed on half the outcomes.
+    Wasserstein's remainder is half of main's: halving is exact in binary
+    floating point unless a per-outcome term is subnormal."""
     lam = _check_lambda(lam)
+    if not set(methods) <= set(STREAMED_METHODS):
+        raise ValueError(f"{list(methods)} are not all enumeration bounds")
     integer_values(table)
     mean = expectation(model, table)
-    grads = [
-        gradient_pathwise(model, table, k).values for k in range(1, model.size + 1)
-    ]
-    minus_dl = [t.values for t in minus_gradient_pseudo_inverse(model, table)]
+    w = model.outcome_weights
+    signed_needed = "main" in methods or "wasserstein" in methods
+    inverse = pseudo_inverse_table(model, table).values
     inner = np.zeros(model.num_outcomes)
-    for dk, gk in zip(grads, minus_dl):
-        inner += dk * gk
-    gap = stable_sum(model.outcome_weights * np.abs(lam - inner))
-    return lam, mean, list(zip(grads, minus_dl)), gap
-
-
-def _signed_remainder(model: ProbabilityModel, pairs, scale: float) -> float:
-    """E sum_k (scale/sqrt(pq)) D_kF (D_kF + sqrt(pq) X_k) |-D_k L^{-1}(F-EF)|."""
-    third = np.zeros(model.num_outcomes)
-    for k, (dk, gk) in enumerate(pairs, start=1):
-        sigma = model.sigma[k - 1]
-        third += (
-            (scale / sigma) * dk * (dk + sigma * _sign_table(model, k)) * np.abs(gk)
-        )
-    return stable_sum(model.outcome_weights * third)
+    signed = np.zeros(model.num_outcomes)
+    per_k = []
+    for k in range(1, model.size + 1):
+        sigma, halves = model.sigma[k - 1], (-1, 2, 1 << (k - 1))
+        dk = flip_difference(model, table.values, k)
+        gk = -flip_difference(model, inverse, k)
+        inner.reshape(halves)[...] += (dk * gk)[:, None]
+        if signed_needed:
+            scaled, signed_k = (1.0 / sigma) * dk, signed.reshape(halves)
+            signed_k[:, 0] += scaled * (dk - sigma) * np.abs(gk)
+            signed_k[:, 1] += scaled * (dk + sigma) * np.abs(gk)
+        if "main_reduced" in methods:
+            drift = sigma * (model.p[k - 1] - model.q[k - 1])
+            weighted = w.reshape(halves) * dk[:, None] * (dk + drift)[:, None]
+            weighted *= np.abs(gk)[:, None]
+            per_k.append((1.0 / sigma) * stable_sum(weighted.ravel()))
+    gap = stable_sum(w * np.abs(lam - inner))
+    remainder = stable_sum(w * signed) if signed_needed else 0.0
+    reduced = stable_sum(per_k)
+    sup_f, diff_f = _tv_factors(lam)
+    c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
+    c3 = min(4.0 / 3.0, 2.0 / lam)
+    terms = {
+        "main": (sup_f * abs(lam - mean), diff_f * gap, diff_f * remainder),
+        "main_reduced": (sup_f * abs(lam - mean), diff_f * gap, diff_f * reduced),
+        "wasserstein": (abs(lam - mean), c2 * gap, c3 * (0.5 * remainder)),
+    }
+    return {m: _report(lam, *terms[m], m) for m in STREAMED_METHODS if m in methods}
 
 
 def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> BoundReport:
@@ -121,11 +138,7 @@ def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> B
     expected absolute carre-du-champ gap |lam - <DF, -DL^{-1}(F-EF)>|, then the
     same factor times E<(1/sqrt(pq)) DF (DF + sqrt(pq) X), |-DL^{-1}(F-EF)|>.
     """
-    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
-    sup_f, diff_f = _tv_factors(lam)
-    t1 = sup_f * abs(lam - mean)
-    t3 = diff_f * _signed_remainder(model, pairs, 1.0)
-    return _report(lam, t1, diff_f * gap, t3, "main")
+    return enumeration_bounds(model, table, lam, ("main",))["main"]
 
 
 def main_bound_reduced(
@@ -133,19 +146,7 @@ def main_bound_reduced(
 ) -> BoundReport:
     """Same bound with the sign variable integrated out of the third term:
     sqrt(pq) X is replaced by its mean sqrt(pq)(p - q) coordinatewise."""
-    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
-    sup_f, diff_f = _tv_factors(lam)
-    w = model.outcome_weights
-    per_k = []
-    for k, (dk, gk) in enumerate(pairs, start=1):
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        per_k.append(
-            (1.0 / sigma) * stable_sum(w * dk * (dk + drift) * np.abs(gk))
-        )
-    t1 = sup_f * abs(lam - mean)
-    t3 = diff_f * stable_sum(per_k)
-    return _report(lam, t1, diff_f * gap, t3, "main_reduced")
+    return enumeration_bounds(model, table, lam, ("main_reduced",))["main_reduced"]
 
 
 def wasserstein_bound(
@@ -154,12 +155,7 @@ def wasserstein_bound(
     """Wasserstein-distance analogue with the Lipschitz-test-class factors
     1, 1 ^ 8/(3 sqrt(2 e lam)) and 4/3 ^ 2/lam; the second-difference factor
     multiplies the half-weighted gradient product."""
-    lam, mean, pairs, gap = _gradient_pass(model, table, lam)
-    c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
-    c3 = min(4.0 / 3.0, 2.0 / lam)
-    t1 = abs(lam - mean)
-    t3 = c3 * _signed_remainder(model, pairs, 0.5)
-    return _report(lam, t1, c2 * gap, t3, "wasserstein")
+    return enumeration_bounds(model, table, lam, ("wasserstein",))["wasserstein"]
 
 
 def j1_bound(
@@ -494,8 +490,4 @@ def j2_example_integer_form(n: int) -> FunctionalTable:
 
 def bernoulli_sum_table(model: ProbabilityModel) -> FunctionalTable:
     """Value table of sum_k (X_k + 1)/2, the Bernoulli-sum functional."""
-    idx = np.arange(model.num_outcomes)
-    total = np.zeros(model.num_outcomes)
-    for k in range(model.size):
-        total += ((idx >> k) & 1).astype(float)
-    return FunctionalTable(model, total)
+    return FunctionalTable(model, mask_orders(model.size).astype(float))

@@ -148,6 +148,14 @@ def to_table(model: ProbabilityModel, expansion: ChaosExpansion) -> FunctionalTa
     return FunctionalTable(model, _inverse_transform(model, coeffs))
 
 
+def mask_orders(size: int) -> np.ndarray:
+    """Chaos order popcount(mask) of every subset bitmask 0..2^size - 1."""
+    orders = np.zeros(1, dtype=np.uint8)
+    for _ in range(size):
+        orders = np.concatenate([orders, orders + 1])
+    return orders
+
+
 def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion:
     """Unique chaos representation of a value table.
 
@@ -157,14 +165,12 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     if table.values.shape != (model.num_outcomes,):
         raise LengthMismatch("table does not match the model")
     coeffs = _forward_transform(model, table.values)
+    orders = mask_orders(model.size)
     kernels: dict[int, dict] = {}
-    for mask in range(1, model.num_outcomes):
-        c = coeffs[mask]
-        if c == 0.0:
-            continue
+    for mask in (np.flatnonzero(coeffs[1:]) + 1).tolist():
+        order = int(orders[mask])
         key = tuple(k + 1 for k in range(model.size) if (mask >> k) & 1)
-        order = len(key)
-        kernels.setdefault(order, {})[key] = c / math.factorial(order)
+        kernels.setdefault(order, {})[key] = coeffs[mask] / math.factorial(order)
     return ChaosExpansion(
         float(coeffs[0]),
         {order: Kernel(order, entries) for order, entries in kernels.items()},
@@ -239,11 +245,3 @@ def covariance(model: ProbabilityModel, f: Kernel, g: Kernel) -> float:
     if f.order != g.order:
         return 0.0
     return math.factorial(f.order) * inner_product(f, g)
-
-
-def expansion_variance(expansion: ChaosExpansion) -> float:
-    """Var of the represented functional: sum over orders of n! ||f_n||^2."""
-    return stable_sum(
-        math.factorial(order) * inner_product(kernel, kernel)
-        for order, kernel in expansion.kernels.items()
-    )

@@ -103,10 +103,6 @@ class TargetSet:
         object.__setattr__(self, "members", members)
 
     @classmethod
-    def from_iterable(cls, ks) -> "TargetSet":
-        return cls(frozenset(ks))
-
-    @classmethod
     def naturals(cls) -> "TargetSet":
         return cls(frozenset(), 0)
 
@@ -220,14 +216,6 @@ class SteinFactors:
     diff_bound: float
     second_diff_bound: float
     second_diff_alternative: float
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.sup_bound,
-            self.diff_bound,
-            self.second_diff_bound,
-            self.second_diff_alternative,
-        )
 
 
 def stein_factors(lam: float) -> SteinFactors:

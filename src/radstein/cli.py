@@ -287,15 +287,15 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
         ).value
 
     rows = []
+    streamed = {}
     for method in requested:
-        if method == "main":
-            report = bounds_mod.main_bound(model, table, lam)
-        elif method == "main_reduced":
-            report = bounds_mod.main_bound_reduced(model, table, lam)
+        if method in bounds_mod.STREAMED_METHODS:
+            streamed = streamed or bounds_mod.enumeration_bounds(
+                model, table, lam, set(requested) & set(bounds_mod.STREAMED_METHODS)
+            )
+            report = streamed[method]
         elif method == "second_order":
             report = bounds_mod.second_order_bound(model, table, lam)
-        elif method == "wasserstein":
-            report = bounds_mod.wasserstein_bound(model, table, lam)
         elif method == "bernoulli":
             report = bounds_mod.bernoulli_bound(model.p, lam)
         elif method == "j1":
@@ -439,6 +439,9 @@ def _cmd_j2_rate(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    if not 0 <= args.seed < 2**128:
+        sys.stderr.write(f"--seed must be an integer in [0, 2^128), got {args.seed}\n")
+        return EXIT_VALIDATION
     try:
         model = build_model(args.p)
     except RadsteinError as err:

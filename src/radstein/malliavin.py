@@ -2,30 +2,39 @@
 
 The gradient has two interchangeable routes: pathwise, by flipping one
 coordinate of the value table, and through the chaos expansion, by slicing
-kernels.  Bound computations deliberately use the pathwise route so that the
-chaos route stays available as an independent cross-check.
+kernels.  L^{-1} likewise acts either on the mask-indexed coefficient array
+(:func:`pseudo_inverse_table`) or on a ``ChaosExpansion`` of sparse kernels
+(:func:`pseudo_inverse`).  Bound computations use the pathwise gradient and
+the coefficient-domain L^{-1}; the ``Kernel`` route stays as the independent
+cross-check in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import ChaosExpansion, decompose, to_table
-from .errors import IndexOutOfRange, MalformedField
+from .chaos import ChaosExpansion, _forward_transform, _inverse_transform
+from .chaos import mask_orders, to_table
+from .errors import IndexOutOfRange, LengthMismatch, MalformedField
 from .kernels import Kernel, slice_kernel
 from .model import FunctionalTable, ProbabilityModel, expectation, stable_sum
+
+
+def flip_difference(model: ProbabilityModel, values: np.ndarray, k: int) -> np.ndarray:
+    """sqrt(p_k q_k) (F with omega_k = +1 minus F with omega_k = -1), once per
+    pair of outcomes that differ only in omega_k, shaped (2^N / 2^k, 2^(k-1))."""
+    pairs = values.reshape(-1, 2, 1 << (k - 1))
+    return model.sigma[k - 1] * (pairs[:, 1] - pairs[:, 0])
 
 
 def gradient_pathwise(model: ProbabilityModel, table: FunctionalTable, k: int) -> FunctionalTable:
     """D_k F = sqrt(p_k q_k) (F with omega_k = +1 minus F with omega_k = -1)."""
     model.check_index(k)
-    bit = 1 << (k - 1)
-    idx = np.arange(model.num_outcomes)
-    plus = table.values[idx | bit]
-    minus = table.values[idx & ~bit]
-    return FunctionalTable(model, model.sigma[k - 1] * (plus - minus))
+    half = flip_difference(model, table.values, k)
+    return FunctionalTable(model, np.stack((half, half), axis=1).reshape(-1))
 
 
 def gradient_chaos(expansion: ChaosExpansion, k: int) -> ChaosExpansion:
@@ -120,15 +129,32 @@ def _as_table(model: ProbabilityModel, functional) -> FunctionalTable:
     return to_table(model, functional)
 
 
+def pseudo_inverse_table(model: ProbabilityModel, table: FunctionalTable) -> FunctionalTable:
+    """L^{-1}(F - E[F]) on every outcome, computed in the coefficient domain:
+    L multiplies the order-n chaos by -n, so the coefficient c at a mask of
+    popcount n becomes n! * ((-1/n) * (c / n!)) + 0.0 between two butterflies.
+    That is the rounding of decompose, pseudo_inverse and to_table, whose
+    dropped zero entries leave +0.0, so both routes agree bit for bit."""
+    if table.values.shape != (model.num_outcomes,):
+        raise LengthMismatch("table does not match the model")
+    coeffs = _forward_transform(model, table.values)
+    orders = mask_orders(model.size)
+    fact = np.array([float(math.factorial(n)) for n in range(model.size + 1)])[orders]
+    minus_inv = np.array([0.0] + [-1.0 / n for n in range(1, model.size + 1)])[orders]
+    scaled = fact * (minus_inv * (coeffs / fact)) + 0.0
+    scaled[0] = 0.0
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("non-finite chaos coefficient")
+    return FunctionalTable(model, _inverse_transform(model, scaled))
+
+
 def minus_gradient_pseudo_inverse(
     model: ProbabilityModel, table: FunctionalTable
 ) -> list:
     """Tables of -D_k L^{-1}(F - E[F]) for k = 1..N, gradients by flipping."""
-    inverse_table = to_table(model, pseudo_inverse(decompose(model, table)))
+    inverse_table = pseudo_inverse_table(model, table)
     return [
-        FunctionalTable(
-            model, -gradient_pathwise(model, inverse_table, k).values
-        )
+        FunctionalTable(model, -gradient_pathwise(model, inverse_table, k).values)
         for k in range(1, model.size + 1)
     ]
 

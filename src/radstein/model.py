@@ -213,14 +213,6 @@ class FunctionalTable:
     def constant(cls, model: ProbabilityModel, c: float) -> "FunctionalTable":
         return cls(model, np.full(model.num_outcomes, float(c)))
 
-    @classmethod
-    def from_callable(cls, model: ProbabilityModel, fn) -> "FunctionalTable":
-        vals = np.array(
-            [fn(Outcome.from_index(i, model.size)) for i in range(model.num_outcomes)],
-            dtype=float,
-        )
-        return cls(model, vals)
-
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:

@@ -2,7 +2,10 @@
 
 Everything here works from first principles on explicit outcome lists and
 index loops, never through the package's transforms or sparse algebra, so
-agreement is evidence rather than tautology.
+agreement is evidence rather than tautology.  The exceptions are the kernel
+route oracles at the end: they keep the sparse-kernel computation of
+-D L^{-1}(F - E[F]) and the per-method enumeration bounds built on it, which
+the coefficient-domain production route must reproduce bit for bit.
 """
 
 import itertools
@@ -10,7 +13,9 @@ import math
 
 import numpy as np
 
+from radstein.chaos import decompose, to_table
 from radstein.kernels import Kernel
+from radstein.malliavin import gradient_pathwise, pseudo_inverse
 
 
 def all_outcomes(n):
@@ -203,3 +208,51 @@ def rand_kernel(rng, order, size, density=0.6, lo=-1.0, hi=1.0):
 
 def rand_integer_table(rng, num_outcomes, top=6):
     return np.array([float(rng.randint(0, top)) for _ in range(num_outcomes)])
+
+
+def dict_minus_gradient_pseudo_inverse(model, table):
+    """Arrays of -D_k L^{-1}(F - E[F]) for k = 1..N through the kernel route:
+    decompose, pseudo_inverse, to_table, then one coordinate flip per k."""
+    inverse_table = to_table(model, pseudo_inverse(decompose(model, table)))
+    return [
+        -gradient_pathwise(model, inverse_table, k).values
+        for k in range(1, model.size + 1)
+    ]
+
+
+def dict_route_bound(model, table, lam, method):
+    """Terms (mean shift, variance-like, remainder) of the enumeration bound
+    ``method`` ("main", "main_reduced" or "wasserstein"), one method per call,
+    each gradient a full table and -D L^{-1} from the kernel route."""
+    w = model.outcome_weights
+    idx = np.arange(model.num_outcomes)
+    grads = [
+        gradient_pathwise(model, table, k).values for k in range(1, model.size + 1)
+    ]
+    minus_dl = dict_minus_gradient_pseudo_inverse(model, table)
+    inner = np.zeros(model.num_outcomes)
+    for dk, gk in zip(grads, minus_dl):
+        inner += dk * gk
+    gap = math.fsum(w * np.abs(lam - inner))
+    mean = math.fsum(w * table.values)
+    sup_f = min(1.0, math.sqrt(2.0 / (math.e * lam)))
+    diff_f = -math.expm1(-lam) / lam
+    if method == "main_reduced":
+        per_k = []
+        for k, (dk, gk) in enumerate(zip(grads, minus_dl), start=1):
+            sigma = model.sigma[k - 1]
+            drift = sigma * (model.p[k - 1] - model.q[k - 1])
+            per_k.append((1.0 / sigma) * math.fsum(w * dk * (dk + drift) * np.abs(gk)))
+        return sup_f * abs(lam - mean), diff_f * gap, diff_f * math.fsum(per_k)
+    scale = 0.5 if method == "wasserstein" else 1.0
+    third = np.zeros(model.num_outcomes)
+    for k, (dk, gk) in enumerate(zip(grads, minus_dl), start=1):
+        sigma = model.sigma[k - 1]
+        sign = np.where((idx >> (k - 1)) & 1 == 1, 1.0, -1.0)
+        third += (scale / sigma) * dk * (dk + sigma * sign) * np.abs(gk)
+    remainder = math.fsum(w * third)
+    if method == "main":
+        return sup_f * abs(lam - mean), diff_f * gap, diff_f * remainder
+    c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
+    c3 = min(4.0 / 3.0, 2.0 / lam)
+    return abs(lam - mean), c2 * gap, c3 * remainder

@@ -7,9 +7,11 @@ import pytest
 
 from radstein.bounds import (
     J2_RATE_CONSTANT,
+    STREAMED_METHODS,
     BoundReport,
     bernoulli_bound,
     bernoulli_sum_table,
+    enumeration_bounds,
     j1_bound,
     j2_bound,
     j2_example,
@@ -154,6 +156,75 @@ class TestWassersteinBound:
         lam = expectation(model, table)
         exact = w1_exact(distribution(model, table), lam).value
         assert wasserstein_bound(model, table, lam).total >= exact - 1e-12
+
+
+def report_bits(report):
+    return tuple(
+        float(x).hex()
+        for x in (
+            report.lam,
+            report.term_mean_shift,
+            report.term_variance_like,
+            report.term_remainder,
+            report.total,
+        )
+    )
+
+
+class TestEnumerationBounds:
+    def test_reproduces_per_method_kernel_route_reports(self):
+        rng = random.Random(77)
+        for i in range(200):
+            size = 1 + i % 10
+            p = oracles.rand_model_p(rng, size, 0.02, 0.98)
+            if i % 4 == 0:
+                p = [rng.choice([0.5, 0.2, 0.85]) for _ in range(size)]
+            model = build_model(p)
+            values = oracles.rand_integer_table(rng, model.num_outcomes, rng.choice([2, 4, 10]))
+            if i % 6 == 0:
+                ignored = 1 << rng.randrange(size)
+                values = values[np.arange(model.num_outcomes) & ~ignored]
+            if not values.any():
+                values[-1] = 1.0
+            table = FunctionalTable(model, values)
+            lam = rng.choice([expectation(model, table), rng.uniform(0.05, 8.0)])
+            reports = enumeration_bounds(model, table, lam, STREAMED_METHODS)
+            assert list(reports) == list(STREAMED_METHODS)
+            for method, report in reports.items():
+                terms = oracles.dict_route_bound(model, table, lam, method)
+                want = BoundReport(lam, *terms, math.fsum(terms), method)
+                assert report.method == method
+                assert report_bits(report) == report_bits(want), (i, method)
+                alone = enumeration_bounds(model, table, lam, [method])[method]
+                assert report_bits(alone) == report_bits(want), (i, method)
+            assert report_bits(main_bound(model, table, lam)) == report_bits(reports["main"])
+            assert report_bits(main_bound_reduced(model, table, lam)) == report_bits(
+                reports["main_reduced"]
+            )
+            assert report_bits(wasserstein_bound(model, table, lam)) == report_bits(
+                reports["wasserstein"]
+            )
+
+    def test_rejects_other_methods(self):
+        model = build_model([0.5])
+        with pytest.raises(ValueError, match="second_order"):
+            enumeration_bounds(
+                model, FunctionalTable.constant(model, 1.0), 1.0, ["main", "second_order"]
+            )
+
+    def test_peak_memory_is_a_few_tables_at_n16(self):
+        import tracemalloc
+
+        model = build_model([0.1 + 0.05 * (k % 8) for k in range(16)])
+        table = bernoulli_sum_table(model)
+        lam = expectation(model, table)
+        tracemalloc.start()
+        try:
+            main_bound(model, table, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * model.num_outcomes
 
 
 class TestJ1Bound:

@@ -229,6 +229,30 @@ class TestBound:
         )
         assert main(["bound", str(spec), "--out", str(tmp_path / "x")]) == 2
 
+    def test_rows_follow_requested_order(self, tmp_path):
+        def rows_for(methods, name):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(
+                json.dumps(
+                    {
+                        "model": {"p": [0.1, 0.2, 0.3, 0.15, 0.25]},
+                        "functional": {"bernoulli": {}},
+                        "lambda": 0.9,
+                        "bounds": methods,
+                    }
+                ),
+                encoding="utf-8",
+            )
+            code, text = run_cli(["bound", str(spec)], tmp_path, f"{name}.out")
+            assert code == 0
+            return json.loads(text)["rows"]
+
+        requested = ["wasserstein", "second_order", "main", "wasserstein", "main_reduced"]
+        rows = rows_for(requested, "all")
+        assert [row["method"] for row in rows] == requested
+        for i, row in enumerate(rows):
+            assert rows_for([row["method"]], f"one{i}") == [row]
+
     def test_csv_format_from_spec_document(self, tmp_path):
         spec = tmp_path / "csv_spec.json"
         spec.write_text(
@@ -328,6 +352,12 @@ class TestBernoulliCommand:
 
     def test_bad_probability(self):
         assert main(["bernoulli", "--p", "1.5"]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range_exits_two(self, seed, capsys):
+        argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "20000"]
+        assert main([*argv, "--seed", str(seed)]) == 2
+        assert "--seed must be an integer in [0, 2^128)" in capsys.readouterr().err
 
 
 class TestReproducibility:

@@ -164,6 +164,56 @@ class TestOperators:
                 )
 
 
+def route_case(rng, i):
+    """Table i of the route comparison: N = 1 + i mod 10; every fifth table is
+    constant and every fifth ignores one coordinate, so exactly zero and
+    signed-zero coefficients occur."""
+    size = 1 + i % 10
+    p = oracles.rand_model_p(rng, size)
+    if i % 3 == 0:
+        p = [rng.choice([0.5, 0.25, 0.9]) for _ in range(size)]
+    model = build_model(p)
+    kind = i % 5
+    if kind == 0:
+        values = np.full(model.num_outcomes, rng.choice([0.0, 2.0, -1.5]))
+    elif kind == 1:
+        ignored = 1 << rng.randrange(size)
+        base = [rng.uniform(-3, 3) for _ in range(model.num_outcomes)]
+        values = np.array([base[idx & ~ignored] for idx in range(model.num_outcomes)])
+    elif kind == 2:
+        values = oracles.rand_integer_table(rng, model.num_outcomes)
+    elif kind == 3:
+        kernels = {
+            order: oracles.rand_kernel(rng, order, size, density=0.4)
+            for order in range(1, min(3, size) + 1)
+        }
+        values = to_table(model, ChaosExpansion(rng.uniform(-1, 1), kernels)).values
+    else:
+        values = np.array([rng.uniform(-1e3, 1e3) for _ in range(model.num_outcomes)])
+    return model, FunctionalTable(model, values)
+
+
+class TestCoefficientDomainRoute:
+    def test_equals_kernel_route_byte_for_byte(self):
+        rng = random.Random(4242)
+        for i in range(300):
+            model, table = route_case(rng, i)
+            got = minus_gradient_pseudo_inverse(model, table)
+            want = oracles.dict_minus_gradient_pseudo_inverse(model, table)
+            assert len(got) == len(want) == model.size
+            for k, (g, w) in enumerate(zip(got, want), start=1):
+                assert g.values.tobytes() == w.tobytes(), (i, k)
+
+    def test_non_finite_coefficient_is_rejected(self):
+        model = build_model([0.5])
+        table = FunctionalTable(model, np.array([-1.7e308, 1.7e308]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError):
+                oracles.dict_minus_gradient_pseudo_inverse(model, table)
+            with pytest.raises(ValueError, match="non-finite"):
+                minus_gradient_pseudo_inverse(model, table)
+
+
 class TestDivergence:
     def test_constant_components_give_order_one_integral(self):
         model = build_model([0.2, 0.5, 0.8])
