@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -260,8 +261,13 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
                 "$.mc_samples",
             )
 
-    table = to_table(model, expansion) if use_enumeration else None
+    table = None
     if use_enumeration:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = to_table(model, expansion)
+        except ValueError as err:
+            raise SpecParseError(str(err), f"$.functional.{form}") from err
         mean = expectation(model, table)
         var = variance(model, table)
     else:
@@ -486,7 +492,10 @@ def _cmd_bernoulli(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="radstein",
         description=(

@@ -23,12 +23,21 @@ model's phi over the identified-but-unsummed slots.
 explicitly and serve as the definition that tests check against.  The bounds
 and the product formula use only :func:`sym_offdiag_weighted_contract`, which
 computes the symmetrized off-diagonal kernel directly from sparse entries.
+
+Cost of that engine: for r >= 1 a per-call inverted index from coordinate to
+the entries of g that contain it makes the work proportional to the entry
+pairs sharing at least one index (only those sharing exactly r are expanded);
+for r = 0 it scans all pairs and expands the disjoint ones.  Kernels that
+this module builds from valid kernels (the engine's output, ``scaled``,
+:func:`kernel_add`, :func:`slice_kernel`) are not re-parsed: only finiteness
+is checked and zeros are dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -72,6 +81,23 @@ class Kernel:
         )
 
     @classmethod
+    def _built(cls, order: int, entries: dict) -> "Kernel":
+        """Kernel from entries this module built out of valid kernels: keys
+        are already strictly increasing tuples of positive ints of length
+        ``order``, so only finiteness is checked and zeros are dropped."""
+        clean = {}
+        for key, value in entries.items():
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite coefficient at {key}")
+            if value != 0.0:
+                clean[key] = value
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "order", order)
+        object.__setattr__(kernel, "entries", clean)
+        return kernel
+
+    @classmethod
     def zero(cls, order: int) -> "Kernel":
         return cls(order, {})
 
@@ -104,7 +130,7 @@ class Kernel:
         return max((t[-1] for t in self.entries if t), default=0)
 
     def scaled(self, a: float) -> "Kernel":
-        return Kernel(self.order, {t: a * c for t, c in self.entries.items()})
+        return Kernel._built(self.order, {t: a * c for t, c in self.entries.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +192,7 @@ def slice_kernel(f: Kernel, k: int) -> Kernel:
         raise OrderMismatch("cannot slice a scalar kernel")
     if k < 1:
         raise IndexOutOfRange(f"index {k} is not positive")
-    return Kernel(
+    return Kernel._built(
         f.order - 1,
         {
             tuple(i for i in key if i != k): value
@@ -182,7 +208,7 @@ def kernel_add(f: Kernel, g: Kernel) -> Kernel:
     acc = dict(f.entries)
     for key, value in g.entries.items():
         acc[key] = acc.get(key, 0.0) + value
-    return Kernel(f.order, acc)
+    return Kernel._built(f.order, acc)
 
 
 def _check_contraction_indices(n: int, m: int, r: int, ell: int) -> None:
@@ -306,6 +332,36 @@ def to_kernel(t: RawTensor) -> Kernel:
     return Kernel(t.order, entries)
 
 
+def _pairs_sharing(f: Kernel, g: Kernel, r: int):
+    """Yield (T_f, f(T_f), T_g, g(T_g), shared indices) for every entry pair
+    sharing exactly r indices, in the order of an all-pairs scan.
+
+    For r >= 1 a postings map from coordinate to the positions of the g
+    entries containing it counts the shared indices of each f entry against
+    only the g entries it meets; for r = 0 the disjoint pairs are scanned.
+    """
+    g_items = list(g.entries.items())
+    if r == 0:
+        for tf, cf in f.entries.items():
+            set_f = frozenset(tf)
+            for tg, cg in g_items:
+                if set_f.isdisjoint(tg):
+                    yield tf, cf, tg, cg, frozenset()
+        return
+    postings: dict[int, list] = {}
+    for j, (tg, _) in enumerate(g_items):
+        for i in tg:
+            postings.setdefault(i, []).append(j)
+    for tf, cf in f.entries.items():
+        shared = Counter(
+            itertools.chain.from_iterable(postings.get(i, ()) for i in tf)
+        )
+        set_f = frozenset(tf)
+        for j in sorted(j for j, count in shared.items() if count == r):
+            tg, cg = g_items[j]
+            yield tf, cf, tg, cg, set_f.intersection(tg)
+
+
 def sym_offdiag_weighted_contract(
     model: ProbabilityModel, f: Kernel, g: Kernel, r: int, ell: int
 ) -> Kernel:
@@ -320,6 +376,8 @@ def sym_offdiag_weighted_contract(
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  phi(kept)  *  f(T_f) g(T_g)
 
     at the increasing tuple U = (T_f union T_g) minus the summed indices.
+    Each output coefficient is the correctly rounded sum of its
+    contributions, so neither the visiting order nor the index changes a bit.
     """
     n, m = f.order, g.order
     _check_contraction_indices(n, m, r, ell)  # l < r already forces r >= 1
@@ -331,22 +389,19 @@ def sym_offdiag_weighted_contract(
         * math.factorial(ell)
         / math.factorial(out_order)
     )
+    phi = model.phi.tolist()
     terms: dict[tuple, list] = {}
-    for tf, cf in f.entries.items():
-        set_f = frozenset(tf)
-        for tg, cg in g.entries.items():
-            common = set_f.intersection(tg)
-            if len(common) != r:
-                continue
-            union = set_f.union(tg)
-            prod = base * cf * cg
-            for summed in itertools.combinations(sorted(common), ell):
-                kept = sorted(common.difference(summed))
-                w = prod
-                for k in kept:
-                    model.check_index(k)
-                    w *= model.phi[k - 1]
-                key = tuple(sorted(union.difference(summed)))
-                terms.setdefault(key, []).append(w)
-    entries = {key: stable_sum(vals) for key, vals in terms.items()}
-    return Kernel(out_order, entries)
+    for tf, cf, tg, cg, common in _pairs_sharing(f, g, r):
+        union = common.union(tf, tg)
+        prod = base * cf * cg
+        for summed in itertools.combinations(sorted(common), ell):
+            kept = sorted(common.difference(summed))
+            w = prod
+            for k in kept:
+                model.check_index(k)
+                w *= phi[k - 1]
+            key = tuple(sorted(union.difference(summed)))
+            terms.setdefault(key, []).append(w)
+    return Kernel._built(
+        out_order, {key: stable_sum(vals) for key, vals in terms.items()}
+    )

@@ -2,10 +2,11 @@
 
 Everything here works from first principles on explicit outcome lists and
 index loops, never through the package's transforms or sparse algebra, so
-agreement is evidence rather than tautology.  The exceptions are the kernel
-route oracles at the end: they keep the sparse-kernel computation of
--D L^{-1}(F - E[F]) and the per-method enumeration bounds built on it, which
-the coefficient-domain production route must reproduce bit for bit.
+agreement is evidence rather than tautology.  The exceptions reproduce an
+earlier production route that the current one must match bit for bit: the
+all-pairs scan of the fused kernel contraction, and at the end the
+sparse-kernel computation of -D L^{-1}(F - E[F]) with the per-method
+enumeration bounds built on it.
 """
 
 import itertools
@@ -94,6 +95,37 @@ def brute_contract(f, g, r, ell, support):
                 if total != 0.0:
                     out[fi + ki + gj] = total
     return out
+
+
+def all_pairs_sym_offdiag_weighted_contract(model, f, g, r, ell):
+    """The fused symmetrized off-diagonal weighted contraction computed by
+    intersecting every pair of entries of f and g, with phi read from the
+    model and the result built through the public Kernel constructor."""
+    n, m = f.order, g.order
+    out_order = n + m - r - ell
+    base = (
+        math.factorial(n - r)
+        * math.factorial(r - ell)
+        * math.factorial(m - r)
+        * math.factorial(ell)
+        / math.factorial(out_order)
+    )
+    terms = {}
+    for tf, cf in f.entries.items():
+        set_f = frozenset(tf)
+        for tg, cg in g.entries.items():
+            common = set_f.intersection(tg)
+            if len(common) != r:
+                continue
+            union = set_f.union(tg)
+            prod = base * cf * cg
+            for summed in itertools.combinations(sorted(common), ell):
+                w = prod
+                for k in sorted(common.difference(summed)):
+                    w *= model.phi[k - 1]
+                key = tuple(sorted(union.difference(summed)))
+                terms.setdefault(key, []).append(w)
+    return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
 
 
 def explicit_j2_bound(p, f, shift, lam):

@@ -165,6 +165,18 @@ class TestBound:
             ({"model": {"p": [0.5, "0.5"]}}, "$.model.p"),
             ({"bounds": 5}, "$.bounds"),
             ({"lambda": True}, "$.lambda"),
+            (
+                {
+                    "functional": {
+                        "chaos": {
+                            "mean": 1e308,
+                            "kernels": [[[1], 1e308], [[1, 2], 1e308]],
+                        }
+                    },
+                    "bounds": ["main"],
+                },
+                "$.functional.chaos",
+            ),
         ],
     )
     def test_malformed_field_exits_two_at_its_location(
@@ -358,6 +370,17 @@ class TestBernoulliCommand:
         argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "20000"]
         assert main([*argv, "--seed", str(seed)]) == 2
         assert "--seed must be an integer in [0, 2^128)" in capsys.readouterr().err
+
+    def test_parser_reuse_keeps_the_default_seed(self, capsys):
+        argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "10000"]
+        assert main([*argv, "--seed", "5"]) == 0
+        seeded = capsys.readouterr().out
+        assert main(argv) == 0
+        unseeded = capsys.readouterr().out
+        code, fresh = run_subprocess(argv)
+        assert code == 0
+        assert unseeded.encode() == fresh
+        assert seeded != unseeded
 
 
 class TestReproducibility:

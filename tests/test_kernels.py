@@ -13,6 +13,7 @@ from radstein.kernels import (
     RawTensor,
     contract,
     inner_product,
+    kernel_add,
     kernel_as_raw,
     norm,
     norm_sq,
@@ -232,3 +233,79 @@ class TestFusedContraction:
                 naive = to_kernel(weighted_contract(model, f, g, r, ell))
                 assert fused.order == naive.order
                 assert tensors_close(fused.entries, naive.entries, 1e-13)
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True)
+    def test_equals_all_pairs_scan_byte_for_byte(self, data):
+        size = data.draw(st.integers(1, 12), label="N")
+        p = data.draw(
+            st.lists(
+                st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                min_size=size,
+                max_size=size,
+            ),
+            label="p",
+        )
+        model = build_model(p)
+        coefficient = st.one_of(
+            st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0)
+        )
+
+        def draw_kernel(label):
+            order = data.draw(st.integers(0, min(4, size)), label=f"order {label}")
+            key = st.frozensets(
+                st.integers(1, size), min_size=order, max_size=order
+            ).map(lambda s: tuple(sorted(s)))
+            return Kernel(
+                order,
+                data.draw(
+                    st.dictionaries(key, coefficient, max_size=24), label=label
+                ),
+            )
+
+        f = draw_kernel("f")
+        g = f if data.draw(st.booleans(), label="g is f") else draw_kernel("g")
+        for r in range(min(f.order, g.order) + 1):
+            for ell in range(r + 1):
+                fused = sym_offdiag_weighted_contract(model, f, g, r, ell)
+                scan = oracles.all_pairs_sym_offdiag_weighted_contract(
+                    model, f, g, r, ell
+                )
+                assert fused.order == scan.order
+                assert [(k, v.hex()) for k, v in fused.entries.items()] == [
+                    (k, v.hex()) for k, v in scan.entries.items()
+                ]
+
+
+class TestEngineBuiltKernels:
+    def test_entries_equal_public_construction(self):
+        rng = random.Random(7)
+        model = build_model(oracles.rand_model_p(rng, 8))
+        f = oracles.rand_kernel(rng, 3, 8)
+        g = oracles.rand_kernel(rng, 2, 8)
+        built = [f.scaled(-0.75), kernel_add(f, f.scaled(0.5)), slice_kernel(f, 3)]
+        for r in range(3):
+            for ell in range(r + 1):
+                built.append(sym_offdiag_weighted_contract(model, f, g, r, ell))
+        for kernel in built:
+            public = Kernel(kernel.order, dict(kernel.entries))
+            assert list(public.entries.items()) == list(kernel.entries.items())
+            assert all(type(v) is float for v in kernel.entries.values())
+
+    def test_overflowing_product_raises(self):
+        model = build_model([0.3, 0.6])
+        f = Kernel(1, {(1,): 1e200})
+        g = Kernel(1, {(2,): 1e200})
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_offdiag_weighted_contract(model, f, g, 0, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            f.scaled(1e200)
+
+    def test_cancelling_entries_are_dropped(self):
+        model = build_model([0.3, 0.6, 0.5])
+        f = Kernel(1, {(1,): 1.0, (3,): 1.0})
+        g = Kernel(1, {(1,): 1.0, (3,): -1.0})
+        tensor = sym_offdiag_weighted_contract(model, f, g, 0, 0)
+        assert tensor.order == 2 and tensor.entries == {}
+        assert kernel_add(f, f.scaled(-1.0)).entries == {}
+        assert f.scaled(0.0).entries == {}
