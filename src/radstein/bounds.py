@@ -28,14 +28,16 @@ from .kernels import (
     slice_kernel,
     sym_offdiag_weighted_contract,
 )
-from .malliavin import flip_difference, gradient_pathwise, pseudo_inverse_table
+from .malliavin import flip_difference, pseudo_inverse_table
 from .model import (
+    SUM_BLOCK,
     FunctionalTable,
     ProbabilityModel,
     build_model,
     expectation,
     integer_values,
     stable_sum,
+    stable_sums,
     variance,
 )
 
@@ -321,13 +323,36 @@ def j2_bound(
     return replace(jm_bound(model, f, shift, lam, check_integer), method="j2")
 
 
+def _weighted_sums(a: np.ndarray, tables: np.ndarray) -> list:
+    """[fsum(a * t) for t in tables], in batches of about SUM_BLOCK doubles."""
+    step = max(1, SUM_BLOCK // a.size)
+    sums = []
+    for i in range(0, len(tables), step):
+        sums += stable_sums(a * tables[i : i + step])
+    return sums
+
+
+def _gradient_into(out: np.ndarray, model: ProbabilityModel, values: np.ndarray, k: int):
+    """Write D_k of ``values`` over all outcomes into ``out``.  For an
+    integer-valued F no entry overflows: sqrt(p q) <= 1/2, so |D_k F| and
+    |D_l D_k F| stay below max F."""
+    out.reshape(-1, 2, 1 << (k - 1))[...] = flip_difference(model, values, k)[:, None, :]
+
+
 def second_order_bound(
     model: ProbabilityModel, table: FunctionalTable, lam: float
 ) -> BoundReport:
     """Second-order bound from first and second gradient moments only.
 
     No chaos decomposition enters: all five terms are moments of D_k F and
-    D_l D_k F, each computed exactly by enumeration.
+    D_l D_k F, each computed exactly by enumeration.  The moments
+    m2(l, j, k) = E[(D_l D_j F)^2 (D_l D_k F)^2] are streamed over l: only
+    the N - 1 tables (D_l D_j F)^2, j != l, of one l are held at a time
+    (D_l D_l F = 0, so m2(l, l, k) and m2(l, j, l) are exact zeros, or NaN
+    where the other factor is infinite).  Memory: the N first-gradient tables
+    D_k F, their squares until the first moments are summed, one l's N - 1
+    tables, and batches of about 2^14 doubles: about 2N tables of 2^N
+    doubles plus under 2 MiB (tracemalloc: 35 tables at N = 14 and 16).
     """
     lam = _check_lambda(lam)
     integer_values(table)
@@ -337,47 +362,48 @@ def second_order_bound(
     mean = expectation(model, table)
     var = variance(model, table)
 
-    grads = [gradient_pathwise(model, table, k).values for k in range(1, n + 1)]
-    grad_sq = [g * g for g in grads]
-    second_sq = {}
-    for j in range(1, n + 1):
-        dj = FunctionalTable(model, grads[j - 1])
-        for el in range(j, n + 1):
-            d2 = gradient_pathwise(model, dj, el).values
-            second_sq[(j, el)] = d2 * d2
-
-    def dd_sq(j, el):
-        return second_sq[(j, el)] if j <= el else second_sq[(el, j)]
-
-    first_moments = {}
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            first_moments[(j, k)] = stable_sum(w * grad_sq[j - 1] * grad_sq[k - 1])
-
-    def m1(j, k):
-        return first_moments[(j, k)] if j <= k else first_moments[(k, j)]
+    grads = np.empty((n, model.num_outcomes))
+    for k in range(1, n + 1):
+        _gradient_into(grads[k - 1], model, table.values, k)
+    grad_sq = grads * grads
+    m1 = [[0.0] * n for _ in range(n)]
+    per_k = []
+    for j in range(n):
+        weighted = w * grad_sq[j]
+        for k, s in enumerate(_weighted_sums(weighted, grad_sq[j:]), start=j):
+            m1[j][k] = m1[k][j] = s
+        sigma = model.sigma[j]
+        drift = sigma * (model.p[j] - model.q[j])
+        quartic = stable_sum(weighted * (grads[j] + drift) ** 2)
+        quadratic = stable_sum(weighted)
+        per_k.append(math.sqrt(max(quartic, 0.0) * max(quadratic, 0.0)) / sigma)
+    t5 = diff_f * stable_sum(per_k)
+    del grad_sq
 
     triple_mixed = []
     triple_scaled = []
-    for el in range(1, n + 1):
-        pq = model.p[el - 1] * model.q[el - 1]
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                m2 = stable_sum(w * dd_sq(el, j) * dd_sq(el, k))
-                triple_mixed.append(math.sqrt(max(m1(j, k), 0.0) * max(m2, 0.0)))
-                triple_scaled.append(m2 / pq)
+    second_sq = np.empty((n - 1, model.num_outcomes))
+    for el in range(n):
+        pq = model.p[el] * model.q[el]
+        others = [j for j in range(n) if j != el]
+        for row, j in zip(second_sq, others):
+            # D_l D_j F for j < l and D_j D_l F for j > l: the two orders round apart.
+            inner, outer = (j, el) if j < el else (el, j)
+            _gradient_into(row, model, grads[inner], outer + 1)
+        np.multiply(second_sq, second_sq, out=second_sq)
+        zero_term = [math.nan if x else 0.0 for x in np.isinf(second_sq).any(axis=1)]
+        m2 = [[0.0] * n for _ in range(n)]
+        for a, j in enumerate(others):
+            m2[j][el] = m2[el][j] = zero_term[a]
+            sums = _weighted_sums(w * second_sq[a], second_sq)
+            for k, s in zip(others, sums):
+                m2[j][k] = s
+        for j in range(n):
+            for k in range(n):
+                triple_mixed.append(math.sqrt(max(m1[j][k], 0.0) * max(m2[j][k], 0.0)))
+                triple_scaled.append(m2[j][k] / pq)
     t3 = diff_f * math.sqrt(3.75 * stable_sum(triple_mixed))
     t4 = diff_f * math.sqrt(0.75 * max(stable_sum(triple_scaled), 0.0))
-
-    per_k = []
-    for k in range(1, n + 1):
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        dk = grads[k - 1]
-        quartic = stable_sum(w * grad_sq[k - 1] * (dk + drift) ** 2)
-        quadratic = stable_sum(w * grad_sq[k - 1])
-        per_k.append(math.sqrt(max(quartic, 0.0) * max(quadratic, 0.0)) / sigma)
-    t5 = diff_f * stable_sum(per_k)
 
     t1 = sup_f * abs(lam - mean)
     t2 = diff_f * abs(lam - var)

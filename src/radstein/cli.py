@@ -264,8 +264,7 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
     table = None
     if use_enumeration:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                table = to_table(model, expansion)
+            table = to_table(model, expansion)
         except ValueError as err:
             raise SpecParseError(str(err), f"$.functional.{form}") from err
         mean = expectation(model, table)
@@ -548,7 +547,10 @@ def main(argv=None) -> int:
     if args.command == "bernoulli" and args.seed is None:
         args.seed = 0
     try:
-        return args.handler(args)
+        # On huge but finite specs numpy's overflow warnings would precede
+        # radstein's own message on stderr.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except SpecParseError as err:
         sys.stderr.write(f"spec error at {err.location or '$'}: {err}\n")
         return EXIT_VALIDATION

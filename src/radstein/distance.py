@@ -30,6 +30,7 @@ from .model import (
 
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 16
+_MC_MAX_VALUE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,23 @@ def tv_monte_carlo(
         worst = int(np.argmax(err))
         if err[worst] > INTEGER_TOLERANCE:
             raise NonIntegerValue(
-                f"sampled value {values[worst]!r} is not an integer",
+                f"sampled value {float(values[worst])!r} is not an integer",
                 value=float(values[worst]),
             )
         if np.any(rounded < 0):
             neg = int(np.argmax(rounded < 0))
             raise NonIntegerValue(
-                f"sampled value {values[neg]!r} is negative",
+                f"sampled value {float(values[neg])!r} is negative",
                 value=float(values[neg]),
+            )
+        # Values index the int64 counts; at 2^53 and above a float no longer
+        # tells neighbouring integers apart.  NaN fails the comparison too.
+        too_large = ~(rounded < _MC_MAX_VALUE)
+        if too_large.any():
+            big = int(np.argmax(too_large))
+            raise NonIntegerValue(
+                f"sampled value {float(values[big])!r} is not an integer below 2^53",
+                value=float(values[big]),
             )
         ints = rounded.astype(np.int64)
         top = int(ints.max())

@@ -3,10 +3,21 @@
 Coordinates are 1-based in every public signature.  Internally an outcome is a
 bitmask ``idx`` in ``0..2^N-1`` where bit ``k-1`` set means coordinate ``k``
 equals +1; outcomes are always iterated by ascending bitmask.
+
+Sums are correctly rounded: :func:`stable_sum` returns the bits of
+``math.fsum``, and :func:`stable_sums` those of one ``math.fsum`` per row of a
+2-D array.  Arrays are summed exactly per (row, binary exponent) with
+``np.bincount`` over the high 27 and the low 26 bits of each significand; the
+bins add up exactly to the row's sum, and one ``math.fsum`` over them rounds
+it once.
+``math.fsum`` runs on the values themselves for short input (rows below 512
+values or fewer than 2048 values in all), non-finite input and input with an
+exponent outside +-990.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,9 +37,107 @@ ENUMERATION_CAP = 24
 INTEGER_TOLERANCE = 1e-9
 
 
+# stable_sums bins each row by binary exponent.  frexp writes x = m 2^e with
+# 0.5 <= |m| < 1 and a 53-bit m, so m 2^27 = hi + lo with hi an integer of
+# magnitude at most 2^27 and lo a multiple of 2^-26 in [0, 1).  A block holds
+# at most SUM_BLOCK (< 2^26) values, so the sums of hi and of lo per (row, e)
+# are exact in binary64, and so are those sums scaled by 2^(e-27) while |e|
+# stays within _BINNED_EXPONENT: no overflow, and no bit falls below the
+# subnormal range.
+_BINNED_MIN_ROW = 512  # for shorter rows, or fewer values in all, fsum
+_BINNED_MIN_SIZE = 2048  # over tolist() is faster
+_BINNED_EXPONENT = 990
+# Values per block of stable_sums and per batch fed to it: 2^14 keeps a
+# block's temporaries in a core's L2 cache, and ran faster than 2^13 or 2^16.
+SUM_BLOCK = 1 << 14
+# Bound once: the contraction engine calls stable_sum once per output entry.
+_NDARRAY = np.ndarray
+
+
 def stable_sum(values) -> float:
-    """Correctly rounded sum of floats, independent of ordering and chunking."""
+    """Correctly rounded sum of floats, independent of ordering and chunking:
+    the bits of ``math.fsum(values)``.  A 1-D float64 array goes through
+    :func:`stable_sums`; anything else goes to ``math.fsum`` as it is."""
+    if type(values) is _NDARRAY and values.ndim == 1 and values.dtype == np.float64:
+        return stable_sums(values[None, :])[0]
     return math.fsum(values)
+
+
+def stable_sums(rows) -> list:
+    """Correctly rounded sum of each row of a 2-D float array, exactly
+    ``[math.fsum(r) for r in rows.tolist()]``.
+
+    Each row's values are split into exact per-exponent bins (see
+    ``_exponent_bins``), which add up exactly to the row's sum, so one
+    ``math.fsum`` over a row's 2 x (exponent span) bin values rounds that sum
+    once, correctly, like ``math.fsum`` over the row.  The work goes in blocks
+    of at most 2^14 values.  ``math.fsum`` sums the rows directly when they
+    are shorter than 512 values or hold fewer than 2048 in all (it is faster
+    there), when a value is non-finite, and when a binary exponent lies
+    outside +-990 (where a scaled bin could round).
+    """
+    rows = np.asarray(rows, dtype=float)
+    count, n = rows.shape
+    if n < _BINNED_MIN_ROW or count * n < _BINNED_MIN_SIZE:
+        return [stable_sum(r) for r in rows.tolist()]
+    width = min(n, SUM_BLOCK)
+    step = max(1, SUM_BLOCK // n)
+    parts = [[] for _ in range(count)]
+    for start in range(0, count, step):
+        for col in range(0, n, width):
+            bins = _exponent_bins(rows[start : start + step, col : col + width])
+            if bins is None:
+                return [_fsum_row(r) for r in rows]
+            for part, row_bins in zip(parts[start : start + step], bins.tolist()):
+                part += row_bins
+    sums = [stable_sum(part) for part in parts]
+    for i, s in enumerate(sums):
+        if s == 0.0:
+            sums[i] = _zero_row_sum(rows[i])
+    return sums
+
+
+def _exponent_bins(block: np.ndarray):
+    """Per row of ``block``, the exact values sum(hi) 2^(e-27) and
+    sum(lo) 2^(e-27) for every e from the block's least to its greatest
+    exponent, as a (rows, 2 x span) array; None if a value is non-finite or
+    an exponent lies outside the guard."""
+    m, e = np.frexp(block)
+    low, high = int(e.min()), int(e.max())
+    if low < -_BINNED_EXPONENT or high > _BINNED_EXPONENT:
+        return None
+    span = high - low + 1
+    rows = block.shape[0]
+    e += (np.arange(rows, dtype=e.dtype) * span - low)[:, None]
+    lo = np.multiply(m, 2.0**27, out=m)
+    hi = np.floor(lo)
+    with np.errstate(invalid="ignore"):  # inf - inf marks a non-finite value
+        lo -= hi
+    index, size = e.ravel(), rows * span
+    bins = np.concatenate(
+        (np.bincount(index, hi.ravel(), size), np.bincount(index, lo.ravel(), size))
+    )
+    if not np.isfinite(bins).all():
+        return None
+    scaled = np.ldexp(bins.reshape(2, rows, span), np.arange(low - 27, high - 26))
+    return scaled.transpose(1, 0, 2).reshape(rows, 2 * span)
+
+
+def _fsum_row(row: np.ndarray) -> float:
+    """``math.fsum`` of a 1-D array, converted to Python floats block by block."""
+    return math.fsum(
+        itertools.chain.from_iterable(
+            row[i : i + SUM_BLOCK].tolist() for i in range(0, row.size, SUM_BLOCK)
+        )
+    )
+
+
+def _zero_row_sum(row: np.ndarray) -> float:
+    """``math.fsum`` of a row whose exact sum is zero: the sign of a zero sum
+    is fsum's own rule, which depends on the Python version."""
+    if row.any():
+        return _fsum_row(row)
+    return math.fsum([-0.0] if np.signbit(row).all() else [0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +374,7 @@ def integer_values(table: FunctionalTable) -> np.ndarray:
     bad = int(np.argmax(err))
     if err[bad] > INTEGER_TOLERANCE:
         raise NonIntegerValue(
-            f"value {table.values[bad]!r} at outcome {bad} is not an integer "
+            f"value {float(table.values[bad])!r} at outcome {bad} is not an integer "
             f"within {INTEGER_TOLERANCE}",
             outcome_index=bad,
             value=float(table.values[bad]),
@@ -273,7 +382,7 @@ def integer_values(table: FunctionalTable) -> np.ndarray:
     if np.any(rounded < 0):
         neg = int(np.argmax(rounded < 0))
         raise NonIntegerValue(
-            f"value {table.values[neg]!r} at outcome {neg} is negative",
+            f"value {float(table.values[neg])!r} at outcome {neg} is negative",
             outcome_index=neg,
             value=float(table.values[neg]),
         )

@@ -4,9 +4,10 @@ Everything here works from first principles on explicit outcome lists and
 index loops, never through the package's transforms or sparse algebra, so
 agreement is evidence rather than tautology.  The exceptions reproduce an
 earlier production route that the current one must match bit for bit: the
-all-pairs scan of the fused kernel contraction, and at the end the
-sparse-kernel computation of -D L^{-1}(F - E[F]) with the per-method
-enumeration bounds built on it.
+all-pairs scan of the fused kernel contraction, the sparse-kernel
+computation of -D L^{-1}(F - E[F]) with the per-method enumeration bounds
+built on it, and the second-order bound that holds every D_j D_l F table and
+sums each moment with its own ``math.fsum``.
 """
 
 import itertools
@@ -14,9 +15,11 @@ import math
 
 import numpy as np
 
+from radstein.bounds import BoundReport
 from radstein.chaos import decompose, to_table
 from radstein.kernels import Kernel
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
+from radstein.model import FunctionalTable
 
 
 def all_outcomes(n):
@@ -288,3 +291,73 @@ def dict_route_bound(model, table, lam, method):
     c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
     c3 = min(4.0 / 3.0, 2.0 / lam)
     return abs(lam - mean), c2 * gap, c3 * remainder
+
+
+def _fsum_array(values):
+    return math.fsum(values.tolist())
+
+
+def dict_second_order_bound(model, table, lam):
+    """The second-order bound with every gradient a full table, all
+    N(N+1)/2 second-gradient tables kept in a dict, and one ``math.fsum`` per
+    moment; lam is checked and F's integer values are enforced by the caller."""
+    w = model.outcome_weights
+    n = model.size
+    mean = _fsum_array(w * table.values)
+    var = max(_fsum_array(w * (table.values - mean) ** 2), 0.0)
+    sup_f = min(1.0, math.sqrt(2.0 / (math.e * lam)))
+    diff_f = -math.expm1(-lam) / lam
+
+    grads = [gradient_pathwise(model, table, k).values for k in range(1, n + 1)]
+    grad_sq = [g * g for g in grads]
+    second_sq = {}
+    for j in range(1, n + 1):
+        dj = FunctionalTable(model, grads[j - 1])
+        for el in range(j, n + 1):
+            d2 = gradient_pathwise(model, dj, el).values
+            second_sq[(j, el)] = d2 * d2
+
+    def dd_sq(j, el):
+        return second_sq[(j, el)] if j <= el else second_sq[(el, j)]
+
+    first_moments = {}
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            first_moments[(j, k)] = _fsum_array(w * grad_sq[j - 1] * grad_sq[k - 1])
+
+    def m1(j, k):
+        return first_moments[(j, k)] if j <= k else first_moments[(k, j)]
+
+    triple_mixed = []
+    triple_scaled = []
+    for el in range(1, n + 1):
+        pq = model.p[el - 1] * model.q[el - 1]
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                m2 = _fsum_array(w * dd_sq(el, j) * dd_sq(el, k))
+                triple_mixed.append(math.sqrt(max(m1(j, k), 0.0) * max(m2, 0.0)))
+                triple_scaled.append(m2 / pq)
+    t3 = diff_f * math.sqrt(3.75 * math.fsum(triple_mixed))
+    t4 = diff_f * math.sqrt(0.75 * max(math.fsum(triple_scaled), 0.0))
+
+    per_k = []
+    for k in range(1, n + 1):
+        sigma = model.sigma[k - 1]
+        drift = sigma * (model.p[k - 1] - model.q[k - 1])
+        dk = grads[k - 1]
+        quartic = _fsum_array(w * grad_sq[k - 1] * (dk + drift) ** 2)
+        quadratic = _fsum_array(w * grad_sq[k - 1])
+        per_k.append(math.sqrt(max(quartic, 0.0) * max(quadratic, 0.0)) / sigma)
+    t5 = diff_f * math.fsum(per_k)
+
+    t1 = sup_f * abs(lam - mean)
+    t2 = diff_f * abs(lam - var)
+    return BoundReport(
+        lam,
+        t1,
+        t2,
+        math.fsum((t3, t4, t5)),
+        math.fsum((t1, t2, math.fsum((t3, t4, t5)))),
+        "second_order",
+        {"term_mixed_triple": t3, "term_scaled_triple": t4, "term_coordinate": t5},
+    )

@@ -531,6 +531,66 @@ class TestSecondOrderBound:
         assert second_order_bound(model, table, lam).total >= exact - 1e-12
 
 
+    def test_reproduces_dict_route_bit_for_bit(self):
+        rng = random.Random(91)
+        large = {0: 12, 30: 11, 60: 11, 90: 10, 120: 10, 150: 10, 180: 9, 210: 9, 240: 9}
+        for i in range(300):
+            size = large.get(i, 1 + i % 8)
+            p = oracles.rand_model_p(rng, size, 0.01, 0.99)
+            if i % 5 == 0:
+                p = [rng.choice([0.5, 0.3, 0.85]) for _ in range(size)]
+            model = build_model(p)
+            values = oracles.rand_integer_table(
+                rng, model.num_outcomes, rng.choice([1, 3, 60])
+            )
+            if i % 7 == 0:
+                ignored = 1 << rng.randrange(size)
+                values = values[np.arange(model.num_outcomes) & ~ignored]
+            table = FunctionalTable(model, values)
+            lam = rng.choice([expectation(model, table) or 0.5, rng.uniform(0.05, 9.0)])
+            got = second_order_bound(model, table, lam)
+            want = oracles.dict_second_order_bound(model, table, lam)
+            assert report_bits(got) == report_bits(want), i
+            assert list(got.detail) == list(want.detail), i
+            for key, value in got.detail.items():
+                assert value.hex() == want.detail[key].hex(), (i, key)
+
+    @pytest.mark.parametrize(
+        "n,scale,top", [(3, 1e160, 1), (5, 1e153, 3), (4, 1e80, 2), (3, 1e150, 2**40)]
+    )
+    def test_overflowing_moments_match_dict_route(self, n, scale, top):
+        """Squared second gradients overflow to inf; where the other factor
+        is inf, the skipped m2(l, l, k) terms are NaN as in the dict route."""
+        model = build_model([0.3] * n)
+        values = scale * oracles.rand_integer_table(random.Random(n), 1 << n, top)
+        table = FunctionalTable(model, values)
+        with np.errstate(all="ignore"):
+            got = second_order_bound(model, table, 1.0)
+            want = oracles.dict_second_order_bound(model, table, 1.0)
+        assert not math.isfinite(got.total)
+        assert report_bits(got) == report_bits(want)
+        assert [v.hex() for v in got.detail.values()] == [
+            v.hex() for v in want.detail.values()
+        ]
+
+    def test_peak_memory_is_about_two_tables_per_coordinate_at_n14(self):
+        import tracemalloc
+
+        n = 14
+        model = build_model([0.1 + 0.05 * (k % 8) for k in range(n)])
+        rng = random.Random(5)
+        table = FunctionalTable(model, oracles.rand_integer_table(rng, 1 << n, 40))
+        lam = expectation(model, table)
+        model.outcome_weights
+        tracemalloc.start()
+        try:
+            second_order_bound(model, table, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 * n + 8) * 8 * model.num_outcomes
+
+
 class TestJ2Example:
     def test_smallest_case_closed_form(self):
         record = j2_example(2)

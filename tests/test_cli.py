@@ -289,6 +289,71 @@ class TestBound:
         assert repr(float(total)) == total
 
 
+    HUGE_KERNELS = [[[1, 2], 1e200], [[2, 3], 1e200]]
+
+    def test_huge_monte_carlo_sample_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "model": {"p": [0.3] * 30},
+                    "functional": {"chaos": {"mean": 1e202, "kernels": self.HUGE_KERNELS}},
+                    "bounds": ["jm"],
+                    "mc_samples": 10000,
+                    "lambda": 2.0,
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["bound", str(spec), "--out", str(tmp_path / "rows.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NonIntegerValue: sampled value ")
+        assert "below 2^53" in err
+
+    def test_overflowing_spec_prints_one_stderr_line(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "model": {"p": [0.3] * 6},
+                    "functional": {"chaos": {"kernels": self.HUGE_KERNELS}},
+                    "bounds": ["jm"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "radstein", "bound", str(spec)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("NonIntegerValue: ")
+
+    @pytest.mark.parametrize(
+        "p,kernels,mc_samples",
+        [
+            ([0.3] * 6, [[[1, 2], 1e200], [[2, 3], 1e200]], None),
+            ([0.5] * 4, [[[1, 2], 0.3]], None),
+            ([0.3] * 30, [[[1, 2], 0.3]], 10000),
+            ([0.3] * 30, [[[1, 2], -3.0], [[2, 3], 1.0]], 10000),
+        ],
+    )
+    def test_value_errors_print_python_floats(self, tmp_path, capsys, p, kernels, mc_samples):
+        spec = tmp_path / "spec.json"
+        doc = {"model": {"p": p}, "functional": {"chaos": {"kernels": kernels}}}
+        doc.update({"bounds": ["jm"], "lambda": 1.0, "mc_samples": mc_samples})
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bound", str(spec), "--out", str(tmp_path / "rows.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("NonIntegerValue: ")
+        assert "np.float64(" not in err
+
+
 class TestJ2Rate:
     def test_rows_and_rate_column(self, tmp_path):
         code, text = run_cli(

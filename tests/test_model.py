@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radstein.errors import (
@@ -22,6 +22,8 @@ from radstein.model import (
     expectation,
     flip,
     outcome_weight,
+    stable_sum,
+    stable_sums,
     standardized_value,
     variance,
 )
@@ -239,3 +241,133 @@ class TestOutcomeIndexing:
             assert outcome_weight(model, omega) == pytest.approx(
                 model.outcome_weights[idx], abs=1e-16
             )
+
+
+def fsum_rows(rows):
+    """``math.fsum`` of each row, or the exception of the first row it rejects."""
+    try:
+        return [math.fsum(r) for r in rows.tolist()]
+    except (ValueError, OverflowError) as err:
+        return err
+
+
+def same_sums(got, want):
+    if isinstance(want, Exception):
+        return isinstance(got, type(want)) and str(got) == str(want)
+    return [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def kernel_sums(rows):
+    try:
+        return stable_sums(rows)
+    except (ValueError, OverflowError) as err:
+        return err
+
+
+# Row lengths below, at and above the fsum fallback and the 2^16 block.
+ROW_LENGTHS = [0, 1, 7, 300, 511, 512, 513, 700, 1000, 1500, 2047, 2048, 3001, 4099, 9000]
+ROW_LENGTHS += [1 << 16, (1 << 16) + 9]
+SPECIALS = [
+    "zeros", "negative_zeros", "zero_row", "negative_zero_row", "cancel",
+    "subnormal", "nan", "inf", "minus_inf", "both_inf", "overflow", "positive",
+]
+
+
+@st.composite
+def row_batches(draw):
+    """A (rows, length) float array: random significands times 2^e for e in
+    [low, low + spread], clipped to the finite range, plus special values."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    length = draw(st.sampled_from(ROW_LENGTHS))
+    count = draw(st.integers(1, 5)) if length <= 1 << 14 else 1
+    low = draw(st.integers(-1090, 1030))
+    spread = draw(st.sampled_from([0, 1, 4, 30, 120, 700, 2200]))
+    specials = draw(st.sets(st.sampled_from(SPECIALS), max_size=2))
+    rng = np.random.default_rng(seed)
+    shape = (count, length)
+    exps = np.clip(rng.integers(low, low + spread + 1, shape), -1100, 1023)
+    rows = np.ldexp(rng.uniform(1.0, 2.0, shape), exps) / 2.0
+    if "positive" not in specials:
+        rows *= rng.choice([-1.0, 1.0], shape)
+    if length == 0:
+        return rows
+    pick = rng.random(shape) < 0.2
+    if "zeros" in specials:
+        rows[pick] = 0.0
+    if "negative_zeros" in specials:
+        rows[pick] = -0.0
+    if "subnormal" in specials:
+        rows[pick] = rng.integers(-(1 << 52), 1 << 52, shape)[pick] * 2.0**-1074
+    if "cancel" in specials:
+        half = length // 2
+        rows[:, half : 2 * half] = -rows[:, :half][:, rng.permutation(half)]
+    if "zero_row" in specials:
+        rows[rng.integers(count)] = rng.choice([-0.0, 0.0], length)
+    if "negative_zero_row" in specials:
+        rows[rng.integers(count)] = -0.0
+    if "overflow" in specials:
+        rows[rng.integers(count), rng.integers(length, size=3)] = 1.5e308
+    where = (rng.integers(count), rng.integers(length))
+    for name, value in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf)):
+        if name in specials:
+            rows[where] = value
+    if "both_inf" in specials and length > 1:
+        rows[where[0], :2] = (math.inf, -math.inf)
+    return rows
+
+
+class TestStableSums:
+    @settings(max_examples=300, derandomize=True)
+    @given(rows=row_batches())
+    def test_equals_live_fsum_row_by_row(self, rows):
+        assert same_sums(kernel_sums(rows), fsum_rows(rows))
+
+    @pytest.mark.parametrize("kind", ["weights", "signed", "cancelling", "wide"])
+    def test_single_long_row_at_n20(self, kind):
+        rng = np.random.default_rng(len(kind))
+        n = 1 << 20
+        if kind == "weights":
+            row = np.cumprod(rng.uniform(0.05, 0.95, n)) ** 0.01
+        elif kind == "signed":
+            row = rng.standard_normal(n) * 1e6
+        elif kind == "cancelling":
+            half = rng.standard_normal(n // 2) * np.exp(rng.uniform(-40, 40, n // 2))
+            row = np.concatenate((half, -half[::-1]))
+            row[123] += 2.0**-600
+        else:
+            row = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-980, 980, n))
+        want = math.fsum(row.tolist())
+        assert stable_sums(row[None, :])[0].hex() == want.hex()
+        assert stable_sum(row).hex() == want.hex()
+
+    def test_multi_row_batches_split_into_blocks(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((40, 3000)) * np.exp(rng.uniform(-60, 60, (40, 1)))
+        assert same_sums(stable_sums(rows), fsum_rows(rows))
+
+    def test_zero_sums_take_fsum_sign(self):
+        rng = np.random.default_rng(9)
+        half = rng.standard_normal(2048) * np.exp(rng.uniform(-30, 30, 2048))
+        rows = np.stack(
+            (
+                np.full(4096, -0.0),
+                np.full(4096, 0.0),
+                rng.choice([-0.0, 0.0], 4096),
+                np.concatenate((half, -half[::-1])),
+                np.concatenate((half, -half[::-1])) * -0.0,
+            )
+        )
+        assert same_sums(stable_sums(rows), fsum_rows(rows))
+
+    def test_stable_sum_passes_lists_and_generators_to_fsum(self, monkeypatch):
+        import radstein.model as model_mod
+
+        def refuse(rows):
+            raise AssertionError("stable_sums called")
+
+        monkeypatch.setattr(model_mod, "stable_sums", refuse)
+        values = [0.1] * 3000
+        assert stable_sum(values) == math.fsum(values)
+        assert stable_sum(x for x in values) == math.fsum(values)
+        with pytest.raises(AssertionError, match="stable_sums called"):
+            stable_sum(np.array(values))
