@@ -21,8 +21,6 @@ from .chaos import (
     ChaosExpansion,
     covariance,
     decompose,
-    evaluate,
-    integral_value,
     multiply,
     to_table,
 )
@@ -67,14 +65,10 @@ from .malliavin import (
 from .model import (
     DistributionTable,
     FunctionalTable,
-    Outcome,
     ProbabilityModel,
     build_model,
     distribution,
     expectation,
-    flip,
-    outcome_weight,
-    standardized_value,
     variance,
 )
 from .verify import run_verification

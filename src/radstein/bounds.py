@@ -504,16 +504,6 @@ def j2_example_machinery(n: int) -> J2Example:
     return _j2_example_record(n, lam, a1, a3, a4, a5, a6, a7)
 
 
-def j2_example_integer_form(n: int) -> FunctionalTable:
-    """Value table of the displayed integer form (B_1 - n) sum_{i>=2} (B_i - n)
-    with B_k = (X_k + 1)/2 under p_k = 1/n."""
-    model, _ = j2_example_kernel(n)
-    idx = np.arange(model.num_outcomes)
-    bits = [((idx >> k) & 1).astype(float) for k in range(n)]
-    rest = sum(b - n for b in bits[1:])
-    return FunctionalTable(model, (bits[0] - n) * rest)
-
-
 def bernoulli_sum_table(model: ProbabilityModel) -> FunctionalTable:
     """Value table of sum_k (X_k + 1)/2, the Bernoulli-sum functional."""
     return FunctionalTable(model, mask_orders(model.size).astype(float))

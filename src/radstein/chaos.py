@@ -22,7 +22,7 @@ from .kernels import (
     kernel_add,
     sym_offdiag_weighted_contract,
 )
-from .model import FunctionalTable, Outcome, ProbabilityModel, stable_sum
+from .model import FunctionalTable, ProbabilityModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,34 +67,6 @@ def _check_kernel_indices(model: ProbabilityModel, f: Kernel) -> None:
         raise IndexOutOfRange(f"kernel references index {top}, model has {model.size}")
 
 
-def integral_value(model: ProbabilityModel, f: Kernel, omega: Outcome) -> float:
-    """J_order(f) at a single outcome; order 0 returns the stored scalar."""
-    _check_kernel_indices(model, f)
-    if f.order == 0:
-        return f.entries.get((), 0.0)
-    if len(omega) != model.size:
-        raise LengthMismatch("outcome does not match the model")
-    y = [None] + [
-        model.y_plus(k) if omega.bits[k - 1] == 1 else model.y_minus(k)
-        for k in range(1, model.size + 1)
-    ]
-    scale = math.factorial(f.order)
-    terms = []
-    for key, coeff in f.entries.items():
-        prod = coeff
-        for i in key:
-            prod *= y[i]
-        terms.append(prod)
-    return scale * stable_sum(terms)
-
-
-def evaluate(model: ProbabilityModel, expansion: ChaosExpansion, omega: Outcome) -> float:
-    """Pointwise value mean + sum of integral values."""
-    return expansion.mean + stable_sum(
-        integral_value(model, kernel, omega) for kernel in expansion.kernels.values()
-    )
-
-
 def _forward_transform(model: ProbabilityModel, values: np.ndarray) -> np.ndarray:
     """c[mask] = E[F * prod_{k in mask} Y_k] for every subset bitmask.
 
@@ -119,7 +91,7 @@ def _inverse_transform(model: ProbabilityModel, coeffs: np.ndarray) -> np.ndarra
     """Values of sum_S c_S prod_{k in S} Y_k on every outcome bitmask."""
     a = coeffs.astype(float).copy()
     for k in range(model.size):
-        ym, yp = model.y_minus(k + 1), model.y_plus(k + 1)
+        ym, yp = model.y_minus[k], model.y_plus[k]
         a = a.reshape(-1, 2, 1 << k)
         without = a[:, 0, :].copy()
         with_k = a[:, 1, :].copy()
@@ -223,9 +195,7 @@ def evaluate_on_signs(
     signs = np.asarray(signs)
     if signs.ndim != 2 or signs.shape[1] != model.size:
         raise LengthMismatch("sign matrix must have one column per coordinate")
-    y_plus = np.sqrt(model.q / model.p)
-    y_minus = -np.sqrt(model.p / model.q)
-    y = np.where(signs == 1, y_plus, y_minus)
+    y = np.where(signs == 1, model.y_plus, model.y_minus)
     out = np.full(signs.shape[0], expansion.mean)
     for order, kernel in expansion.kernels.items():
         _check_kernel_indices(model, kernel)

@@ -10,7 +10,7 @@ mass is reported explicitly as ``tail_error``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,17 +20,18 @@ from .chenstein import (
     poisson_tail,
     truncation_point,
 )
-from .errors import NonIntegerValue, TooFewSamples
+from .errors import TooFewSamples
 from .model import (
     INTEGER_TOLERANCE,
     DistributionTable,
     ProbabilityModel,
+    rounded_integers,
     stable_sum,
+    weight_per_value,
 )
 
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 16
-_MC_MAX_VALUE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -45,51 +46,29 @@ class DistanceResult:
 
 def _pmf_array(pmf: dict, k_max: int) -> np.ndarray:
     arr = np.zeros(k_max + 1)
-    for k, v in pmf.items():
-        if k <= k_max:
-            arr[k] = v
+    arr[list(pmf)] = list(pmf.values())
     return arr
 
 
-def tv_pmfs(p: dict, q: dict) -> float:
-    """Half-l1 distance between two integer pmfs (self-test helper)."""
-    support = set(p) | set(q)
-    return 0.5 * stable_sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in sorted(support))
-
-
-def w1_pmfs(p: dict, q: dict) -> float:
-    """Summed absolute CDF gap between two integer pmfs (self-test helper)."""
-    top = max(max(p, default=0), max(q, default=0))
-    pa = np.cumsum(_pmf_array(p, top))
-    qa = np.cumsum(_pmf_array(q, top))
-    return stable_sum(np.abs(pa - qa))
-
-
-def _half_l1_vs_poisson(pmf: dict, lam: float) -> tuple:
+def _half_l1_vs_poisson(
+    pmf: dict, lam: float, off_mass: float = 0.0
+) -> DistanceResult:
+    """Total variation between Po(lam) and the law with masses ``pmf`` on
+    nonnegative integers plus ``off_mass`` off them: half the l1 gap up to the
+    truncation point, plus the Poisson tail beyond it (``tail_error``), plus
+    ``off_mass``."""
+    lam = _check_lambda(lam)
     k_max = truncation_point(lam, max(pmf, default=0))
     pois = poisson_pmf_vector(lam, k_max)
     fun = _pmf_array(pmf, k_max)
     tail = poisson_tail(lam, k_max + 1)
-    value = 0.5 * (stable_sum(np.abs(fun - pois)) + tail)
-    return value, tail
+    value = 0.5 * (stable_sum(np.abs(fun - pois)) + tail + off_mass)
+    return DistanceResult(value=min(value, 1.0), tail_error=tail, method="exact")
 
 
 def tv_exact(dist: DistributionTable, lam: float) -> DistanceResult:
     """Exact total variation distance to Po(lam)."""
-    lam = _check_lambda(lam)
-    value, tail = _half_l1_vs_poisson(dist.pmf, lam)
-    return DistanceResult(value=min(value, 1.0), tail_error=tail, method="exact")
-
-
-def tv_maximizing_set(dist: DistributionTable, lam: float) -> tuple:
-    """The set A* = {k : pmf_F(k) > pmf_Po(k)} and its probability gap."""
-    lam = _check_lambda(lam)
-    k_max = truncation_point(lam, max(dist.pmf, default=0))
-    pois = poisson_pmf_vector(lam, k_max)
-    fun = _pmf_array(dist.pmf, k_max)
-    star = [k for k in range(k_max + 1) if fun[k] > pois[k]]
-    gap = stable_sum(fun[k] - pois[k] for k in star)
-    return star, gap
+    return _half_l1_vs_poisson(dist.pmf, lam)
 
 
 def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
@@ -141,30 +120,7 @@ def tv_monte_carlo(
         u = gen.random((chunk, model.size))
         signs = np.where(u < model.p, 1, -1).astype(np.int8)
         values = np.asarray(evaluator(signs), dtype=float)
-        rounded = np.rint(values)
-        err = np.abs(values - rounded)
-        worst = int(np.argmax(err))
-        if err[worst] > INTEGER_TOLERANCE:
-            raise NonIntegerValue(
-                f"sampled value {float(values[worst])!r} is not an integer",
-                value=float(values[worst]),
-            )
-        if np.any(rounded < 0):
-            neg = int(np.argmax(rounded < 0))
-            raise NonIntegerValue(
-                f"sampled value {float(values[neg])!r} is negative",
-                value=float(values[neg]),
-            )
-        # Values index the int64 counts; at 2^53 and above a float no longer
-        # tells neighbouring integers apart.  NaN fails the comparison too.
-        too_large = ~(rounded < _MC_MAX_VALUE)
-        if too_large.any():
-            big = int(np.argmax(too_large))
-            raise NonIntegerValue(
-                f"sampled value {float(values[big])!r} is not an integer below 2^53",
-                value=float(values[big]),
-            )
-        ints = rounded.astype(np.int64)
+        ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
         top = int(ints.max())
         if top >= counts.size:
             counts = np.concatenate(
@@ -173,11 +129,9 @@ def tv_monte_carlo(
         counts += np.bincount(ints, minlength=counts.size)
         done += chunk
     pmf = {k: c / samples for k, c in enumerate(counts) if c > 0}
-    value, tail = _half_l1_vs_poisson(pmf, lam)
     spread = stable_sum(p * (1.0 - p) for p in pmf.values())
-    return DistanceResult(
-        value=min(value, 1.0),
-        tail_error=tail,
+    return replace(
+        _half_l1_vs_poisson(pmf, lam),
         method="monte_carlo",
         samples=samples,
         seed=int(seed),
@@ -191,19 +145,7 @@ def atom_law(model: ProbabilityModel, values: np.ndarray, decimals: int = 12) ->
     Values are grouped after rounding to ``decimals`` places so that float
     noise does not split atoms.
     """
-    w = model.outcome_weights
-    keyed = np.round(np.asarray(values, dtype=float), decimals)
-    order = np.argsort(keyed, kind="stable")
-    atoms = {}
-    start = 0
-    sorted_vals = keyed[order]
-    sorted_w = w[order]
-    while start < len(sorted_vals):
-        val = sorted_vals[start]
-        stop = int(np.searchsorted(sorted_vals, val, side="right"))
-        atoms[float(val)] = stable_sum(sorted_w[start:stop])
-        start = stop
-    return atoms
+    return weight_per_value(model, np.round(np.asarray(values, dtype=float), decimals))
 
 
 def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:
@@ -213,7 +155,6 @@ def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:
     pmf; all other atoms are disjoint from the Poisson support and contribute
     their full mass.
     """
-    lam = _check_lambda(lam)
     integer_mass: dict[int, float] = {}
     off_mass = 0.0
     for x, prob in atoms.items():
@@ -222,9 +163,4 @@ def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:
             integer_mass[int(r)] = integer_mass.get(int(r), 0.0) + prob
         else:
             off_mass += prob
-    k_max = truncation_point(lam, max(integer_mass, default=0))
-    pois = poisson_pmf_vector(lam, k_max)
-    fun = _pmf_array(integer_mass, k_max)
-    tail = poisson_tail(lam, k_max + 1)
-    value = 0.5 * (stable_sum(np.abs(fun - pois)) + tail + off_mass)
-    return DistanceResult(value=min(value, 1.0), tail_error=tail, method="exact")
+    return _half_l1_vs_poisson(integer_mass, lam, off_mass)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import ChaosExpansion, _forward_transform, _inverse_transform
-from .chaos import mask_orders, to_table
+from .chaos import mask_orders
 from .errors import IndexOutOfRange, LengthMismatch, MalformedField
 from .kernels import Kernel, slice_kernel
 from .model import FunctionalTable, ProbabilityModel, expectation, stable_sum
@@ -123,12 +123,6 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
     return ChaosExpansion(0.0, {n: Kernel(n, entries) for n, entries in raw.items()})
 
 
-def _as_table(model: ProbabilityModel, functional) -> FunctionalTable:
-    if isinstance(functional, FunctionalTable):
-        return functional
-    return to_table(model, functional)
-
-
 def pseudo_inverse_table(model: ProbabilityModel, table: FunctionalTable) -> FunctionalTable:
     """L^{-1}(F - E[F]) on every outcome, computed in the coefficient domain:
     L multiplies the order-n chaos by -n, so the coefficient c at a mask of
@@ -159,10 +153,10 @@ def minus_gradient_pseudo_inverse(
     ]
 
 
-def check_integration_by_parts(model: ProbabilityModel, f, g) -> float:
+def check_integration_by_parts(
+    model: ProbabilityModel, table_f: FunctionalTable, table_g: FunctionalTable
+) -> float:
     """|E[(F - E[F]) G] - E[<-D L^{-1}(F - E[F]), D G>]|, exact by enumeration."""
-    table_f = _as_table(model, f)
-    table_g = _as_table(model, g)
     mean_f = expectation(model, table_f)
     lhs = stable_sum(
         model.outcome_weights * (table_f.values - mean_f) * table_g.values

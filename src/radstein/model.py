@@ -35,6 +35,8 @@ from .errors import (
 
 ENUMERATION_CAP = 24
 INTEGER_TOLERANCE = 1e-9
+# Integers that are counted (pmf keys, Monte Carlo counts) stay below 2^53.
+COUNT_LIMIT = 2.0**53
 
 
 # stable_sums bins each row by binary exponent.  frexp writes x = m 2^e with
@@ -210,49 +212,26 @@ class ProbabilityModel:
         w.flags.writeable = False
         return w
 
-    def y_plus(self, k: int) -> float:
-        """Value of Y_k on {omega_k = +1}, i.e. sqrt(q_k/p_k)."""
-        self.check_index(k)
-        return math.sqrt(self.q[k - 1] / self.p[k - 1])
+    @cached_property
+    def y_plus(self) -> np.ndarray:
+        """Y_k on {omega_k = +1}, i.e. sqrt(q_k/p_k), at index k - 1."""
+        y = np.sqrt(self.q / self.p)
+        y.flags.writeable = False
+        return y
 
-    def y_minus(self, k: int) -> float:
-        """Value of Y_k on {omega_k = -1}, i.e. -sqrt(p_k/q_k)."""
-        self.check_index(k)
-        return -math.sqrt(self.p[k - 1] / self.q[k - 1])
+    @cached_property
+    def y_minus(self) -> np.ndarray:
+        """Y_k on {omega_k = -1}, i.e. -sqrt(p_k/q_k), at index k - 1."""
+        y = -np.sqrt(self.p / self.q)
+        y.flags.writeable = False
+        return y
 
     def y_table(self, k: int) -> np.ndarray:
         """Y_k over all outcomes, indexed by bitmask."""
         self.check_index(k)
         idx = np.arange(self.num_outcomes)
         bit = (idx >> (k - 1)) & 1
-        return np.where(bit == 1, self.y_plus(k), self.y_minus(k))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One realization of the sign sequence, bits[k-1] = omega_k in {-1,+1}."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if not all(b in (-1, 1) for b in self.bits):
-            raise ValueError(f"outcome bits must be -1 or +1, got {self.bits}")
-        object.__setattr__(self, "bits", tuple(self.bits))
-
-    @classmethod
-    def from_index(cls, idx: int, size: int) -> "Outcome":
-        return cls(tuple(1 if (idx >> k) & 1 else -1 for k in range(size)))
-
-    @property
-    def index(self) -> int:
-        m = 0
-        for k, b in enumerate(self.bits):
-            if b == 1:
-                m |= 1 << k
-        return m
-
-    def __len__(self) -> int:
-        return len(self.bits)
+        return np.where(bit == 1, self.y_plus[k - 1], self.y_minus[k - 1])
 
 
 def build_model(p) -> ProbabilityModel:
@@ -261,41 +240,6 @@ def build_model(p) -> ProbabilityModel:
     if arr.size == 0:
         raise EmptyModel("model needs a nonempty probability vector")
     return ProbabilityModel(arr)
-
-
-def outcome_weight(model: ProbabilityModel, omega: Outcome) -> float:
-    """Product measure weight of a single outcome."""
-    if len(omega) != model.size:
-        raise LengthMismatch(
-            f"outcome has {len(omega)} coordinates, model has {model.size}"
-        )
-    w = 1.0
-    for k, b in enumerate(omega.bits):
-        w *= model.p[k] if b == 1 else model.q[k]
-    return w
-
-
-def standardized_value(model: ProbabilityModel, k: int, omega: Outcome) -> float:
-    """Y_k(omega) = (omega_k - p_k + q_k) / (2 sqrt(p_k q_k))."""
-    model.check_index(k)
-    if len(omega) != model.size:
-        raise LengthMismatch(
-            f"outcome has {len(omega)} coordinates, model has {model.size}"
-        )
-    return model.y_plus(k) if omega.bits[k - 1] == 1 else model.y_minus(k)
-
-
-def flip(omega: Outcome, k: int, sign: int) -> Outcome:
-    """Return omega with coordinate k forced to sign; idempotent."""
-    if not 1 <= k <= len(omega):
-        raise IndexOutOfRange(f"coordinate {k} outside 1..{len(omega)}")
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign}")
-    if omega.bits[k - 1] == sign:
-        return omega
-    bits = list(omega.bits)
-    bits[k - 1] = sign
-    return Outcome(tuple(bits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,41 +311,64 @@ def variance(model: ProbabilityModel, table: FunctionalTable) -> float:
     return max(v, 0.0)
 
 
+def rounded_integers(
+    values: np.ndarray, countable: bool = False, sampled: bool = False
+) -> np.ndarray:
+    """Values rounded to the nearest integers, as floats.  Raises
+    NonIntegerValue for the value farthest from an integer if it is off by
+    more than 1e-9, else for the first negative value and, when ``countable``,
+    for the first value not below 2^53: from there on a float no longer tells
+    neighbouring integers apart, so such values cannot be counted (NaN fails
+    that test too).  ``sampled`` values are reported without an outcome."""
+    rounded = np.rint(values)
+    err = np.abs(values - rounded)
+    worst = int(np.argmax(err))
+    if err[worst] > INTEGER_TOLERANCE:
+        _reject(values, worst, sampled, f"is not an integer within {INTEGER_TOLERANCE}")
+    negative = rounded < 0
+    if negative.any():
+        _reject(values, int(np.argmax(negative)), sampled, "is negative")
+    if countable:
+        too_large = ~(rounded < COUNT_LIMIT)
+        if too_large.any():
+            problem = "is not an integer below 2^53"
+            _reject(values, int(np.argmax(too_large)), sampled, problem)
+    return rounded
+
+
+def _reject(values: np.ndarray, i: int, sampled: bool, problem: str) -> None:
+    value = float(values[i])
+    if sampled:
+        raise NonIntegerValue(f"sampled value {value!r} {problem}", value=value)
+    raise NonIntegerValue(
+        f"value {value!r} at outcome {i} {problem}", outcome_index=i, value=value
+    )
+
+
 def integer_values(table: FunctionalTable) -> np.ndarray:
-    """Round table values to integers, rejecting any value off by > 1e-9."""
-    rounded = np.rint(table.values)
-    err = np.abs(table.values - rounded)
-    bad = int(np.argmax(err))
-    if err[bad] > INTEGER_TOLERANCE:
-        raise NonIntegerValue(
-            f"value {float(table.values[bad])!r} at outcome {bad} is not an integer "
-            f"within {INTEGER_TOLERANCE}",
-            outcome_index=bad,
-            value=float(table.values[bad]),
-        )
-    if np.any(rounded < 0):
-        neg = int(np.argmax(rounded < 0))
-        raise NonIntegerValue(
-            f"value {float(table.values[neg])!r} at outcome {neg} is negative",
-            outcome_index=neg,
-            value=float(table.values[neg]),
-        )
-    return rounded.astype(np.int64)
+    """Table values rounded to nonnegative integers (as floats), rejecting
+    any value off by more than 1e-9."""
+    return rounded_integers(table.values)
+
+
+def weight_per_value(model: ProbabilityModel, keys: np.ndarray) -> dict:
+    """key -> total outcome weight of the outcomes holding that key, keys in
+    ascending order, each total correctly rounded.  Equal keys form one
+    entry named by its first outcome's key (so 0.0 and -0.0 merge)."""
+    order = np.argsort(keys, kind="stable")
+    keys, w = keys[order], model.outcome_weights[order]
+    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
+    stops = starts[1:] + [keys.size]
+    return {
+        key: stable_sum(w[a:b])
+        for key, a, b in zip(keys[starts].tolist(), starts, stops)
+    }
 
 
 def distribution(model: ProbabilityModel, table: FunctionalTable) -> DistributionTable:
-    """Exact pmf of an integer-valued functional, weights aggregated per value."""
+    """Exact pmf of an integer-valued functional, weights aggregated per value;
+    values must lie below 2^53."""
     _check_table(model, table)
-    ints = integer_values(table)
-    w = model.outcome_weights
-    order = np.argsort(ints, kind="stable")
-    sorted_ints = ints[order]
-    sorted_w = w[order]
-    pmf = {}
-    start = 0
-    while start < len(sorted_ints):
-        val = sorted_ints[start]
-        stop = int(np.searchsorted(sorted_ints, val, side="right"))
-        pmf[int(val)] = stable_sum(sorted_w[start:stop])
-        start = stop
-    return DistributionTable(pmf)
+    return DistributionTable(
+        weight_per_value(model, rounded_integers(table.values, countable=True))
+    )

@@ -78,13 +78,6 @@ class VerificationReport:
     checks: tuple
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-
     def first_failure(self) -> CheckResult | None:
         return next((c for c in self.checks if not c.passed), None)
 

@@ -191,6 +191,15 @@ def poisson_binomial_pmf(p):
     return {k: float(v) for k, v in enumerate(probs) if v > 0.0}
 
 
+def tv_maximizing_set(pmf, lam):
+    """The set A* = {k : pmf(k) > P(Po(lam) = k)} and its gap
+    pmf(A*) - P(Po(lam) in A*), which is the total variation distance.  A*
+    lies inside pmf's support, so no truncation is needed."""
+    pois = {k: math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) for k in pmf}
+    star = [k for k in sorted(pmf) if pmf[k] > pois[k]]
+    return star, math.fsum(pmf[k] - pois[k] for k in star)
+
+
 def stein_solution_formula(lam, contains, pi, k):
     """(k-1)!/lam^k * sum_{j<k} (1_A(j) - pi) lam^j / j!, literal factorials.
 

@@ -15,7 +15,6 @@ from radstein.bounds import (
     j1_bound,
     j2_bound,
     j2_example,
-    j2_example_integer_form,
     j2_example_kernel,
     j2_example_machinery,
     jm_bound,
@@ -616,12 +615,6 @@ class TestJ2Example:
         for n in (2, 10, 100, 1000, 10_000):
             record = j2_example(n)
             assert record.total * math.sqrt(n) <= J2_RATE_CONSTANT
-
-    def test_integer_form_support(self):
-        table = j2_example_integer_form(2)
-        dist = distribution(table.model, table)
-        assert set(dist.pmf) == {1, 2, 4}
-        assert min(dist.pmf) >= 1
 
     def test_kernel_matches_variance(self):
         model, kernel = j2_example_kernel(5)

@@ -10,9 +10,7 @@ from radstein.chaos import (
     ChaosExpansion,
     covariance,
     decompose,
-    evaluate,
     evaluate_on_signs,
-    integral_value,
     multiply,
     to_table,
 )
@@ -20,7 +18,6 @@ from radstein.errors import IndexOutOfRange
 from radstein.kernels import Kernel, inner_product, kernel_add, sym_offdiag_weighted_contract
 from radstein.model import (
     FunctionalTable,
-    Outcome,
     build_model,
     expectation,
     variance,
@@ -30,37 +27,32 @@ import oracles
 from test_kernels import star_kernel
 
 
-class TestIntegralValue:
-    def test_order_zero_is_constant(self):
-        model = build_model([0.3, 0.6])
-        for idx in range(4):
-            omega = Outcome.from_index(idx, 2)
-            assert integral_value(model, Kernel.scalar(5.0), omega) == 5.0
+def integral_table(model, f):
+    """J_order(f) on every outcome."""
+    return to_table(model, ChaosExpansion(0.0, {f.order: f})).values
 
+
+class TestIntegralValue:
     def test_indicator_kernel_gives_coordinate(self):
         model = build_model([0.3, 0.6])
         e2 = Kernel(1, {(2,): 1.0})
-        for idx in range(4):
-            omega = Outcome.from_index(idx, 2)
-            got = integral_value(model, e2, omega)
-            assert got == pytest.approx(model.y_table(2)[idx], abs=1e-15)
+        got = integral_table(model, e2)
+        np.testing.assert_allclose(got, model.y_table(2), atol=1e-15)
 
     def test_star_factorizes_into_product(self):
         # J_2 of the star kernel equals (n-1)/n^2 * Y_1 * sum_{i>=2} Y_i.
         for n in (2, 3, 4):
             model = build_model([1.0 / n] * n)
-            f = star_kernel(n)
+            got = integral_table(model, star_kernel(n))
             for idx in range(1 << n):
-                omega = Outcome.from_index(idx, n)
                 y = [model.y_table(k)[idx] for k in range(1, n + 1)]
                 direct = (n - 1) / n**2 * y[0] * math.fsum(y[1:])
-                got = integral_value(model, f, omega)
-                assert got == pytest.approx(direct, abs=1e-12)
+                assert got[idx] == pytest.approx(direct, abs=1e-12)
 
     def test_index_out_of_range(self):
         model = build_model([0.3])
         with pytest.raises(IndexOutOfRange):
-            integral_value(model, Kernel(1, {(2,): 1.0}), Outcome((1,)))
+            integral_table(model, Kernel(1, {(2,): 1.0}))
 
 
 class TestEvaluateAndTables:
@@ -99,11 +91,6 @@ class TestEvaluateAndTables:
         model = build_model(oracles.rand_model_p(rng, 4))
         expansion = ChaosExpansion(0.1, {2: oracles.rand_kernel(rng, 2, 4)})
         table = to_table(model, expansion)
-        for idx in range(16):
-            omega = Outcome.from_index(idx, 4)
-            assert table.values[idx] == pytest.approx(
-                evaluate(model, expansion, omega), abs=1e-12
-            )
         brute = oracles.brute_table(model.p, expansion.mean, expansion.kernels)
         np.testing.assert_allclose(table.values, brute, atol=1e-12)
 
@@ -114,9 +101,7 @@ class TestEvaluateAndTables:
             0.4, {1: oracles.rand_kernel(rng, 1, 4), 3: oracles.rand_kernel(rng, 3, 4)}
         )
         table = to_table(model, expansion)
-        signs = np.array(
-            [Outcome.from_index(idx, 4).bits for idx in range(16)], dtype=np.int8
-        )
+        signs = np.array(oracles.all_outcomes(4), dtype=np.int8)
         np.testing.assert_allclose(
             evaluate_on_signs(model, expansion, signs), table.values, atol=1e-12
         )

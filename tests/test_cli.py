@@ -335,6 +335,35 @@ class TestBound:
         assert lines[0].startswith("NonIntegerValue: ")
 
     @pytest.mark.parametrize(
+        "mean,kernels,method",
+        [
+            (1e202, HUGE_KERNELS, "main"),
+            (1e202, HUGE_KERNELS, "second_order"),
+            (1e17, [[[1, 2], 1e15], [[2, 3], 1e15]], "main"),
+        ],
+    )
+    def test_values_beyond_2_53_exit_two(self, tmp_path, mean, kernels, method):
+        # Every value here is a float integer, but none can be counted into a
+        # pmf: the law step rejects the first one instead of wrapping it
+        # negative in int64 or sizing a Poisson array by it.
+        spec = tmp_path / "spec.json"
+        doc = {"model": {"p": [0.3] * 6}, "bounds": [method]}
+        doc["functional"] = {"chaos": {"mean": mean, "kernels": kernels}}
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "radstein", "bound", str(spec)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("NonIntegerValue: value ")
+        assert lines[0].endswith(" at outcome 0 is not an integer below 2^53")
+
+    @pytest.mark.parametrize(
         "p,kernels,mc_samples",
         [
             ([0.3] * 6, [[[1, 2], 1e200], [[2, 3], 1e200]], None),

@@ -10,21 +10,19 @@ from radstein.errors import (
     EmptyModel,
     EnumerationCapExceeded,
     IndexOutOfRange,
-    LengthMismatch,
     NonIntegerValue,
     OutOfRangeProbability,
 )
+from radstein.chaos import ChaosExpansion, evaluate_on_signs, to_table
+from radstein.distance import atom_law
+from radstein.kernels import Kernel
 from radstein.model import (
     FunctionalTable,
-    Outcome,
     build_model,
     distribution,
     expectation,
-    flip,
-    outcome_weight,
     stable_sum,
     stable_sums,
-    standardized_value,
     variance,
 )
 
@@ -74,16 +72,12 @@ class TestBuildModel:
 class TestOutcomeWeight:
     def test_single_fair_coin(self):
         model = build_model([0.5])
-        assert outcome_weight(model, Outcome((1,))) == 0.5
+        assert model.outcome_weights.tolist() == [0.5, 0.5]
 
     def test_product_of_marginals(self):
+        # bitmask 1: omega_1 = +1, omega_2 = -1
         model = build_model([0.1, 0.2])
-        assert outcome_weight(model, Outcome((1, -1))) == pytest.approx(0.08, abs=1e-15)
-
-    def test_length_mismatch(self):
-        model = build_model([0.1, 0.2])
-        with pytest.raises(LengthMismatch):
-            outcome_weight(model, Outcome((1,)))
+        assert model.outcome_weights[1] == pytest.approx(0.08, abs=1e-15)
 
     @given(prob_vectors)
     def test_weights_form_probability_measure(self, p):
@@ -96,13 +90,31 @@ class TestOutcomeWeight:
 class TestStandardizedValue:
     def test_symmetric(self):
         model = build_model([0.5])
-        assert standardized_value(model, 1, Outcome((1,))) == 1.0
+        assert model.y_table(1).tolist() == [-1.0, 1.0]
 
     def test_quarter(self):
         model = build_model([0.25])
-        assert standardized_value(model, 1, Outcome((1,))) == pytest.approx(
-            math.sqrt(3.0)
-        )
+        assert model.y_plus[0] == pytest.approx(math.sqrt(3.0))
+
+    @given(prob_vectors)
+    def test_every_reader_matches_oracle_bit_for_bit(self, p):
+        model = build_model(p)
+        n = model.size
+        signs = np.array([[1] * n, [-1] * n], dtype=np.int8)
+        for k in range(1, n + 1):
+            unit = ChaosExpansion(0.0, {1: Kernel(1, {(k,): 1.0})})
+            table = to_table(model, unit).values
+            on_signs = evaluate_on_signs(model, unit, signs)
+            y_table = model.y_table(k)
+            for sign, y, idx, row in (
+                (1, model.y_plus, (1 << n) - 1, 0),
+                (-1, model.y_minus, 0, 1),
+            ):
+                want = oracles.y_val(model.p.tolist(), k, (sign,) * n).hex()
+                got = (y[k - 1], y_table[idx], table[idx], on_signs[row])
+                assert [float(v).hex() for v in got] == [want] * 4
+        assert not model.y_plus.flags.writeable
+        assert not model.y_minus.flags.writeable
 
     @given(prob_vectors)
     def test_mean_zero_variance_one(self, p):
@@ -124,7 +136,7 @@ class TestStandardizedValue:
     def test_index_out_of_range(self):
         model = build_model([0.5])
         with pytest.raises(IndexOutOfRange):
-            standardized_value(model, 2, Outcome((1,)))
+            model.y_table(2)
 
 
 class TestStructureIdentity:
@@ -136,24 +148,6 @@ class TestStructureIdentity:
             np.testing.assert_allclose(
                 y * y, 1.0 + model.phi[k - 1] * y, atol=1e-12
             )
-
-
-class TestFlip:
-    def test_forces_sign(self):
-        assert flip(Outcome((-1, -1)), 1, 1) == Outcome((1, -1))
-
-    def test_idempotent(self):
-        omega = Outcome((-1, 1, -1))
-        once = flip(omega, 2, 1)
-        assert flip(once, 2, 1) == once
-
-    def test_fixed_point(self):
-        omega = Outcome((-1, 1))
-        assert flip(omega, 2, 1) is omega
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            flip(Outcome((1,)), 2, 1)
 
 
 class TestExpectationVariance:
@@ -232,14 +226,58 @@ class TestDistribution:
             DistributionTable({-1: 0.5, 1: 0.5})
 
 
+@st.composite
+def valued_models(draw, pool):
+    """A model of N = 1..10 coordinates and a table of values drawn from a
+    few of ``pool``, so values repeat; sometimes a single value."""
+    p = draw(st.lists(probabilities, min_size=1, max_size=10))
+    size = 1 << len(p)
+    choices = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        len(choices), size=size
+    )
+    return build_model(p), np.array(choices)[picks]
+
+
+def fsum_law(model, keys):
+    """{key: fsum of the weights at that key}, keyed by the first outcome's key."""
+    w = model.outcome_weights
+    law = {}
+    for v in keys.tolist():
+        if v not in law:
+            law[v] = math.fsum(w[keys == v].tolist())
+    return sorted(law.items())
+
+
+class TestWeightPerValue:
+    @settings(max_examples=200, derandomize=True)
+    @given(valued_models([0.0, 1.0, 2.0, 3.0, 7.0, 2.0 + 1e-10, 5.0 - 1e-10]))
+    def test_distribution_matches_fsum_per_value(self, case):
+        model, values = case
+        got = distribution(model, FunctionalTable(model, values)).pmf
+        want = fsum_law(model, np.rint(values))
+        assert [(k, v.hex()) for k, v in got.items()] == [
+            (int(k), v.hex()) for k, v in want
+        ]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(valued_models([0.0, -0.0, 0.5, -1.25, 3.0, 1e-13, 2.0 / 3.0]))
+    def test_atom_law_matches_fsum_per_atom(self, case):
+        model, values = case
+        got = atom_law(model, values)
+        want = fsum_law(model, np.round(values, 12))
+        assert [(k.hex(), v.hex()) for k, v in got.items()] == [
+            (k.hex(), v.hex()) for k, v in want
+        ]
+
+
 class TestOutcomeIndexing:
     def test_round_trip_and_weight_table_agreement(self):
-        model = build_model([0.2, 0.7, 0.45])
-        for idx in range(8):
-            omega = Outcome.from_index(idx, 3)
-            assert omega.index == idx
-            assert outcome_weight(model, omega) == pytest.approx(
-                model.outcome_weights[idx], abs=1e-16
+        p = [0.2, 0.7, 0.45]
+        model = build_model(p)
+        for idx, bits in enumerate(oracles.all_outcomes(3)):
+            assert model.outcome_weights[idx] == pytest.approx(
+                oracles.weight(p, bits), abs=1e-16
             )
 
 

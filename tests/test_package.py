@@ -6,6 +6,77 @@ def test_public_names_resolve():
         assert getattr(radstein, name) is not None
 
 
+def test_public_names_are_pinned():
+    # Any change to the public API shows up as a diff of this list.
+    assert sorted(radstein.__all__) == [
+        "BoundReport",
+        "ChaosExpansion",
+        "DistanceResult",
+        "DistributionTable",
+        "FunctionalTable",
+        "GradientField",
+        "J2_RATE_CONSTANT",
+        "Kernel",
+        "ProbabilityModel",
+        "RawTensor",
+        "SteinSolution",
+        "TargetSet",
+        "bernoulli_bound",
+        "bounds",
+        "build_model",
+        "chaos",
+        "check_integration_by_parts",
+        "chenstein",
+        "contract",
+        "covariance",
+        "decompose",
+        "distance",
+        "distribution",
+        "divergence",
+        "errors",
+        "expectation",
+        "forward_diff",
+        "gradient_chaos",
+        "gradient_pathwise",
+        "inner_product",
+        "iterated_gradient",
+        "j1_bound",
+        "j2_bound",
+        "j2_example",
+        "j2_example_kernel",
+        "j2_example_machinery",
+        "jm_bound",
+        "kernels",
+        "main_bound",
+        "main_bound_reduced",
+        "malliavin",
+        "model",
+        "multiply",
+        "norm",
+        "norm_sq",
+        "ou_operator",
+        "poisson_pmf",
+        "poisson_set_prob",
+        "pseudo_inverse",
+        "run_verification",
+        "second_forward_diff",
+        "second_order_bound",
+        "slice_kernel",
+        "solve",
+        "stein_factors",
+        "symmetrize",
+        "to_kernel",
+        "to_table",
+        "tv_exact",
+        "tv_monte_carlo",
+        "variance",
+        "verify",
+        "w1_exact",
+        "wasserstein_bound",
+        "weighted_contract",
+    ]
+
+
 def test_version_metadata():
     import importlib.metadata
 
