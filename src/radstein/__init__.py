@@ -2,6 +2,8 @@
 Rademacher sequences: chaos calculus, Chen-Stein machinery, explicit
 total-variation and Wasserstein bounds, and exact enumeration distances."""
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
     J2_RATE_CONSTANT,
@@ -73,4 +75,6 @@ from .model import (
 )
 from .verify import run_verification
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)
+]

@@ -5,9 +5,11 @@ to the total: the mean-shift term, the variance-like term, and the remainder
 collecting everything else.  A ``detail`` mapping carries the finer per-term
 split for reporting.  Gradients entering expectations are computed by
 coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
-coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`); the
-sparse ``Kernel`` route is the independent cross-check in ``verify`` and the
-tests.
+coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
+route ``verify`` checks too; the sparse ``Kernel`` route is the independent
+cross-check in the tests.  The closed-form J_m bounds take their grouped
+kernels from the product formula (:func:`radstein.chaos.product_kernels`),
+the code path that ``verify`` certifies.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chaos import ChaosExpansion, mask_orders, to_table
-from .chenstein import _check_lambda
+from .chaos import ChaosExpansion, mask_orders, product_kernels, to_table
+from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
 from .kernels import (
     Kernel,
@@ -26,7 +28,6 @@ from .kernels import (
     kernel_add,
     norm_sq,
     slice_kernel,
-    sym_offdiag_weighted_contract,
 )
 from .malliavin import flip_difference, pseudo_inverse_table
 from .model import (
@@ -42,11 +43,6 @@ from .model import (
 )
 
 J2_RATE_CONSTANT = 2.5 + math.sqrt(2.0)
-
-
-def _tv_factors(lam: float) -> tuple:
-    """(sup-norm factor, difference factor) of the Chen-Stein solution."""
-    return min(1.0, math.sqrt(2.0 / (math.e * lam))), -math.expm1(-lam) / lam
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,8 @@ def enumeration_bounds(
     gap = stable_sum(w * np.abs(lam - inner))
     remainder = stable_sum(w * signed) if signed_needed else 0.0
     reduced = stable_sum(per_k)
-    sup_f, diff_f = _tv_factors(lam)
+    factors = stein_factors(lam)
+    sup_f, diff_f = factors.sup_bound, factors.diff_bound
     c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
     c3 = min(4.0 / 3.0, 2.0 / lam)
     terms = {
@@ -180,7 +177,8 @@ def j1_bound(
         raise OrderTooSmall(f"expected an order-1 kernel, got order {f.order}")
     if check_integer:
         integer_values(to_table(model, ChaosExpansion(float(shift), {1: f})))
-    sup_f, diff_f = _tv_factors(lam)
+    factors = stein_factors(lam)
+    sup_f, diff_f = factors.sup_bound, factors.diff_bound
     mean = float(shift)
     norm2 = inner_product(f, f)
     per_k = []
@@ -201,7 +199,8 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
     """Closed-form bound for a sum of independent Bernoulli(p_k) variables."""
     lam = _check_lambda(lam)
     model = build_model(p)
-    sup_f, diff_f = _tv_factors(lam)
+    factors = stein_factors(lam)
+    sup_f, diff_f = factors.sup_bound, factors.diff_bound
     sum_p = stable_sum(model.p)
     sum_pq = stable_sum(model.p * model.q)
     sum_ppq = stable_sum(model.p * model.p * model.q)
@@ -211,39 +210,6 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
     return _report(lam, t1, t2, t3, "bernoulli")
 
 
-def _jm_coefficient(m: int, r: int, ell: int) -> float:
-    return float(
-        math.factorial(r - 1)
-        * math.comb(m - 1, r - 1) ** 2
-        * math.comb(r - 1, ell - 1)
-    )
-
-
-def _grouped_kernels(model: ProbabilityModel, f: Kernel, m: int) -> dict:
-    """Kernels above order 0 of sum_k (D_k J_m(f))^2 / m^2 (f of order m) or
-    of (J_{m-1}(f))^2 (f a slice of order m - 1), grouped by order.
-
-    For each r = 1..m, l = 1..r the symmetrized off-diagonal weighted
-    contraction of f with itself at (r, l), shifted down by m - order(f) in
-    both indices, enters with coefficient (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at
-    order s = 2m - r - l; kernels of equal order are summed before any norm is
-    taken.
-    """
-    offset = m - f.order
-    grouped: dict[int, Kernel] = {}
-    for r in range(1, m + 1):
-        for ell in range(1, r + 1):
-            s = 2 * m - r - ell
-            if s == 0:
-                continue
-            part = sym_offdiag_weighted_contract(model, f, f, r - offset, ell - offset)
-            if part.is_zero():
-                continue
-            scaled = part.scaled(_jm_coefficient(m, r, ell))
-            grouped[s] = kernel_add(grouped[s], scaled) if s in grouped else scaled
-    return grouped
-
-
 def jm_bound(
     model: ProbabilityModel,
     f: Kernel,
@@ -251,7 +217,9 @@ def jm_bound(
     lam: float,
     check_integer: bool = True,
 ) -> BoundReport:
-    """Bound for F = shift + J_m(f) with m >= 2, via grouped contractions.
+    """Bound for F = shift + J_m(f) with m >= 2, via the product formula's
+    grouped kernels: those of f with itself at shift 1 (fluctuation block)
+    and of each slice f(., k) with itself at shift 0 (coordinate block).
 
     The remainder has two square-root blocks: the fluctuation of the gradient
     inner product around its mean, and the sqrt(Var F)-weighted block over
@@ -264,10 +232,11 @@ def jm_bound(
         raise OrderTooSmall(f"fixed-order bound needs order >= 2, got {m}")
     if check_integer:
         integer_values(to_table(model, ChaosExpansion(float(shift), {m: f})))
-    sup_f, diff_f = _tv_factors(lam)
+    factors = stein_factors(lam)
+    sup_f, diff_f = factors.sup_bound, factors.diff_bound
     var = math.factorial(m) * inner_product(f, f)
 
-    grouped = _grouped_kernels(model, f, m)
+    grouped = product_kernels(model, f, f, shift=1)
     fluct = stable_sum(
         math.factorial(s) * norm_sq(kernel) for s, kernel in grouped.items()
     )
@@ -280,14 +249,11 @@ def jm_bound(
             continue
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        sliced_groups = _grouped_kernels(model, fk, m)
-        pieces = [((math.factorial(m - 1)) * norm_sq(fk)) ** 2]
-        for s, kernel in sliced_groups.items():
-            if s == m - 1:
-                continue
-            pieces.append(math.factorial(s) * norm_sq(kernel))
-        special = sliced_groups.get(m - 1, Kernel.zero(m - 1))
+        sliced = product_kernels(model, fk, fk)
+        special = sliced.pop(m - 1, Kernel.zero(m - 1))
         special = kernel_add(special, fk.scaled(drift / m))
+        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
+        pieces += [math.factorial(s) * norm_sq(kernel) for s, kernel in sliced.items()]
         pieces.append(math.factorial(m - 1) * norm_sq(special))
         per_k.append(stable_sum(pieces) / (model.p[k - 1] * model.q[k - 1]))
     t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
@@ -356,7 +322,8 @@ def second_order_bound(
     """
     lam = _check_lambda(lam)
     integer_values(table)
-    sup_f, diff_f = _tv_factors(lam)
+    factors = stein_factors(lam)
+    sup_f, diff_f = factors.sup_bound, factors.diff_bound
     w = model.outcome_weights
     n = model.size
     mean = expectation(model, table)
@@ -478,30 +445,26 @@ def j2_example(n: int) -> J2Example:
 
 
 def j2_example_machinery(n: int) -> J2Example:
-    """The same record with every ingredient recomputed through the fused
-    contraction engine; must match the closed forms to 1e-12 relative."""
+    """The same record recomputed through the product formula: A3 and A4
+    from f's groups at shift 1, A6 and A7 from those of each slice f(., k);
+    must match the closed forms to 1e-12 relative."""
     model, f = j2_example_kernel(n)
     lam = 2.0 * inner_product(f, f)
-    a1 = abs(lam - 0.0)
-    a3 = norm_sq(sym_offdiag_weighted_contract(model, f, f, 2, 1))
-    a4 = norm_sq(sym_offdiag_weighted_contract(model, f, f, 1, 1))
-    a5_parts = []
-    a6_parts = []
-    a7_parts = []
+    grouped = product_kernels(model, f, f, shift=1)
+    a3 = norm_sq(grouped.get(1, Kernel.zero(1)))
+    a4 = norm_sq(grouped.get(2, Kernel.zero(2)))
+    parts = []
     for k in range(1, n + 1):
         fk = slice_kernel(f, k)
         pq = model.p[k - 1] * model.q[k - 1]
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        a5_parts.append(norm_sq(fk) ** 2 / pq)
-        tensor = sym_offdiag_weighted_contract(model, fk, fk, 0, 0)
-        a6_parts.append(norm_sq(tensor) / pq)
-        mixed = sym_offdiag_weighted_contract(model, fk, fk, 1, 0)
-        a7_parts.append(norm_sq(kernel_add(mixed, fk.scaled(0.5 * drift))) / pq)
-    a5 = stable_sum(a5_parts)
-    a6 = stable_sum(a6_parts)
-    a7 = stable_sum(a7_parts)
-    return _j2_example_record(n, lam, a1, a3, a4, a5, a6, a7)
+        drift = model.sigma[k - 1] * (model.p[k - 1] - model.q[k - 1])
+        sliced = product_kernels(model, fk, fk)
+        tensor = sliced.get(2, Kernel.zero(2))
+        mixed = kernel_add(sliced.get(1, Kernel.zero(1)), fk.scaled(0.5 * drift))
+        squares = (norm_sq(fk) ** 2, norm_sq(tensor), norm_sq(mixed))
+        parts.append([x / pq for x in squares])
+    a5, a6, a7 = (stable_sum(column) for column in zip(*parts))
+    return _j2_example_record(n, lam, abs(lam - 0.0), a3, a4, a5, a6, a7)
 
 
 def bernoulli_sum_table(model: ProbabilityModel) -> FunctionalTable:

@@ -149,40 +149,51 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     )
 
 
-def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
-    """Chaos expansion of the pointwise product J_n(f) * J_m(g).
+def product_kernels(
+    model: ProbabilityModel, f: Kernel, g: Kernel, shift: int = 0
+) -> dict:
+    """Kernels above order 0 of the product formula, grouped by order.
 
-    Sums r! C(n,r) C(m,r) C(r,l) times the symmetrized off-diagonal weighted
-    contraction over r = 0..min(n,m), l = 0..r, grouping kernels of equal
-    resulting order before storage.
+    With n = order(f) - shift and m = order(g) - shift, sums
+    r! C(n,r) C(m,r) C(r,l) times the symmetrized off-diagonal weighted
+    contraction of f with g at (r + shift, l + shift) over r = 0..min(n,m),
+    l = 0..r in that order, at order n + m - r - l.  At shift 0 these are the
+    kernels of J_n(f) J_m(g); at shift 1 with g = f of order m, those of
+    sum_k (D_k J_m(f))^2 / m^2.  The order-0 term (n = m = r = l) is skipped.
     """
+    n, m = f.order - shift, g.order - shift
+    grouped: dict[int, Kernel] = {}
+    for r in range(0, min(n, m) + 1):
+        pairings = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
+        for ell in range(0, r + 1):
+            order = n + m - r - ell
+            if order == 0:
+                continue
+            part = sym_offdiag_weighted_contract(model, f, g, r + shift, ell + shift)
+            if part.is_zero():
+                continue
+            scaled = part.scaled(float(pairings * math.comb(r, ell)))
+            grouped[order] = (
+                kernel_add(grouped[order], scaled) if order in grouped else scaled
+            )
+    return grouped
+
+
+def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
+    """Chaos expansion of the pointwise product J_n(f) * J_m(g): the kernels
+    of :func:`product_kernels` plus the mean n! (f contracted with g at
+    (n, n)) when the orders agree."""
     n, m = f.order, g.order
     if n < 1 or m < 1:
         raise ValueError("product formula applies to orders >= 1")
     _check_kernel_indices(model, f)
     _check_kernel_indices(model, g)
+    kernels = product_kernels(model, f, g)
     mean = 0.0
-    kernels: dict[int, Kernel] = {}
-    for r in range(0, min(n, m) + 1):
-        for ell in range(0, r + 1):
-            coeff = (
-                math.factorial(r)
-                * math.comb(n, r)
-                * math.comb(m, r)
-                * math.comb(r, ell)
-            )
-            part = sym_offdiag_weighted_contract(model, f, g, r, ell)
-            if part.is_zero():
-                continue
-            order = part.order
-            if order == 0:
-                mean += coeff * part.entries.get((), 0.0)
-            else:
-                scaled = part.scaled(float(coeff))
-                kernels[order] = (
-                    kernel_add(kernels[order], scaled) if order in kernels else scaled
-                )
-    return ChaosExpansion(mean, {o: k for o, k in kernels.items() if not k.is_zero()})
+    if n == m:
+        inner = sym_offdiag_weighted_contract(model, f, g, n, n)
+        mean = math.factorial(n) * inner.entries.get((), 0.0)
+    return ChaosExpansion(mean, kernels)
 
 
 def evaluate_on_signs(

@@ -504,20 +504,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, mc_samples=False):
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mc-samples", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if mc_samples:
+            p.add_argument("--mc-samples", type=int, default=None)
         p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
 
     p_verify = sub.add_parser("verify", help="run the seeded identity suites")
-    common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    common(p_verify, seed=True)
+    p_verify.set_defaults(handler=_cmd_verify, seed=0)
 
     p_bound = sub.add_parser("bound", help="evaluate bounds for a JSON spec")
     p_bound.add_argument("spec", help="path to the experiment spec (JSON)")
-    common(p_bound)
+    common(p_bound, seed=True, mc_samples=True)
     p_bound.set_defaults(handler=_cmd_bound)
 
     p_rate = sub.add_parser("j2-rate", help="sweep the order-2 star example")
@@ -530,22 +532,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bern = sub.add_parser("bernoulli", help="bound a Bernoulli sum")
     p_bern.add_argument("--p", type=float, nargs="+", required=True)
     p_bern.add_argument("--lambda", dest="lam", default="mean")
-    common(p_bern)
-    p_bern.set_defaults(handler=_cmd_bernoulli)
+    common(p_bern, seed=True, mc_samples=True)
+    p_bern.set_defaults(handler=_cmd_bernoulli, seed=0)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.seed is None:
-        args.seed = 0
     if args.command == "verify" and args.inject_fault is not None:
         if args.inject_fault not in CORRUPTION_TAGS:
             sys.stderr.write(f"unknown fault tag {args.inject_fault!r}\n")
             return EXIT_VALIDATION
-    if args.command == "bernoulli" and args.seed is None:
-        args.seed = 0
     try:
         # On huge but finite specs numpy's overflow warnings would precede
         # radstein's own message on stderr.

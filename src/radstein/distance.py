@@ -32,6 +32,7 @@ from .model import (
 
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 16
+ATOM_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,13 @@ def tv_monte_carlo(
     )
 
 
-def atom_law(model: ProbabilityModel, values: np.ndarray, decimals: int = 12) -> dict:
+def atom_law(model: ProbabilityModel, values: np.ndarray) -> dict:
     """Exact law of an arbitrary real-valued table: atom -> probability.
 
-    Values are grouped after rounding to ``decimals`` places so that float
-    noise does not split atoms.
+    Values are grouped after rounding to :data:`ATOM_DECIMALS` places so that
+    float noise does not split atoms.
     """
-    return weight_per_value(model, np.round(np.asarray(values, dtype=float), decimals))
+    return weight_per_value(model, np.round(np.asarray(values, float), ATOM_DECIMALS))
 
 
 def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:

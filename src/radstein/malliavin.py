@@ -4,9 +4,9 @@ The gradient has two interchangeable routes: pathwise, by flipping one
 coordinate of the value table, and through the chaos expansion, by slicing
 kernels.  L^{-1} likewise acts either on the mask-indexed coefficient array
 (:func:`pseudo_inverse_table`) or on a ``ChaosExpansion`` of sparse kernels
-(:func:`pseudo_inverse`).  Bound computations use the pathwise gradient and
-the coefficient-domain L^{-1}; the ``Kernel`` route stays as the independent
-cross-check in ``verify`` and the tests.
+(:func:`pseudo_inverse`).  Bound computations and ``verify`` use the
+pathwise gradient and the coefficient-domain L^{-1}; the ``Kernel`` route
+stays as the independent cross-check in the tests.
 """
 
 from __future__ import annotations

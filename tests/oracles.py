@@ -6,8 +6,10 @@ agreement is evidence rather than tautology.  The exceptions reproduce an
 earlier production route that the current one must match bit for bit: the
 all-pairs scan of the fused kernel contraction, the sparse-kernel
 computation of -D L^{-1}(F - E[F]) with the per-method enumeration bounds
-built on it, and the second-order bound that holds every D_j D_l F table and
-sums each moment with its own ``math.fsum``.
+built on it, the second-order bound that holds every D_j D_l F table and
+sums each moment with its own ``math.fsum``, and the product formula's
+(r, l) loop written out separately for ``multiply`` and for the J_m bound's
+grouped kernels.
 """
 
 import itertools
@@ -17,7 +19,14 @@ import numpy as np
 
 from radstein.bounds import BoundReport
 from radstein.chaos import decompose, to_table
-from radstein.kernels import Kernel
+from radstein.kernels import (
+    Kernel,
+    inner_product,
+    kernel_add,
+    norm_sq,
+    slice_kernel,
+    sym_offdiag_weighted_contract,
+)
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
 from radstein.model import FunctionalTable
 
@@ -129,6 +138,108 @@ def all_pairs_sym_offdiag_weighted_contract(model, f, g, r, ell):
                 key = tuple(sorted(union.difference(summed)))
                 terms.setdefault(key, []).append(w)
     return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
+
+
+def loop_multiply(model, f, g):
+    """J_n(f) J_m(g) as (mean, {order: kernel}): every (r, l) term of the
+    product formula formed, the order-0 one included, and summed into the
+    mean or its order's kernel in (r, l) order."""
+    n, m = f.order, g.order
+    mean = 0.0
+    kernels = {}
+    for r in range(0, min(n, m) + 1):
+        for ell in range(0, r + 1):
+            coeff = (
+                math.factorial(r)
+                * math.comb(n, r)
+                * math.comb(m, r)
+                * math.comb(r, ell)
+            )
+            part = sym_offdiag_weighted_contract(model, f, g, r, ell)
+            if part.is_zero():
+                continue
+            order = part.order
+            if order == 0:
+                mean += coeff * part.entries.get((), 0.0)
+            else:
+                scaled = part.scaled(float(coeff))
+                kernels[order] = (
+                    kernel_add(kernels[order], scaled) if order in kernels else scaled
+                )
+    return mean, {o: k for o, k in kernels.items() if not k.is_zero()}
+
+
+def jm_coefficient(m, r, ell):
+    return float(
+        math.factorial(r - 1)
+        * math.comb(m - 1, r - 1) ** 2
+        * math.comb(r - 1, ell - 1)
+    )
+
+
+def grouped_kernels(model, f, m):
+    """Kernels above order 0 of sum_k (D_k J_m(f))^2 / m^2 (f of order m) or
+    of (J_{m-1}(f))^2 (f a slice of order m - 1), grouped by order: the
+    contraction at (r, l) shifted down by m - order(f), r = 1..m, l = 1..r,
+    with coefficient (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at order 2m - r - l."""
+    offset = m - f.order
+    grouped = {}
+    for r in range(1, m + 1):
+        for ell in range(1, r + 1):
+            s = 2 * m - r - ell
+            if s == 0:
+                continue
+            part = sym_offdiag_weighted_contract(model, f, f, r - offset, ell - offset)
+            if part.is_zero():
+                continue
+            scaled = part.scaled(jm_coefficient(m, r, ell))
+            grouped[s] = kernel_add(grouped[s], scaled) if s in grouped else scaled
+    return grouped
+
+
+def grouped_jm_bound(model, f, shift, lam):
+    """The fixed-order bound for shift + J_m(f) built on
+    :func:`grouped_kernels`, with the Chen-Stein factors written out; lam is
+    checked by the caller and no integer check is made."""
+    m = f.order
+    sup_f = min(1.0, math.sqrt(2.0 / (math.e * lam)))
+    diff_f = -math.expm1(-lam) / lam
+    var = math.factorial(m) * inner_product(f, f)
+    grouped = grouped_kernels(model, f, m)
+    fluct = math.fsum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
+    t3 = diff_f * math.sqrt(m * m * fluct)
+    per_k = []
+    for k in range(1, model.size + 1):
+        fk = slice_kernel(f, k)
+        if fk.is_zero():
+            continue
+        sigma = model.sigma[k - 1]
+        drift = sigma * (model.p[k - 1] - model.q[k - 1])
+        sliced = grouped_kernels(model, fk, m)
+        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
+        pieces += [
+            math.factorial(s) * norm_sq(kernel)
+            for s, kernel in sliced.items()
+            if s != m - 1
+        ]
+        special = kernel_add(
+            sliced.get(m - 1, Kernel.zero(m - 1)), fk.scaled(drift / m)
+        )
+        pieces.append(math.factorial(m - 1) * norm_sq(special))
+        per_k.append(math.fsum(pieces) / (model.p[k - 1] * model.q[k - 1]))
+    t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * math.fsum(per_k))
+    t1 = sup_f * abs(lam - float(shift))
+    t2 = diff_f * abs(lam - var)
+    t34 = math.fsum((t3, t4))
+    return BoundReport(
+        lam,
+        t1,
+        t2,
+        t34,
+        math.fsum((t1, t2, t34)),
+        "jm",
+        {"term_fluctuation": t3, "term_coordinate_block": t4, "order": m},
+    )
 
 
 def explicit_j2_bound(p, f, shift, lam):

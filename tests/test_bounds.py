@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radstein.bounds import (
     J2_RATE_CONSTANT,
@@ -435,8 +437,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
     def test_fluctuation_kernels_match_decomposition(self, m, seed):
-        from radstein.bounds import _grouped_kernels
-        from radstein.chaos import decompose
+        from radstein.chaos import decompose, product_kernels
         from radstein.kernels import inner_product
         from radstein.malliavin import gradient_pathwise
 
@@ -452,7 +453,7 @@ class TestFixedOrderGrouping:
         assert observed.mean == pytest.approx(
             math.factorial(m) * inner_product(f, f), abs=1e-10
         )
-        grouped = _grouped_kernels(model, f, m)
+        grouped = product_kernels(model, f, f, shift=1)
         orders = {s for s, k in grouped.items() if not k.is_zero()}
         for s in orders | set(observed.kernels):
             expected = grouped.get(s, Kernel.zero(s)).scaled(float(m))
@@ -464,8 +465,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 4), (3, 5)])
     def test_slice_kernels_match_decomposition(self, m, seed):
-        from radstein.bounds import _grouped_kernels
-        from radstein.chaos import decompose
+        from radstein.chaos import decompose, product_kernels
         from radstein.kernels import kernel_add, norm_sq, slice_kernel
         from radstein.malliavin import gradient_pathwise
 
@@ -487,7 +487,7 @@ class TestFixedOrderGrouping:
             assert observed.mean == pytest.approx(
                 math.factorial(m - 1) * norm_sq(fk), abs=1e-10
             )
-            grouped = _grouped_kernels(model, fk, m)
+            grouped = product_kernels(model, fk, fk)
             special = grouped.get(m - 1, Kernel.zero(m - 1))
             special = kernel_add(special, fk.scaled(drift / m))
             grouped = {**grouped, m - 1: special}
@@ -498,6 +498,125 @@ class TestFixedOrderGrouping:
                     assert got.entries.get(key, 0.0) == pytest.approx(
                         expected.entries.get(key, 0.0), abs=1e-10
                     )
+
+
+class TestProductFormulaRoute:
+    """``product_kernels`` behind ``multiply`` and ``jm_bound`` against the
+    separate (r, l) loops they replaced, kept in ``oracles``: same kernels,
+    same reports, same engine calls."""
+
+    @staticmethod
+    def hexed(kernels):
+        return [
+            (order, [(key, v.hex()) for key, v in kernel.entries.items()])
+            for order, kernel in kernels.items()
+        ]
+
+    @given(st.data())
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_equals_separate_loops_bit_for_bit(self, data):
+        from radstein.chaos import multiply, product_kernels
+        from radstein.kernels import slice_kernel
+
+        size = data.draw(st.integers(2, 9), label="N")
+        p = data.draw(
+            st.lists(
+                st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                min_size=size,
+                max_size=size,
+            ),
+            label="p",
+        )
+        model = build_model(p)
+        coefficient = st.one_of(
+            st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0)
+        )
+
+        def draw_kernel(order, label):
+            key = st.frozensets(
+                st.integers(1, size), min_size=order, max_size=order
+            ).map(lambda s: tuple(sorted(s)))
+            entries = st.dictionaries(key, coefficient, min_size=1, max_size=20)
+            return Kernel(order, data.draw(entries, label=label))
+
+        m = data.draw(st.integers(2, min(4, size)), label="m")
+        f = draw_kernel(m, "f")
+        g_order = data.draw(st.integers(1, min(3, size)), label="order of g")
+        g = f if data.draw(st.booleans(), label="g is f") else draw_kernel(g_order, "g")
+
+        assert self.hexed(product_kernels(model, f, f, shift=1)) == self.hexed(
+            oracles.grouped_kernels(model, f, m)
+        )
+        for k in range(1, size + 1):
+            fk = slice_kernel(f, k)
+            if not fk.is_zero():
+                assert self.hexed(product_kernels(model, fk, fk)) == self.hexed(
+                    oracles.grouped_kernels(model, fk, m)
+                )
+
+        mean, kernels = oracles.loop_multiply(model, f, g)
+        grouped = product_kernels(model, f, g)
+        assert self.hexed(
+            {o: k for o, k in grouped.items() if not k.is_zero()}
+        ) == self.hexed(kernels)
+        product = multiply(model, f, g)
+        assert product.mean.hex() == mean.hex()
+        assert self.hexed(product.kernels) == self.hexed(dict(sorted(kernels.items())))
+
+        shift = data.draw(st.sampled_from([0.0, 1.0, 2.5]), label="shift")
+        lam = data.draw(st.floats(0.1, 20.0), label="lambda")
+        got = jm_bound(model, f, shift, lam, check_integer=False)
+        want = oracles.grouped_jm_bound(model, f, shift, lam)
+        for name in (
+            "lam",
+            "term_mean_shift",
+            "term_variance_like",
+            "term_remainder",
+            "total",
+        ):
+            assert getattr(got, name).hex() == getattr(want, name).hex(), name
+        assert got.method == want.method
+        assert {k: repr(v) for k, v in got.detail.items()} == {
+            k: repr(v) for k, v in want.detail.items()
+        }
+
+    def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
+        from radstein import chaos
+        from radstein.chaos import multiply
+        from radstein.kernels import sym_offdiag_weighted_contract as engine
+
+        def record(module):
+            calls = []
+
+            def recorded(model, f, g, r, ell):
+                calls.append((f.order, g.order, r, ell))
+                return engine(model, f, g, r, ell)
+
+            monkeypatch.setattr(module, "sym_offdiag_weighted_contract", recorded)
+            return calls
+
+        rng = random.Random(17)
+        model = build_model(oracles.rand_model_p(rng, 7))
+        f3 = oracles.rand_kernel(rng, 3, 7, density=0.5)
+        f2 = oracles.rand_kernel(rng, 2, 7)
+        calls, oracle_calls = record(chaos), record(oracles)
+
+        jm_bound(model, f3, 1.0, 1.5, check_integer=False)
+        oracles.grouped_jm_bound(model, f3, 1.0, 1.5)
+        assert calls == oracle_calls
+        # Five (r, l) terms above order 0 for f and for each of its 7 slices.
+        assert len(calls) == 5 + 7 * 5
+        # No order-0 term is formed: n + m - r - l > 0 on every call.
+        assert all(n + m - r - ell > 0 for n, m, r, ell in calls)
+
+        calls.clear()
+        oracle_calls.clear()
+        multiply(model, f2, f2)
+        oracles.loop_multiply(model, f2, f2)
+        assert calls == oracle_calls
+        # The mean's (n, n) contraction, formed once and last.
+        assert [c for c in calls if c[0] + c[1] == c[2] + c[3]] == [(2, 2, 2, 2)]
+        assert calls[-1] == (2, 2, 2, 2)
 
 
 class TestSecondOrderBound:

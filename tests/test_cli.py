@@ -44,9 +44,10 @@ def bernoulli_spec(tmp_path):
 
 class TestVerify:
     def test_passes_with_default_seed(self, tmp_path):
-        code, text = run_cli(["verify", "--seed", "0"], tmp_path, "verify.json")
+        code, text = run_cli(["verify"], tmp_path, "verify.json")
         assert code == 0
         report = json.loads(text)
+        assert report["seed"] == 0
         assert report["passed"] is True
         names = [row["name"] for row in report["rows"]]
         assert names == [
@@ -407,6 +408,20 @@ class TestJ2Rate:
 
     def test_validation(self, tmp_path):
         assert main(["j2-rate", "--n-min", "1", "--n-max", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["j2-rate", "--n-min", "2", "--n-max", "3", "--seed", "1"],
+            ["j2-rate", "--n-min", "2", "--n-max", "3", "--mc-samples", "20000"],
+            ["verify", "--mc-samples", "20000"],
+        ],
+    )
+    def test_flags_the_command_would_ignore_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidationPaths:
