@@ -20,11 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidLambda, RangeTooShort
-from .model import stable_sum
+from .errors import EnumerationCapExceeded, InvalidLambda, RangeTooShort
+from .model import ENUMERATION_CAP, stable_sum
 
 _TAIL_EPS = 1e-14
 _TERM_EPS = 1e-22
+# The most entries a Poisson range or a count array may have: as many as one
+# value table at the enumeration cap.
+_RANGE_LIMIT = 1 << ENUMERATION_CAP
 
 
 def _check_lambda(lam: float) -> float:
@@ -72,11 +75,22 @@ def poisson_tail(lam: float, k: int) -> float:
     return min(1.0, stable_sum(terms))
 
 
+def _check_range(top: float, lam: float, support_max: int) -> None:
+    """Raise EnumerationCapExceeded unless a range 0..top fits _RANGE_LIMIT."""
+    if top >= _RANGE_LIMIT:
+        raise EnumerationCapExceeded(
+            f"lambda = {lam!r} and largest support value {support_max} need a "
+            f"range of more than {_RANGE_LIMIT} = 2^{ENUMERATION_CAP} entries"
+        )
+
+
 def truncation_point(lam: float, support_max: int = 0) -> int:
     """Smallest k with Poisson tail mass beyond k below 1e-14, at least
-    max(support_max, 10 lam, 10)."""
+    max(support_max, 10 lam, 10); the range 0..k must fit _RANGE_LIMIT."""
     lam = _check_lambda(lam)
-    k = max(int(support_max), math.ceil(10 * lam), 10)
+    support_max = int(support_max)
+    _check_range(max(support_max, 10 * lam), lam, support_max)
+    k = max(support_max, math.ceil(10 * lam), 10)
     while poisson_tail(lam, k + 1) >= _TAIL_EPS:
         k += 1
     return k

@@ -1,9 +1,11 @@
 """Batch experiment harness.
 
 Subcommands: ``verify`` runs the seeded identity suites; ``bound`` evaluates
-requested bounds against exact distances for a JSON experiment spec;
-``j2-rate`` sweeps the order-2 star example; ``bernoulli`` bounds a Bernoulli
-sum directly from the command line.
+requested bounds against exact distances for a JSON experiment spec, checked
+in full before any 2^N table is built; ``j2-rate`` sweeps the order-2 star
+example; ``bernoulli`` is ``bound`` on the Bernoulli-sum functional, given
+from the command line.  Both bound commands get their rows from one
+evaluator, and ``main`` alone writes the report and picks the exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 identity-suite failure,
 4 domination violation (a bound fell below the exact distance).
@@ -49,6 +51,10 @@ EXIT_DOMINATION = 4
 _ENUMERATION_METHODS = {"main", "main_reduced", "second_order", "wasserstein"}
 _KERNEL_METHODS = {"j1", "j2", "jm", "bernoulli", "j2_example"}
 _DOMINATION_SLACK = 1e-12
+
+
+class _Rejected(Exception):
+    """A flag or I/O rejection; ``main`` prints its message as is (exit 2)."""
 
 
 def _fmt(value) -> str:
@@ -103,9 +109,7 @@ def _parse_kernels(node, location: str) -> dict:
         if not _is_number(coeff):
             raise SpecParseError("coefficient must be a finite number", where)
         grouped.setdefault(len(key), []).append((tuple(key), float(coeff)))
-    return {
-        order: Kernel.from_pairs(order, pairs) for order, pairs in grouped.items()
-    }
+    return {o: Kernel.from_pairs(o, pairs) for o, pairs in grouped.items()}
 
 
 def _resolve_lambda(policy, mean: float, var: float, location: str) -> float:
@@ -137,9 +141,21 @@ def _j2_example_exact_tv(n: int, lam: float) -> float:
     return tv_atoms_vs_poisson(atom_law(model, table.values), lam).value
 
 
+def _j2_closed_forms(n: int):
+    """``bounds.j2_example(n)``, or None where its powers of n overflow."""
+    try:
+        return bounds_mod.j2_example(n)
+    except OverflowError:
+        return None
+
+
+def _dominates(total: float, exact) -> bool | None:
+    return None if exact is None else total >= exact - _DOMINATION_SLACK
+
+
 def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
     total = report.total * (1e-4 if shrink else 1.0)
-    row = {
+    return {
         "method": report.method,
         "lambda": report.lam,
         "term_mean_shift": report.term_mean_shift,
@@ -148,14 +164,53 @@ def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
         "total": total,
         "exact_kind": exact_kind,
         "exact": exact_value,
-        "dominates": (
-            None if exact_value is None else total >= exact_value - _DOMINATION_SLACK
-        ),
+        "dominates": _dominates(total, exact_value),
     }
-    return row
 
 
-def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
+def _bound_rows(model, expansion, table, lam, methods, mc_samples, seed, shrink) -> list:
+    """One row per method, each against the exact distance of its kind: from
+    the law of ``table`` when there is one (total variation only if a row
+    needs it, Wasserstein-1 only for ``wasserstein``), else a Monte Carlo
+    total variation when ``mc_samples`` is set, else none.  The methods must
+    fit the functional; ``distribution`` has already held the table to the
+    integer rule, so the J_m bounds skip their own check."""
+    exact = {"tv": None, "w1": None}
+    if table is not None:
+        dist = distribution(model, table)
+        if any(m != "wasserstein" for m in methods):
+            exact["tv"] = tv_exact(dist, lam).value
+        if "wasserstein" in methods:
+            exact["w1"] = w1_exact(dist, lam).value
+    elif mc_samples:
+        values = functools.partial(evaluate_on_signs, model, expansion)
+        exact["tv"] = tv_monte_carlo(model, values, lam, int(mc_samples), seed).value
+    rows = []
+    streamed = {}
+    for method in methods:
+        if method in bounds_mod.STREAMED_METHODS:
+            streamed = streamed or bounds_mod.enumeration_bounds(
+                model, table, lam, set(methods) & set(bounds_mod.STREAMED_METHODS)
+            )
+            report = streamed[method]
+        elif method == "second_order":
+            report = bounds_mod.second_order_bound(model, table, lam)
+        elif method == "bernoulli":
+            report = bounds_mod.bernoulli_bound(model.p, lam)
+        else:
+            order = expansion.orders[0]
+            report = getattr(bounds_mod, f"{method}_bound")(
+                model, expansion.kernel(order), expansion.mean, lam, check_integer=False
+            )
+        kind = "w1" if method == "wasserstein" else "tv"
+        rows.append(_bound_row(report, exact[kind], kind, shrink))
+    return rows
+
+
+def _parse_bound_spec(doc: dict) -> tuple:
+    """Every check of a ``bound`` spec except its format, before any work.
+    Returns the report header and a function of ``shrink`` that computes the
+    rows."""
     functional = doc.get("functional")
     if not isinstance(functional, dict) or len(functional) != 1:
         raise SpecParseError(
@@ -190,23 +245,26 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
                 "the j2_example functional supports only the j2_example method",
                 "$.bounds",
             )
-        record = bounds_mod.j2_example(n)
+        record = _j2_closed_forms(n)
+        if record is None:
+            raise SpecParseError(
+                "j2_example's closed forms overflow at this n", "$.functional"
+            )
         lam = _resolve_lambda(doc.get("lambda", "variance"), 0.0, record.lam, "$.lambda")
         if abs(lam - record.lam) > 1e-12:
             raise SpecParseError(
                 "the j2_example closed forms are assembled at lambda = Var", "$.lambda"
             )
-        exact = _j2_example_exact_tv(n, lam) if n <= ENUMERATION_CAP else None
+        a1, a2, total = record.a1, record.a2, record.total
         report = bounds_mod.BoundReport(
-            record.lam,
-            record.a1,
-            record.a2,
-            record.total - record.a1 - record.a2,
-            record.total,
-            "j2_example",
+            record.lam, a1, a2, total - a1 - a2, total, "j2_example"
         )
-        row = _bound_row(report, exact, "tv", shrink)
-        return [row], {"functional": "j2_example", "n": n}
+
+        def example_rows(shrink: bool) -> list:
+            exact = _j2_example_exact_tv(n, lam) if n <= ENUMERATION_CAP else None
+            return [_bound_row(report, exact, "tv", shrink)]
+
+        return {"functional": "j2_example", "n": n}, example_rows
 
     model_node = doc.get("model")
     if not isinstance(model_node, dict) or "p" not in model_node:
@@ -261,80 +319,36 @@ def _run_bound_spec(doc: dict, shrink: bool) -> tuple:
                 "$.mc_samples",
             )
 
-    table = None
-    if use_enumeration:
-        try:
-            table = to_table(model, expansion)
-        except ValueError as err:
-            raise SpecParseError(str(err), f"$.functional.{form}") from err
-        mean = expectation(model, table)
-        var = variance(model, table)
-    else:
-        mean = expansion.mean
-        var = sum(
-            math.factorial(o) * inner_product(k, k)
-            for o, k in expansion.kernels.items()
-        )
-    lam = _resolve_lambda(doc.get("lambda", "mean"), mean, var, "$.lambda")
-
-    exact_tv = exact_w1 = None
-    if use_enumeration:
-        dist = distribution(model, table)
-        exact_tv = tv_exact(dist, lam).value
-        exact_w1 = w1_exact(dist, lam).value
-    elif mc_samples:
-        exact_tv = tv_monte_carlo(
-            model,
-            lambda signs: evaluate_on_signs(model, expansion, signs),
-            lam,
-            int(mc_samples),
-            seed,
-        ).value
-
-    rows = []
-    streamed = {}
+    # The policy's form now; "mean" and "variance" resolve once the table exists.
+    policy = doc.get("lambda", "mean")
+    _resolve_lambda(policy, 1.0, 1.0, "$.lambda")
+    orders = expansion.orders
     for method in requested:
-        if method in bounds_mod.STREAMED_METHODS:
-            streamed = streamed or bounds_mod.enumeration_bounds(
-                model, table, lam, set(requested) & set(bounds_mod.STREAMED_METHODS)
-            )
-            report = streamed[method]
-        elif method == "second_order":
-            report = bounds_mod.second_order_bound(model, table, lam)
-        elif method == "bernoulli":
-            report = bounds_mod.bernoulli_bound(model.p, lam)
-        elif method == "j1":
-            if expansion.orders != [1]:
-                raise SpecParseError(
-                    "j1 needs a pure order-1 functional", "$.bounds"
-                )
-            report = bounds_mod.j1_bound(
-                model,
-                expansion.kernel(1),
-                expansion.mean,
-                lam,
-                check_integer=use_enumeration,
-            )
-        elif method in ("j2", "jm"):
-            orders = expansion.orders
-            if len(orders) != 1 or orders[0] < 2:
-                raise SpecParseError(
-                    f"{method} needs a single fixed order >= 2", "$.bounds"
-                )
-            fn = bounds_mod.j2_bound if method == "j2" else bounds_mod.jm_bound
-            if method == "j2" and orders[0] != 2:
-                raise SpecParseError("j2 needs an order-2 kernel", "$.bounds")
-            report = fn(
-                model,
-                expansion.kernel(orders[0]),
-                expansion.mean,
-                lam,
-                check_integer=use_enumeration,
-            )
-        exact = exact_w1 if method == "wasserstein" else exact_tv
-        kind = "w1" if method == "wasserstein" else "tv"
-        rows.append(_bound_row(report, exact, kind, shrink))
-    return rows, {"functional": form, "n_coordinates": model.size, "seed": seed}
+        if method == "j1" and orders != [1]:
+            raise SpecParseError("j1 needs a pure order-1 functional", "$.bounds")
+        if method in ("j2", "jm") and (len(orders) != 1 or orders[0] < 2):
+            raise SpecParseError(f"{method} needs a single fixed order >= 2", "$.bounds")
+        if method == "j2" and orders[0] != 2:
+            raise SpecParseError("j2 needs an order-2 kernel", "$.bounds")
+
+    def spec_rows(shrink: bool) -> list:
+        table = None
+        if use_enumeration:
+            try:
+                table = to_table(model, expansion)
+            except ValueError as err:
+                raise SpecParseError(str(err), f"$.functional.{form}") from err
+            mean, var = expectation(model, table), variance(model, table)
+        else:
+            mean = expansion.mean
+            kernels = expansion.kernels.items()
+            var = sum(math.factorial(o) * inner_product(k, k) for o, k in kernels)
+        lam = _resolve_lambda(policy, mean, var, "$.lambda")
+        return _bound_rows(
+            model, expansion, table, lam, requested, mc_samples, seed, shrink
+        )
+
+    return {"functional": form, "n_coordinates": model.size, "seed": seed}, spec_rows
 
 
 def _resolve_format(args, doc=None) -> str:
@@ -344,151 +358,110 @@ def _resolve_format(args, doc=None) -> str:
     return fmt
 
 
-def _cmd_verify(args) -> int:
+def _domination(rows: list, message: str):
+    """The exit code and stderr line for rows of which one is not dominated."""
+    if any(row["dominates"] is False for row in rows):
+        return EXIT_DOMINATION, message
+    return None
+
+
+def _cmd_verify(args) -> tuple:
     report = run_verification(seed=args.seed, corrupt=args.inject_fault)
     rows = [c.as_dict() for c in report.checks]
     for row in rows:
         row.setdefault("witness", None)
-    _emit(
-        {"command": "verify", "seed": report.seed, "passed": report.passed},
-        rows,
-        _resolve_format(args),
-        args.out,
-    )
+    failure = None
     if not report.passed:
-        failure = report.first_failure()
-        sys.stderr.write(f"identity check failed: {failure.name}\n")
-        return EXIT_IDENTITY
-    return EXIT_OK
+        failure = EXIT_IDENTITY, f"identity check failed: {report.first_failure().name}"
+    payload = {"command": "verify", "seed": report.seed, "passed": report.passed}
+    return payload, rows, _resolve_format(args), failure
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple:
     try:
         with open(args.spec, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as err:
-        sys.stderr.write(f"cannot read spec: {err}\n")
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as err:
-        sys.stderr.write(f"spec is not valid JSON: {err}\n")
-        return EXIT_VALIDATION
+        raise _Rejected(f"cannot read spec: {err}") from err
+    except ValueError as err:
+        raise _Rejected(f"spec is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SpecParseError("spec document must be a JSON object", "$")
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.mc_samples is not None:
         doc["mc_samples"] = args.mc_samples
-    rows, meta = _run_bound_spec(doc, shrink=args.inject_fault == "shrink-total")
-    _emit({"command": "bound", **meta}, rows, _resolve_format(args, doc), args.out)
-    if any(row["dominates"] is False for row in rows):
-        sys.stderr.write("domination violation: a bound fell below the exact distance\n")
-        return EXIT_DOMINATION
-    return EXIT_OK
+    meta, spec_rows = _parse_bound_spec(doc)
+    fmt = _resolve_format(args, doc)
+    rows = spec_rows(args.inject_fault == "shrink-total")
+    failure = _domination(
+        rows, "domination violation: a bound fell below the exact distance"
+    )
+    return {"command": "bound", **meta}, rows, fmt, failure
 
 
-def _cmd_j2_rate(args) -> int:
+def _cmd_j2_rate(args) -> tuple:
     if args.n_min < 2 or args.n_max < args.n_min or args.step < 1:
-        sys.stderr.write("need 2 <= n-min <= n-max and step >= 1\n")
-        return EXIT_VALIDATION
+        raise _Rejected("need 2 <= n-min <= n-max and step >= 1")
+    sweep = range(args.n_min, args.n_max + 1, args.step)
+    if _j2_closed_forms(sweep[-1]) is None:
+        raise _Rejected(f"the closed forms overflow at n = {sweep[-1]}")
     shrink = args.inject_fault == "shrink-total"
     rows = []
-    rate_ok = True
-    domination_ok = True
-    for n in range(args.n_min, args.n_max + 1, args.step):
+    for n in sweep:
         record = bounds_mod.j2_example(n)
         total = record.total * (1e-4 if shrink else 1.0)
-        rate = total * math.sqrt(n)
-        rate_ok = rate_ok and rate <= bounds_mod.J2_RATE_CONSTANT + 1e-12
-        exact = None
-        dominates = None
-        if n <= 12:
-            exact = _j2_example_exact_tv(n, record.lam)
-            dominates = total >= exact - _DOMINATION_SLACK
-            domination_ok = domination_ok and dominates
+        exact = _j2_example_exact_tv(n, record.lam) if n <= 12 else None
         rows.append(
             {
                 "n": n,
                 "lambda": record.lam,
-                "a1": record.a1,
-                "a2": record.a2,
-                "a3": record.a3,
-                "a4": record.a4,
-                "a5": record.a5,
-                "a6": record.a6,
+                **{f"a{i}": getattr(record, f"a{i}") for i in range(1, 7)},
                 "total": total,
-                "rate": rate,
+                "rate": total * math.sqrt(n),
                 "exact_tv": exact,
-                "dominates": dominates,
+                "dominates": _dominates(total, exact),
             }
         )
-    _emit(
-        {
-            "command": "j2-rate",
-            "rate_constant": bounds_mod.J2_RATE_CONSTANT,
-            "rate_within_constant": rate_ok,
-        },
+    rate_ok = all(row["rate"] <= bounds_mod.J2_RATE_CONSTANT + 1e-12 for row in rows)
+    failure = _domination(
         rows,
-        _resolve_format(args),
-        args.out,
+        "domination violation: the closed-form total falls below the exact "
+        "total variation of the example's law",
     )
     if not rate_ok:
-        sys.stderr.write("rate constant violated\n")
-        return EXIT_IDENTITY
-    if not domination_ok:
-        sys.stderr.write(
-            "domination violation: the closed-form total falls below the exact "
-            "total variation of the example's law\n"
-        )
-        return EXIT_DOMINATION
-    return EXIT_OK
+        failure = EXIT_IDENTITY, "rate constant violated"
+    payload = {
+        "command": "j2-rate",
+        "rate_constant": bounds_mod.J2_RATE_CONSTANT,
+        "rate_within_constant": rate_ok,
+    }
+    return payload, rows, _resolve_format(args), failure
 
 
-def _cmd_bernoulli(args) -> int:
+def _cmd_bernoulli(args) -> tuple:
+    """``bound`` on the Bernoulli-sum functional, with its own flag checks,
+    its enumerated table built directly and lambda = sum p for ``mean``."""
     if not 0 <= args.seed < 2**128:
-        sys.stderr.write(f"--seed must be an integer in [0, 2^128), got {args.seed}\n")
-        return EXIT_VALIDATION
+        raise _Rejected(f"--seed must be an integer in [0, 2^128), got {args.seed}")
     try:
         model = build_model(args.p)
     except RadsteinError as err:
-        sys.stderr.write(f"{err}\n")
-        return EXIT_VALIDATION
-    mean = float(np.sum(model.p))
-    if args.lam == "mean":
-        lam = mean
-    else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            sys.stderr.write(f"invalid lambda {args.lam!r}\n")
-            return EXIT_VALIDATION
+        raise _Rejected(str(err)) from err
+    try:
+        lam = float(np.sum(model.p)) if args.lam == "mean" else float(args.lam)
+    except ValueError:
+        raise _Rejected(f"invalid lambda {args.lam!r}") from None
     if lam <= 0:
-        sys.stderr.write("lambda must be positive\n")
-        return EXIT_VALIDATION
-    report = bounds_mod.bernoulli_bound(model.p, lam)
-    exact = None
-    if model.size <= ENUMERATION_CAP:
-        dist = distribution(model, bounds_mod.bernoulli_sum_table(model))
-        exact = tv_exact(dist, lam).value
-    elif args.mc_samples:
-        expansion = _bernoulli_expansion(model)
-        exact = tv_monte_carlo(
-            model,
-            lambda signs: evaluate_on_signs(model, expansion, signs),
-            lam,
-            args.mc_samples,
-            args.seed,
-        ).value
-    row = _bound_row(report, exact, "tv", args.inject_fault == "shrink-total")
-    _emit(
-        {"command": "bernoulli", "n_coordinates": model.size},
-        [row],
-        _resolve_format(args),
-        args.out,
+        raise _Rejected("lambda must be positive")
+    enumerable = model.size <= ENUMERATION_CAP
+    table = bounds_mod.bernoulli_sum_table(model) if enumerable else None
+    expansion, shrink = _bernoulli_expansion(model), args.inject_fault == "shrink-total"
+    rows = _bound_rows(
+        model, expansion, table, lam, ["bernoulli"], args.mc_samples, args.seed, shrink
     )
-    if row["dominates"] is False:
-        sys.stderr.write("domination violation\n")
-        return EXIT_DOMINATION
-    return EXIT_OK
+    payload = {"command": "bernoulli", "n_coordinates": model.size}
+    return payload, rows, _resolve_format(args), _domination(rows, "domination violation")
 
 
 @functools.lru_cache(maxsize=None)
@@ -538,23 +511,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.inject_fault is not None:
-        if args.inject_fault not in CORRUPTION_TAGS:
-            sys.stderr.write(f"unknown fault tag {args.inject_fault!r}\n")
-            return EXIT_VALIDATION
+    args = _build_parser().parse_args(argv)
+    tags = CORRUPTION_TAGS if args.command == "verify" else ("shrink-total",)
     try:
+        if args.inject_fault not in (None, *tags):
+            raise _Rejected(f"unknown fault tag {args.inject_fault!r}")
         # On huge but finite specs numpy's overflow warnings would precede
         # radstein's own message on stderr.
         with np.errstate(all="ignore"):
-            return args.handler(args)
+            payload, rows, fmt, failure = args.handler(args)
+    except _Rejected as err:
+        sys.stderr.write(f"{err}\n")
+        return EXIT_VALIDATION
     except SpecParseError as err:
         sys.stderr.write(f"spec error at {err.location or '$'}: {err}\n")
         return EXIT_VALIDATION
     except RadsteinError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return EXIT_VALIDATION
+    _emit(payload, rows, fmt, args.out)
+    if failure is None:
+        return EXIT_OK
+    code, message = failure
+    sys.stderr.write(f"{message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 
 from .chenstein import (
     _check_lambda,
+    _check_range,
     poisson_pmf_vector,
     poisson_tail,
     truncation_point,
@@ -124,6 +125,7 @@ def tv_monte_carlo(
         ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
         top = int(ints.max())
         if top >= counts.size:
+            _check_range(top, lam, top)
             counts = np.concatenate(
                 [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
             )

@@ -22,7 +22,7 @@ class IndexOutOfRange(RadsteinError):
 
 
 class EnumerationCapExceeded(RadsteinError):
-    """The model is too large for exhaustive enumeration of 2^N outcomes."""
+    """Over 2^24 entries to enumerate: a model's 2^N outcomes, or a distance's range."""
 
 
 class NonIntegerValue(RadsteinError):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -40,6 +41,35 @@ def bernoulli_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return path
+
+
+def write_spec(tmp_path, doc, name="spec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Patch ``to_table`` at every module that binds it.  The returned record
+    lists the model size of each call; setting ``forbid`` makes a call raise."""
+    import radstein.chaos
+
+    original = radstein.chaos.to_table
+    record = types.SimpleNamespace(sizes=[], forbid=False)
+
+    def patched(model, expansion):
+        record.sizes.append(model.size)
+        if record.forbid:
+            raise AssertionError("to_table called before the spec was validated")
+        return original(model, expansion)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "radstein":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, patched)
+    return record
 
 
 class TestVerify:
@@ -428,6 +458,23 @@ class TestValidationPaths:
     def test_unknown_fault_tag_rejected(self):
         assert main(["verify", "--inject-fault", "nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", None],
+            ["j2-rate", "--n-min", "13", "--n-max", "14"],
+            ["bernoulli", "--p", "0.1", "0.2"],
+        ],
+    )
+    def test_unknown_fault_tag_rejected_by_every_command(
+        self, argv, bernoulli_spec, capsys
+    ):
+        argv = [str(bernoulli_spec) if a is None else a for a in argv]
+        assert main([*argv, "--inject-fault", "nonsense"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unknown fault tag 'nonsense'\n"
+
     def test_missing_spec_file(self, capsys):
         assert main(["bound", "/nonexistent/spec.json"]) == 2
         assert "cannot read spec" in capsys.readouterr().err
@@ -436,6 +483,16 @@ class TestValidationPaths:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert main(["bound", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"]
+    )
+    def test_undecodable_spec_exits_two(self, tmp_path, capsys, content):
+        # Bytes that are not UTF-8, and an integer past Python's digit limit.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["bound", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("spec is not valid JSON: ")
 
     def test_monte_carlo_bound_reports_are_reproducible(self, tmp_path):
         spec = tmp_path / "mc.json"
@@ -513,3 +570,115 @@ class TestReproducibility:
         assert runs[0][0] == runs[1][0] == 4
         assert runs[0][1] == runs[1][1]
         assert len(runs[0][1]) > 0
+
+
+
+class TestValidationBeforeWork:
+    def test_bad_format_exits_before_enumeration(self, tmp_path, table_builds, capsys):
+        table_builds.forbid = True
+        doc = {"model": {"p": [0.2] * 16}, "functional": {"bernoulli": {}}}
+        spec = write_spec(tmp_path, {**doc, "bounds": ["second_order"], "format": "xml"})
+        assert main(["bound", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("spec error at $.format: ")
+
+    def test_method_that_does_not_fit_exits_before_enumeration(
+        self, tmp_path, table_builds, capsys
+    ):
+        table_builds.forbid = True
+        doc = {"model": {"p": [0.2] * 20}, "functional": {"bernoulli": {}}}
+        spec = write_spec(tmp_path, {**doc, "bounds": ["jm"]})
+        assert main(["bound", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "spec error at $.bounds: jm needs a single fixed order >= 2\n"
+        )
+
+    @pytest.mark.parametrize("method", ["j1", "j2", "jm"])
+    def test_closed_form_row_builds_the_table_once(self, tmp_path, table_builds, method):
+        # sum_k (X_k + 1)/2, and 1 + X_1 X_2 at p = 1/2: both integer-valued
+        pair = {"chaos": {"mean": 1.0, "kernels": [[[1, 2], 0.5]]}}
+        functional = {"bernoulli": {}} if method == "j1" else pair
+        doc = {"model": {"p": [0.5] * 10}, "functional": functional, "bounds": [method]}
+        code, _ = run_cli(["bound", str(write_spec(tmp_path, doc))], tmp_path, "x")
+        assert code == 0
+        assert table_builds.sizes == [10]
+
+
+class TestRangeLimit:
+    LIMIT_ERROR = "EnumerationCapExceeded: lambda = "
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "model": {"p": [0.3, 0.3, 0.3]},
+                "functional": {"bernoulli": {}},
+                "bounds": ["main"],
+                "lambda": 1e17,
+            },
+            {
+                "model": {"p": [0.3, 0.3]},
+                "functional": {"chaos": {"mean": 1e9, "kernels": []}},
+                "bounds": ["main"],
+            },
+        ],
+    )
+    def test_bound_spec_exits_two_with_one_line(self, tmp_path, capsys, doc):
+        assert main(["bound", str(write_spec(tmp_path, doc))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(self.LIMIT_ERROR)
+        assert captured.err.endswith(" = 2^24 entries\n")
+        assert captured.err.count("\n") == 1
+
+    def test_bernoulli_command_exits_two_with_one_line(self, capsys):
+        assert main(["bernoulli", "--p", "0.3", "0.3", "--lambda", "1e17"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(self.LIMIT_ERROR + "1e+17 and largest support value 2 ")
+        assert err.count("\n") == 1
+
+
+class TestOverflowingExample:
+    def test_j2_example_spec_exits_two(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"functional": {"j2_example": {"n": 10**200}}})
+        assert main(["bound", str(spec)]) == 2
+        assert capsys.readouterr().err == (
+            "spec error at $.functional: j2_example's closed forms overflow at this n\n"
+        )
+
+    def test_largest_evaluable_n_still_runs(self, tmp_path):
+        spec = write_spec(tmp_path, {"functional": {"j2_example": {"n": 10**38}}})
+        code, text = run_cli(["bound", str(spec)], tmp_path, "x")
+        assert code == 0
+        assert json.loads(text)["rows"][0]["exact"] is None
+
+    def test_j2_rate_sweep_into_overflow_exits_two(self, capsys):
+        argv = ["j2-rate", "--n-min", "2", "--n-max", str(10**400)]
+        assert main([*argv, "--step", str(10**399)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("the closed forms overflow at n = 9000")
+
+
+class TestSharedEvaluator:
+    @pytest.mark.parametrize(
+        "n,extra", [(10, []), (28, ["--mc-samples", "12000", "--seed", "6"])]
+    )
+    def test_bernoulli_command_equals_bound_on_the_equivalent_spec(
+        self, tmp_path, n, extra
+    ):
+        p = [round(0.02 + 0.011 * k, 3) for k in range(n)]
+        doc = {
+            "model": {"p": p},
+            "functional": {"bernoulli": {}},
+            "bounds": ["bernoulli"],
+            "lambda": 0.9,
+        }
+        spec = write_spec(tmp_path, doc)
+        code, bound_text = run_cli(["bound", str(spec), *extra], tmp_path, "b")
+        assert code == 0
+        argv = ["bernoulli", "--p", *map(repr, p), "--lambda", "0.9", *extra]
+        code, bern_text = run_cli(argv, tmp_path, "c")
+        assert code == 0
+        bound_rows = json.loads(bound_text)["rows"]
+        assert bound_rows == json.loads(bern_text)["rows"]
+        assert bound_rows[0]["exact"] is not None

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from radstein.distance import (
     tv_monte_carlo,
     w1_exact,
 )
-from radstein.errors import InvalidLambda, TooFewSamples
+from radstein.errors import EnumerationCapExceeded, InvalidLambda, TooFewSamples
 from radstein.kernels import Kernel
 from radstein.model import (
     DistributionTable,
@@ -213,3 +214,24 @@ class TestMonteCarlo:
             tv_monte_carlo(
                 model, lambda s: np.full(len(s), 0.5), 1.0, 10_000, seed=0
             )
+
+    def test_count_array_beyond_the_range_limit_is_refused(self):
+        # A sampled value of 2^24 needs a count array of 2^24 + 1 entries,
+        # more than one value table at the enumeration cap.
+        model = build_model([0.5, 0.5])
+        top = lambda s: np.full(len(s), 2.0**24)
+        with pytest.raises(EnumerationCapExceeded, match="support value 16777216 "):
+            tv_monte_carlo(model, top, 1.0, 10_000, seed=0)
+
+
+class TestRangeLimit:
+    @pytest.mark.parametrize(
+        "lam,support", [(2**24 / 10, 0), (1.0, 2**24), (1e308, 0)]
+    )
+    def test_truncation_point_refuses_ranges_past_the_limit(self, lam, support):
+        message = re.escape(f"lambda = {lam!r} and largest support value {support} ")
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            truncation_point(lam, support)
+
+    def test_truncation_point_keeps_the_largest_range_that_fits(self):
+        assert truncation_point(1.0, 2**24 - 1) == 2**24 - 1
