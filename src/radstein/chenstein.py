@@ -37,16 +37,12 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def poisson_log_pmf(lam: float, k: int) -> float:
+def poisson_pmf(lam: float, k: int) -> float:
+    """e^{-lam} lam^k / k!, evaluated in log space."""
     lam = _check_lambda(lam)
     if k < 0:
         raise ValueError(f"Poisson support is nonnegative, got {k}")
-    return -lam + k * math.log(lam) - math.lgamma(k + 1)
-
-
-def poisson_pmf(lam: float, k: int) -> float:
-    """e^{-lam} lam^k / k!, evaluated in log space."""
-    return math.exp(poisson_log_pmf(lam, k))
+    return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
 def poisson_pmf_vector(lam: float, k_max: int) -> np.ndarray:

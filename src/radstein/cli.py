@@ -19,12 +19,13 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .chaos import ChaosExpansion, evaluate_on_signs, to_table
+from .chaos import ChaosExpansion, covariance, evaluate_on_signs, to_table
 from .distance import (
     atom_law,
     tv_atoms_vs_poisson,
@@ -33,12 +34,13 @@ from .distance import (
     w1_exact,
 )
 from .errors import RadsteinError, SpecParseError
-from .kernels import Kernel, inner_product
+from .kernels import Kernel
 from .model import (
     ENUMERATION_CAP,
     build_model,
     distribution,
     expectation,
+    stable_sum,
     variance,
 )
 from .verify import CORRUPTION_TAGS, run_verification
@@ -51,6 +53,8 @@ EXIT_DOMINATION = 4
 _ENUMERATION_METHODS = {"main", "main_reduced", "second_order", "wasserstein"}
 _KERNEL_METHODS = {"j1", "j2", "jm", "bernoulli", "j2_example"}
 _DOMINATION_SLACK = 1e-12
+# The most rows one j2-rate sweep may have; a longer one is refused at once.
+MAX_SWEEP_ROWS = 10**5
 
 
 class _Rejected(Exception):
@@ -85,8 +89,11 @@ def _emit(payload: dict, rows: list, fmt: str, out: str | None) -> None:
                 writer.writerow([_fmt(row[key]) for key in header])
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise _Rejected(f"cannot write report: {err}") from err
     else:
         sys.stdout.write(text)
 
@@ -341,8 +348,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
             mean, var = expectation(model, table), variance(model, table)
         else:
             mean = expansion.mean
-            kernels = expansion.kernels.items()
-            var = sum(math.factorial(o) * inner_product(k, k) for o, k in kernels)
+            var = stable_sum(covariance(model, k, k) for k in expansion.kernels.values())
         lam = _resolve_lambda(policy, mean, var, "$.lambda")
         return _bound_rows(
             model, expansion, table, lam, requested, mc_samples, seed, shrink
@@ -368,8 +374,6 @@ def _domination(rows: list, message: str):
 def _cmd_verify(args) -> tuple:
     report = run_verification(seed=args.seed, corrupt=args.inject_fault)
     rows = [c.as_dict() for c in report.checks]
-    for row in rows:
-        row.setdefault("witness", None)
     failure = None
     if not report.passed:
         failure = EXIT_IDENTITY, f"identity check failed: {report.first_failure().name}"
@@ -404,6 +408,9 @@ def _cmd_j2_rate(args) -> tuple:
     if args.n_min < 2 or args.n_max < args.n_min or args.step < 1:
         raise _Rejected("need 2 <= n-min <= n-max and step >= 1")
     sweep = range(args.n_min, args.n_max + 1, args.step)
+    length = (args.n_max - args.n_min) // args.step + 1
+    if length > MAX_SWEEP_ROWS:
+        raise _Rejected(f"the sweep has {length} rows, over the limit of {MAX_SWEEP_ROWS}")
     if _j2_closed_forms(sweep[-1]) is None:
         raise _Rejected(f"the closed forms overflow at n = {sweep[-1]}")
     shrink = args.inject_fault == "shrink-total"
@@ -516,10 +523,14 @@ def main(argv=None) -> int:
     try:
         if args.inject_fault not in (None, *tags):
             raise _Rejected(f"unknown fault tag {args.inject_fault!r}")
+        folder = os.path.dirname(args.out or "") or "."
+        if not os.path.isdir(folder):
+            raise _Rejected(f"cannot write report: no directory {folder!r}")
         # On huge but finite specs numpy's overflow warnings would precede
         # radstein's own message on stderr.
         with np.errstate(all="ignore"):
             payload, rows, fmt, failure = args.handler(args)
+        _emit(payload, rows, fmt, args.out)
     except _Rejected as err:
         sys.stderr.write(f"{err}\n")
         return EXIT_VALIDATION
@@ -529,7 +540,6 @@ def main(argv=None) -> int:
     except RadsteinError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return EXIT_VALIDATION
-    _emit(payload, rows, fmt, args.out)
     if failure is None:
         return EXIT_OK
     code, message = failure

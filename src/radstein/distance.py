@@ -21,7 +21,7 @@ from .chenstein import (
     poisson_tail,
     truncation_point,
 )
-from .errors import TooFewSamples
+from .errors import TooFewSamples, TooManySamples
 from .model import (
     INTEGER_TOLERANCE,
     DistributionTable,
@@ -32,6 +32,7 @@ from .model import (
 )
 
 MIN_MC_SAMPLES = 10_000
+MAX_MC_SAMPLES = 10**8  # about 90 s at 10^6 samples/s
 _MC_CHUNK = 1 << 16
 ATOM_DECIMALS = 12
 
@@ -46,10 +47,14 @@ class DistanceResult:
     std_error: float | None = None
 
 
-def _pmf_array(pmf: dict, k_max: int) -> np.ndarray:
-    arr = np.zeros(k_max + 1)
-    arr[list(pmf)] = list(pmf.values())
-    return arr
+def _laws_on_range(pmf: dict, lam: float) -> tuple:
+    """lam checked, the truncation point k_max for the law ``pmf`` and
+    Po(lam), and both pmfs as arrays on 0..k_max (law first)."""
+    lam = _check_lambda(lam)
+    k_max = truncation_point(lam, max(pmf, default=0))
+    fun = np.zeros(k_max + 1)
+    fun[list(pmf)] = list(pmf.values())
+    return lam, k_max, fun, poisson_pmf_vector(lam, k_max)
 
 
 def _half_l1_vs_poisson(
@@ -59,10 +64,7 @@ def _half_l1_vs_poisson(
     nonnegative integers plus ``off_mass`` off them: half the l1 gap up to the
     truncation point, plus the Poisson tail beyond it (``tail_error``), plus
     ``off_mass``."""
-    lam = _check_lambda(lam)
-    k_max = truncation_point(lam, max(pmf, default=0))
-    pois = poisson_pmf_vector(lam, k_max)
-    fun = _pmf_array(pmf, k_max)
+    lam, k_max, fun, pois = _laws_on_range(pmf, lam)
     tail = poisson_tail(lam, k_max + 1)
     value = 0.5 * (stable_sum(np.abs(fun - pois)) + tail + off_mass)
     return DistanceResult(value=min(value, 1.0), tail_error=tail, method="exact")
@@ -75,11 +77,8 @@ def tv_exact(dist: DistributionTable, lam: float) -> DistanceResult:
 
 def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
     """Exact Wasserstein-1 distance to Po(lam) on the integer lattice."""
-    lam = _check_lambda(lam)
-    k_max = truncation_point(lam, max(dist.pmf, default=0))
-    pois_cdf = np.cumsum(poisson_pmf_vector(lam, k_max))
-    fun_cdf = np.cumsum(_pmf_array(dist.pmf, k_max))
-    value = stable_sum(np.abs(fun_cdf - pois_cdf))
+    lam, k_max, fun, pois = _laws_on_range(dist.pmf, lam)
+    value = stable_sum(np.abs(np.cumsum(fun) - np.cumsum(pois)))
     # Beyond k_max the functional's CDF is 1; add the remaining Poisson gaps.
     extra_terms = []
     k = k_max + 1
@@ -114,6 +113,8 @@ def tv_monte_carlo(
     samples = int(samples)
     if samples < MIN_MC_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise TooManySamples(f"at most {MAX_MC_SAMPLES} samples allowed, got {samples}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     counts = np.zeros(1, dtype=np.int64)
     done = 0

@@ -62,6 +62,10 @@ class TooFewSamples(RadsteinError):
     """Monte Carlo estimation needs at least 10^4 samples."""
 
 
+class TooManySamples(RadsteinError):
+    """Monte Carlo estimation takes at most 10^8 samples."""
+
+
 class SpecParseError(RadsteinError):
     """An experiment specification document is malformed."""
 

@@ -153,6 +153,14 @@ def minus_gradient_pseudo_inverse(
     ]
 
 
+def _gradient_pairing(model: ProbabilityModel, a_values, b_values) -> float:
+    """sum_k E[A_k B_k] for paired value arrays A_k, B_k, k = 1..N: each
+    expectation the exact sum of (w A_k) B_k over the outcomes."""
+    return stable_sum(
+        stable_sum(model.outcome_weights * a * b) for a, b in zip(a_values, b_values)
+    )
+
+
 def check_integration_by_parts(
     model: ProbabilityModel, table_f: FunctionalTable, table_g: FunctionalTable
 ) -> float:
@@ -161,13 +169,9 @@ def check_integration_by_parts(
     lhs = stable_sum(
         model.outcome_weights * (table_f.values - mean_f) * table_g.values
     )
-    minus_dl = minus_gradient_pseudo_inverse(model, table_f)
-    rhs = stable_sum(
-        stable_sum(
-            model.outcome_weights
-            * minus_dl[k - 1].values
-            * gradient_pathwise(model, table_g, k).values
-        )
-        for k in range(1, model.size + 1)
+    rhs = _gradient_pairing(
+        model,
+        (t.values for t in minus_gradient_pseudo_inverse(model, table_f)),
+        (gradient_pathwise(model, table_g, k).values for k in range(1, model.size + 1)),
     )
     return abs(lhs - rhs)

@@ -145,6 +145,16 @@ class TestSteinFactors:
         )
         assert factors.second_diff_alternative == 2.0
 
+    def test_second_difference_bound_never_exceeds_the_alternative(self):
+        # 2(1 - e^{-lam})/lam <= 2/lam in floating point: -expm1(-lam) <= 1,
+        # doubling is exact and rounded division is monotone.
+        rng = random.Random(17)
+        lams = [5e-324, 1e-300, 1e-17, 0.5, 1.0, 36.7, 745.2, 1e300, 1.7e308]
+        lams += [10.0 ** rng.uniform(-320, 308) for _ in range(2000)]
+        for lam in lams:
+            factors = stein_factors(lam)
+            assert factors.second_diff_bound <= factors.second_diff_alternative, lam
+
     def test_large_mean_sup_bound_below_one(self):
         assert stein_factors(100.0).sup_bound == pytest.approx(
             math.sqrt(2.0 / (math.e * 100.0)), rel=1e-15

@@ -682,3 +682,102 @@ class TestSharedEvaluator:
         bound_rows = json.loads(bound_text)["rows"]
         assert bound_rows == json.loads(bern_text)["rows"]
         assert bound_rows[0]["exact"] is not None
+
+
+class TestReportWrite:
+    def test_missing_out_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["bernoulli", "--p", "0.1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        missing = str(tmp_path / "missing")
+        assert captured.err == f"cannot write report: no directory {missing!r}\n"
+
+    def test_missing_out_directory_exits_before_enumeration(
+        self, tmp_path, table_builds, capsys
+    ):
+        table_builds.forbid = True
+        doc = {"model": {"p": [0.2] * 16}, "functional": {"bernoulli": {}}}
+        spec = write_spec(tmp_path, {**doc, "bounds": ["second_order"]})
+        out = tmp_path / "missing" / "rows.json"
+        assert main(["bound", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write report: ")
+
+    def test_failed_write_exits_two_with_one_line(self, tmp_path, capsys):
+        # The directory exists, but the path names a directory, not a file.
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write report: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestWorkLimits:
+    def test_monte_carlo_samples_over_the_limit_exit_two(self, capsys):
+        argv = ["bernoulli", "--p", *["0.02"] * 30, "--mc-samples", str(10**12)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "TooManySamples: at most 100000000 samples allowed, got 1000000000000\n"
+        )
+
+    def test_bound_spec_shares_the_sample_limit(self, tmp_path, capsys):
+        doc = {"model": {"p": [0.02] * 30}, "functional": {"bernoulli": {}}}
+        spec = write_spec(tmp_path, {**doc, "mc_samples": 10**8 + 1})
+        assert main(["bound", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("TooManySamples: at most 100000000 ")
+
+    def test_sweep_over_the_row_limit_exits_two(self, capsys):
+        assert main(["j2-rate", "--n-min", "2", "--n-max", str(10**12)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "the sweep has 999999999999 rows, over the limit of 100000\n"
+        )
+
+    def test_row_limit_counts_the_rows_of_a_strided_sweep(self, monkeypatch, capsys):
+        import radstein.cli
+
+        monkeypatch.setattr(radstein.cli, "MAX_SWEEP_ROWS", 3)
+        argv = ["j2-rate", "--n-min", "13", "--step", "2"]
+        assert main([*argv, "--n-max", "18"]) == 0  # n = 13, 15, 17
+        capsys.readouterr()
+        assert main([*argv, "--n-max", "19"]) == 2  # n = 13, 15, 17, 19
+        assert capsys.readouterr().err == "the sweep has 4 rows, over the limit of 3\n"
+
+
+class TestVarianceLambda:
+    # N = 26, beyond the enumeration cap: two products of three Bernoulli
+    # indicators, whose per-order terms n! ||f_n||^2 a naive left-to-right
+    # sum rounds differently from the correctly rounded one.
+    P = [0.81, 0.732, 0.429, 0.283, 0.51, 0.414, 0.755, 0.323, 0.479, 0.575,
+         0.867, 0.504, 0.304, 0.73, 0.607, 0.275, 0.869, 0.935, 0.779, 0.862,
+         0.329, 0.707, 0.859, 0.666, 0.475, 0.141]
+    KERNELS = [
+        [[7], 0.1323012741696745], [[7, 18], 0.017441543041726727],
+        [[7, 18, 21], 0.0083028455729871], [[7, 21], 0.09447074544198278],
+        [[11], 0.21368079714355148], [[11, 14], 0.06497644575424313],
+        [[11, 14, 20], 0.008666038359890868], [[11, 20], 0.042748552109680864],
+        [[14], 0.3317948764815147], [[14, 20], 0.06637821814875795],
+        [[18], 0.0612357911716618], [[18, 21], 0.04372588908174316],
+        [[20], 0.21829064982473162], [[21], 0.3316788443474642],
+    ]
+
+    def test_beyond_cap_variance_is_the_exact_sum_of_order_terms(self, tmp_path):
+        doc = {
+            "model": {"p": self.P},
+            "functional": {"chaos": {"mean": 0.7778177449999999, "kernels": self.KERNELS}},
+            "bounds": ["bernoulli"],
+            "lambda": "variance",
+            "mc_samples": 10000,
+        }
+        code, text = run_cli(["bound", str(write_spec(tmp_path, doc))], tmp_path, "x")
+        assert code == 0
+        terms = []
+        for order in (1, 2, 3):
+            norm_sq = math.fsum(c * c for key, c in self.KERNELS if len(key) == order)
+            fact = math.factorial(order)
+            terms.append(fact * (fact * norm_sq))
+        assert terms[0] + terms[1] + terms[2] != math.fsum(terms)  # the case bites
+        assert json.loads(text)["rows"][0]["lambda"] == math.fsum(terms)

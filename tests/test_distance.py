@@ -8,13 +8,19 @@ import pytest
 from radstein.chaos import ChaosExpansion, evaluate_on_signs
 from radstein.chenstein import poisson_pmf, truncation_point
 from radstein.distance import (
+    MAX_MC_SAMPLES,
     atom_law,
     tv_atoms_vs_poisson,
     tv_exact,
     tv_monte_carlo,
     w1_exact,
 )
-from radstein.errors import EnumerationCapExceeded, InvalidLambda, TooFewSamples
+from radstein.errors import (
+    EnumerationCapExceeded,
+    InvalidLambda,
+    TooFewSamples,
+    TooManySamples,
+)
 from radstein.kernels import Kernel
 from radstein.model import (
     DistributionTable,
@@ -201,6 +207,15 @@ class TestMonteCarlo:
         model = build_model([0.5, 0.5])
         with pytest.raises(TooFewSamples):
             tv_monte_carlo(model, lambda s: np.zeros(len(s)), 1.0, 100, seed=0)
+
+    def test_too_many_samples_are_refused_before_the_first(self):
+        def never(signs):
+            raise AssertionError("sampled past the limit")
+
+        model = build_model([0.5, 0.5])
+        with pytest.raises(TooManySamples, match=f"at most {MAX_MC_SAMPLES} samples"):
+            tv_monte_carlo(model, never, 1.0, MAX_MC_SAMPLES + 1, seed=0)
+        assert MAX_MC_SAMPLES == 10**8
 
     def test_rejects_negative_and_fractional_samples(self):
         from radstein.errors import NonIntegerValue
