@@ -20,7 +20,7 @@ from .kernels import (
     Kernel,
     inner_product,
     kernel_add,
-    sym_offdiag_weighted_contract,
+    sym_offdiag_weighted_contracts,
 )
 from .model import FunctionalTable, ProbabilityModel
 
@@ -161,39 +161,45 @@ def product_kernels(
     kernels of J_n(f) J_m(g); at shift 1 with g = f of order m, those of
     sum_k (D_k J_m(f))^2 / m^2.  The order-0 term (n = m = r = l) is skipped.
     """
+    return _product_formula(model, f, g, shift, False)[1]
+
+
+def _product_formula(
+    model: ProbabilityModel, f: Kernel, g: Kernel, shift: int, with_mean: bool
+) -> tuple:
+    """(mean, kernels by order) of :func:`product_kernels`, every term from
+    one engine call; the order-0 term, the mean, is formed only with_mean."""
     n, m = f.order - shift, g.order - shift
-    grouped: dict[int, Kernel] = {}
-    for r in range(0, min(n, m) + 1):
-        pairings = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-        for ell in range(0, r + 1):
-            order = n + m - r - ell
-            if order == 0:
-                continue
-            part = sym_offdiag_weighted_contract(model, f, g, r + shift, ell + shift)
-            if part.is_zero():
-                continue
-            scaled = part.scaled(float(pairings * math.comb(r, ell)))
-            grouped[order] = (
-                kernel_add(grouped[order], scaled) if order in grouped else scaled
-            )
-    return grouped
+    terms = [(r, ell) for r in range(min(n, m) + 1) for ell in range(r + 1)]
+    terms = [(r, ell) for r, ell in terms if n + m - r - ell > 0 or with_mean]
+    shifted = [(r + shift, ell + shift) for r, ell in terms]
+    parts = sym_offdiag_weighted_contracts(model, f, g, shifted)
+    mean, grouped = 0.0, {}
+    for (r, ell), part in zip(terms, parts):
+        if part.is_zero():
+            continue
+        coefficient = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
+        coefficient *= math.comb(r, ell)
+        order = part.order
+        if order == 0:
+            mean = coefficient * part.entries[()]
+            continue
+        scaled = part.scaled(float(coefficient))
+        grouped[order] = (
+            kernel_add(grouped[order], scaled) if order in grouped else scaled
+        )
+    return mean, grouped
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     """Chaos expansion of the pointwise product J_n(f) * J_m(g): the kernels
     of :func:`product_kernels` plus the mean n! (f contracted with g at
-    (n, n)) when the orders agree."""
-    n, m = f.order, g.order
-    if n < 1 or m < 1:
+    (n, n)) when the orders agree, all from one engine call."""
+    if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
     _check_kernel_indices(model, f)
     _check_kernel_indices(model, g)
-    kernels = product_kernels(model, f, g)
-    mean = 0.0
-    if n == m:
-        inner = sym_offdiag_weighted_contract(model, f, g, n, n)
-        mean = math.factorial(n) * inner.entries.get((), 0.0)
-    return ChaosExpansion(mean, kernels)
+    return ChaosExpansion(*_product_formula(model, f, g, 0, True))
 
 
 def evaluate_on_signs(

@@ -116,7 +116,11 @@ def _parse_kernels(node, location: str) -> dict:
         if not _is_number(coeff):
             raise SpecParseError("coefficient must be a finite number", where)
         grouped.setdefault(len(key), []).append((tuple(key), float(coeff)))
-    return {o: Kernel.from_pairs(o, pairs) for o, pairs in grouped.items()}
+    try:
+        return {o: Kernel.from_pairs(o, pairs) for o, pairs in grouped.items()}
+    except OverflowError:
+        message = "duplicate entries sum beyond the float range"
+        raise SpecParseError(message, location) from None
 
 
 def _resolve_lambda(policy, mean: float, var: float, location: str) -> float:

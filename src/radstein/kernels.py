@@ -21,24 +21,23 @@ model's phi over the identified-but-unsummed slots.
 :func:`weighted_contract`, :func:`symmetrize`, :func:`to_kernel`,
 :func:`kernel_as_raw`) are the reference path: they expand every permutation
 explicitly and serve as the definition that tests check against.  The bounds
-and the product formula use only :func:`sym_offdiag_weighted_contract`, which
-computes the symmetrized off-diagonal kernel directly from sparse entries.
-
-Cost of that engine: for r >= 1 a per-call inverted index from coordinate to
-the entries of g that contain it makes the work proportional to the entry
-pairs sharing at least one index (only those sharing exactly r are expanded);
-for r = 0 it scans all pairs and expands the disjoint ones.  Kernels that
-this module builds from valid kernels (the engine's output, ``scaled``,
-:func:`kernel_add`, :func:`slice_kernel`) are not re-parsed: only finiteness
-is checked and zeros are dropped.
+and the product formula use only :func:`sym_offdiag_weighted_contracts`,
+which computes the symmetrized off-diagonal kernels of every (r, l) of a
+kernel pair directly from sparse entries, in one pass over the entry pairs
+(all nnz_f x nnz_g of them, in numpy blocks of about ``_PAIR_BLOCK``).
+Kernels that this module builds from valid kernels (the engine's output,
+``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not re-parsed:
+only finiteness is checked and zeros are dropped.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     IndexOutOfRange,
@@ -82,19 +81,17 @@ class Kernel:
 
     @classmethod
     def _built(cls, order: int, entries: dict) -> "Kernel":
-        """Kernel from entries this module built out of valid kernels: keys
-        are already strictly increasing tuples of positive ints of length
-        ``order``, so only finiteness is checked and zeros are dropped."""
-        clean = {}
-        for key, value in entries.items():
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite coefficient at {key}")
-            if value != 0.0:
-                clean[key] = value
+        """Kernel from float entries this module built out of valid kernels
+        (keys already strictly increasing tuples of positive ints of length
+        ``order``): only finiteness is checked and zeros are dropped."""
+        if not all(map(math.isfinite, entries.values())):
+            key = next(k for k, v in entries.items() if not math.isfinite(v))
+            raise ValueError(f"non-finite coefficient at {key}")
+        if not all(entries.values()):
+            entries = {key: value for key, value in entries.items() if value}
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "order", order)
-        object.__setattr__(kernel, "entries", clean)
+        object.__setattr__(kernel, "entries", entries)
         return kernel
 
     @classmethod
@@ -107,14 +104,16 @@ class Kernel:
 
     @classmethod
     def from_pairs(cls, order: int, pairs) -> "Kernel":
-        """Build from [index-tuple, coefficient] pairs, merging duplicates."""
-        acc = {}
+        """Build from [index-tuple, coefficient] pairs; duplicates merge by
+        ``math.fsum``, so their order does not matter (OverflowError if the
+        sum leaves the float range)."""
+        acc: dict[tuple, list] = {}
         for key, value in pairs:
             key = tuple(sorted(int(i) for i in key))
             if len(set(key)) != len(key):
                 raise ValueError(f"tuple {key} repeats an index")
-            acc[key] = acc.get(key, 0.0) + float(value)
-        return cls(order, acc)
+            acc.setdefault(key, []).append(float(value))
+        return cls(order, {key: math.fsum(values) for key, values in acc.items()})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -130,6 +129,7 @@ class Kernel:
         return max((t[-1] for t in self.entries if t), default=0)
 
     def scaled(self, a: float) -> "Kernel":
+        a = float(a)
         return Kernel._built(self.order, {t: a * c for t, c in self.entries.items()})
 
 
@@ -332,76 +332,117 @@ def to_kernel(t: RawTensor) -> Kernel:
     return Kernel(t.order, entries)
 
 
-def _pairs_sharing(f: Kernel, g: Kernel, r: int):
-    """Yield (T_f, f(T_f), T_g, g(T_g), shared indices) for every entry pair
-    sharing exactly r indices, in the order of an all-pairs scan.
+# Entry pairs of f and g whose shared-index counts are formed at once.
+_PAIR_BLOCK = 1 << 15
 
-    For r >= 1 a postings map from coordinate to the positions of the g
-    entries containing it counts the shared indices of each f entry against
-    only the g entries it meets; for r = 0 the disjoint pairs are scanned.
+
+def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
+    """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, in
+    all-pairs scan order; each row of tf and tg holds one entry's indices.
+    Counts are formed for about ``_PAIR_BLOCK`` pairs at a time."""
+    step = max(1, _PAIR_BLOCK // max(1, len(tg)))
+    found = {r: [(np.empty(0, np.intp),) * 2] for r in counts}
+    for lo in range(0, len(tf), step):
+        same = tf[lo : lo + step, None, :, None] == tg[None, :, None, :]
+        shared = same.sum(axis=(2, 3))
+        for r, pairs in found.items():
+            i, j = np.nonzero(shared == r)
+            pairs.append((i + lo, j))
+    return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
+
+
+def _fsum_by_key(names: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> dict:
+    """Index tuple -> ``math.fsum`` of its weights, for each distinct row of
+    keys (index ranks), in order of first appearance.  A stable sort lines
+    up equal rows with their weights in order of appearance."""
+    count, width = keys.shape
+    order = np.lexsort(keys.T[::-1]) if width else np.arange(count)
+    ordered = keys[order]
+    new = np.ones(count + 1, dtype=bool)
+    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    edges = new.nonzero()[0]  # where each run of equal rows starts, then count
+    emit = order[edges[:-1]].argsort(kind="stable")
+    starts, ends = edges[:-1][emit], edges[1:][emit]
+    columns = [names[c].tolist() for c in ordered[starts].T]
+    tuples = zip(*columns) if width else itertools.repeat((), len(starts))
+    values = weights[order].tolist()
+    bounds = zip(starts.tolist(), ends.tolist())
+    return {key: math.fsum(values[lo:hi]) for key, (lo, hi) in zip(tuples, bounds)}
+
+
+def sym_offdiag_weighted_contracts(
+    model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
+):
+    """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
+    each (r, l) of terms in order.  An invalid (r, l) raises before any work;
+    each kernel raises what its own computation meets when it is reached.
+
+    Only entry pairs sharing exactly r indices contribute; each split of the
+    shared indices into l summed and r - l kept ones adds
+
+        (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
+
+    (multiplied left to right, phi in ascending index order) at the tuple
+    U = (T_f union T_g) minus the summed indices.  Each coefficient is one
+    ``math.fsum``, keyed in order of first contribution in an all-pairs scan.
     """
-    g_items = list(g.entries.items())
-    if r == 0:
-        for tf, cf in f.entries.items():
-            set_f = frozenset(tf)
-            for tg, cg in g_items:
-                if set_f.isdisjoint(tg):
-                    yield tf, cf, tg, cg, frozenset()
-        return
-    postings: dict[int, list] = {}
-    for j, (tg, _) in enumerate(g_items):
-        for i in tg:
-            postings.setdefault(i, []).append(j)
-    for tf, cf in f.entries.items():
-        shared = Counter(
-            itertools.chain.from_iterable(postings.get(i, ()) for i in tf)
-        )
-        set_f = frozenset(tf)
-        for j in sorted(j for j, count in shared.items() if count == r):
-            tg, cg = g_items[j]
-            yield tf, cf, tg, cg, set_f.intersection(tg)
+    n, m = f.order, g.order
+    for r, ell in terms:
+        _check_contraction_indices(n, m, r, ell)
+    names = sorted(set(itertools.chain(*f.entries, *g.entries)))
+    rank = {k: i for i, k in enumerate(names)}  # indices become their ranks
+    tf, tg = (
+        np.array([[rank[i] for i in key] for key in h.entries], np.int32)
+        .reshape(len(h.entries), h.order)
+        for h in (f, g)
+    )
+    cf, cg = (np.fromiter(h.entries.values(), float, len(h.entries)) for h in (f, g))
+    inside = bisect.bisect_right(names, model.size)  # ranks of indices 1..N
+    phi = np.full(len(names), np.nan)
+    phi[:inside] = model.phi[[k - 1 for k in names[:inside]]]
+    names = np.array(names, dtype=object)
+    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
+    current = None
+    for r, ell in terms:
+        out_order = n + m - r - ell
+        if r != current:
+            current, (rows_f, rows_g) = r, pairs[r]
+            count = len(rows_f)
+            both = np.sort(np.concatenate((tf[rows_f], tg[rows_g]), axis=1), axis=1)
+            repeat = np.zeros(both.shape, dtype=bool)
+            repeat[:, 1:] = both[:, 1:] == both[:, :-1]
+            common = both[repeat].reshape(count, r)
+            union = both[~repeat].reshape(count, n + m - r)
+            cf_pairs, cg_pairs = cf[rows_f], cg[rows_g]
+        if not count:
+            yield Kernel._built(out_order, {})
+            continue
+        if ell < r and common[:, -1].max() >= inside:
+            # The first pair meeting an index beyond N, at its first split.
+            row = common[np.argmax(common[:, -1] >= inside)]
+            model.check_index(names[row[max(ell, np.argmax(row >= inside))]])
+        base = math.prod(map(math.factorial, (n - r, r - ell, m - r, ell)))
+        base /= math.factorial(out_order)
+        keys, weights = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = base * cf_pairs * cg_pairs
+            for summed in itertools.combinations(range(r), ell):
+                gone = (union[:, :, None] == common[:, None, list(summed)]).any(2)
+                keys.append(union[~gone])
+                w = prod
+                for k in sorted(set(range(r)).difference(summed)):
+                    w = w * phi[common[:, k]]
+                weights.append(w)
+        # Rows in scan order: pair by pair, each pair's splits in turn.
+        keys = np.array(keys).reshape(len(keys), count, out_order).transpose(1, 0, 2)
+        keys = keys.reshape(count * len(weights), out_order)
+        weights = np.array(weights).T.reshape(-1)
+        yield Kernel._built(out_order, _fsum_by_key(names, keys, weights))
 
 
 def sym_offdiag_weighted_contract(
     model: ProbabilityModel, f: Kernel, g: Kernel, r: int, ell: int
 ) -> Kernel:
-    """Kernel form of the weighted contraction, fused for sparsity.
-
-    Computes ``to_kernel(weighted_contract(model, f, g, r, l))`` without
-    materializing the intermediate tensor: once the result is symmetrized and
-    restricted to off-diagonal tuples, only kernel-entry pairs sharing exactly
-    r indices contribute, and each split of the shared indices into l summed
-    and r - l kept ones adds
-
-        (n-r)! (r-l)! (m-r)! l! / |U|!  *  phi(kept)  *  f(T_f) g(T_g)
-
-    at the increasing tuple U = (T_f union T_g) minus the summed indices.
-    Each output coefficient is the correctly rounded sum of its
-    contributions, so neither the visiting order nor the index changes a bit.
-    """
-    n, m = f.order, g.order
-    _check_contraction_indices(n, m, r, ell)  # l < r already forces r >= 1
-    out_order = n + m - r - ell
-    base = (
-        math.factorial(n - r)
-        * math.factorial(r - ell)
-        * math.factorial(m - r)
-        * math.factorial(ell)
-        / math.factorial(out_order)
-    )
-    phi = model.phi.tolist()
-    terms: dict[tuple, list] = {}
-    for tf, cf, tg, cg, common in _pairs_sharing(f, g, r):
-        union = common.union(tf, tg)
-        prod = base * cf * cg
-        for summed in itertools.combinations(sorted(common), ell):
-            kept = sorted(common.difference(summed))
-            w = prod
-            for k in kept:
-                model.check_index(k)
-                w *= phi[k - 1]
-            key = tuple(sorted(union.difference(summed)))
-            terms.setdefault(key, []).append(w)
-    return Kernel._built(
-        out_order, {key: stable_sum(vals) for key, vals in terms.items()}
-    )
+    """Kernel form of the weighted contraction at one (r, l): the one-term
+    call of :func:`sym_offdiag_weighted_contracts`."""
+    return next(sym_offdiag_weighted_contracts(model, f, g, [(r, ell)]))

@@ -4,16 +4,17 @@ Everything here works from first principles on explicit outcome lists and
 index loops, never through the package's transforms or sparse algebra, so
 agreement is evidence rather than tautology.  The exceptions reproduce an
 earlier production route that the current one must match bit for bit: the
-all-pairs scan of the fused kernel contraction, the sparse-kernel
-computation of -D L^{-1}(F - E[F]) with the per-method enumeration bounds
-built on it, the second-order bound that holds every D_j D_l F table and
-sums each moment with its own ``math.fsum``, and the product formula's
-(r, l) loop written out separately for ``multiply`` and for the J_m bound's
-grouped kernels.
+all-pairs scan of the fused kernel contraction, the postings-map engine that
+ran it one (r, l) at a time, the sparse-kernel computation of
+-D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
+second-order bound that holds every D_j D_l F table and sums each moment
+with its own ``math.fsum``, and the product formula's (r, l) loop written out
+separately for ``multiply`` and for the J_m bound's grouped kernels.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from radstein.bounds import BoundReport
 from radstein.chaos import decompose, to_table
 from radstein.kernels import (
     Kernel,
+    _check_contraction_indices,
     inner_product,
     kernel_add,
     norm_sq,
     slice_kernel,
-    sym_offdiag_weighted_contract,
 )
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
 from radstein.model import FunctionalTable
@@ -140,6 +141,68 @@ def all_pairs_sym_offdiag_weighted_contract(model, f, g, r, ell):
     return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
 
 
+def _pairs_sharing(f, g, r):
+    """Yield (T_f, f(T_f), T_g, g(T_g), shared indices) for every entry pair
+    sharing exactly r indices, in the order of an all-pairs scan.
+
+    For r >= 1 a postings map from coordinate to the positions of the g
+    entries containing it counts the shared indices of each f entry against
+    only the g entries it meets; for r = 0 the disjoint pairs are scanned.
+    """
+    g_items = list(g.entries.items())
+    if r == 0:
+        for tf, cf in f.entries.items():
+            set_f = frozenset(tf)
+            for tg, cg in g_items:
+                if set_f.isdisjoint(tg):
+                    yield tf, cf, tg, cg, frozenset()
+        return
+    postings = {}
+    for j, (tg, _) in enumerate(g_items):
+        for i in tg:
+            postings.setdefault(i, []).append(j)
+    for tf, cf in f.entries.items():
+        shared = Counter(
+            itertools.chain.from_iterable(postings.get(i, ()) for i in tf)
+        )
+        set_f = frozenset(tf)
+        for j in sorted(j for j, count in shared.items() if count == r):
+            tg, cg = g_items[j]
+            yield tf, cf, tg, cg, set_f.intersection(tg)
+
+
+def postings_sym_offdiag_weighted_contract(model, f, g, r, ell):
+    """The one-call-per-(r, l) engine that ``sym_offdiag_weighted_contracts``
+    replaced: a postings map rebuilt on each call, and each split's weight
+    and key formed in pure Python.  It raises InvalidContractionIndices
+    first, IndexOutOfRange at the first kept index beyond N, then what
+    ``math.fsum`` or the non-finite check meets."""
+    n, m = f.order, g.order
+    _check_contraction_indices(n, m, r, ell)
+    out_order = n + m - r - ell
+    base = (
+        math.factorial(n - r)
+        * math.factorial(r - ell)
+        * math.factorial(m - r)
+        * math.factorial(ell)
+        / math.factorial(out_order)
+    )
+    phi = model.phi.tolist()
+    terms = {}
+    for tf, cf, tg, cg, common in _pairs_sharing(f, g, r):
+        union = common.union(tf, tg)
+        prod = base * cf * cg
+        for summed in itertools.combinations(sorted(common), ell):
+            kept = sorted(common.difference(summed))
+            w = prod
+            for k in kept:
+                model.check_index(k)
+                w *= phi[k - 1]
+            key = tuple(sorted(union.difference(summed)))
+            terms.setdefault(key, []).append(w)
+    return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
+
+
 def loop_multiply(model, f, g):
     """J_n(f) J_m(g) as (mean, {order: kernel}): every (r, l) term of the
     product formula formed, the order-0 one included, and summed into the
@@ -155,7 +218,7 @@ def loop_multiply(model, f, g):
                 * math.comb(m, r)
                 * math.comb(r, ell)
             )
-            part = sym_offdiag_weighted_contract(model, f, g, r, ell)
+            part = postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
             if part.is_zero():
                 continue
             order = part.order
@@ -189,7 +252,9 @@ def grouped_kernels(model, f, m):
             s = 2 * m - r - ell
             if s == 0:
                 continue
-            part = sym_offdiag_weighted_contract(model, f, f, r - offset, ell - offset)
+            part = postings_sym_offdiag_weighted_contract(
+                model, f, f, r - offset, ell - offset
+            )
             if part.is_zero():
                 continue
             scaled = part.scaled(jm_coefficient(m, r, ell))

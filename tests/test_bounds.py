@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -503,7 +504,7 @@ class TestFixedOrderGrouping:
 class TestProductFormulaRoute:
     """``product_kernels`` behind ``multiply`` and ``jm_bound`` against the
     separate (r, l) loops they replaced, kept in ``oracles``: same kernels,
-    same reports, same engine calls."""
+    same reports, the same (r, l) terms formed."""
 
     @staticmethod
     def hexed(kernels):
@@ -567,6 +568,82 @@ class TestProductFormulaRoute:
         lam = data.draw(st.floats(0.1, 20.0), label="lambda")
         got = jm_bound(model, f, shift, lam, check_integer=False)
         want = oracles.grouped_jm_bound(model, f, shift, lam)
+        assert got.method == want.method
+        self.assert_same_report(got, want)
+
+    def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
+        """One engine call per kernel pair, whose (r, l) terms, in order, are
+        the calls the separate loops make one at a time."""
+        from radstein import chaos
+        from radstein.chaos import multiply
+        from radstein.kernels import slice_kernel
+
+        engine = chaos.sym_offdiag_weighted_contracts
+        one_term = oracles.postings_sym_offdiag_weighted_contract
+        calls, oracle_calls = [], []
+
+        def recorded(model, f, g, terms):
+            calls.append([(f.order, g.order, r, ell) for r, ell in terms])
+            return engine(model, f, g, terms)
+
+        def oracle_recorded(model, f, g, r, ell):
+            oracle_calls.append((f.order, g.order, r, ell))
+            return one_term(model, f, g, r, ell)
+
+        monkeypatch.setattr(chaos, "sym_offdiag_weighted_contracts", recorded)
+        monkeypatch.setattr(
+            oracles, "postings_sym_offdiag_weighted_contract", oracle_recorded
+        )
+        rng = random.Random(17)
+        model = build_model(oracles.rand_model_p(rng, 7))
+        f3 = oracles.rand_kernel(rng, 3, 7, density=0.5)
+        f2 = oracles.rand_kernel(rng, 2, 7)
+
+        jm_bound(model, f3, 1.0, 1.5, check_integer=False)
+        oracles.grouped_jm_bound(model, f3, 1.0, 1.5)
+        # One call for f and one for each of its 7 slices, all nonzero here.
+        assert all(not slice_kernel(f3, k).is_zero() for k in range(1, 8))
+        assert len(calls) == 1 + 7
+        # Five (r, l) terms above order 0 in each.
+        assert [len(terms) for terms in calls] == [5] * 8
+        assert [t for terms in calls for t in terms] == oracle_calls
+        # No order-0 term is formed: n + m - r - l > 0 on every term.
+        assert all(n + m - r - ell > 0 for terms in calls for n, m, r, ell in terms)
+
+        calls.clear()
+        oracle_calls.clear()
+        multiply(model, f2, f2)
+        oracles.loop_multiply(model, f2, f2)
+        assert calls == [oracle_calls]
+        # The mean's (n, n) term, formed once and last.
+        (terms,) = calls
+        assert [t for t in terms if t[0] + t[1] == t[2] + t[3]] == [(2, 2, 2, 2)]
+        assert terms[-1] == (2, 2, 2, 2)
+
+    def test_reports_at_forty_coordinates_equal_the_separate_loops(self):
+        """At N = 40, beyond every enumeration: an order-3 kernel of 60
+        triples and an order-2 kernel of 80 pairs."""
+        rng = random.Random(4040)
+        n = 40
+        model = build_model([rng.uniform(0.05, 0.45) for _ in range(n)])
+        coords = range(1, n + 1)
+        triples = rng.sample(list(itertools.combinations(coords, 3)), 60)
+        pairs = rng.sample(list(itertools.combinations(coords, 2)), 80)
+        f3 = Kernel(3, {t: rng.uniform(-1.0, 1.0) for t in sorted(triples)})
+        f2 = Kernel(2, {t: rng.uniform(-1.0, 1.0) for t in sorted(pairs)})
+        lam = rng.uniform(1.0, 5.0)
+        for f, bound, method in (
+            (f3, jm_bound, "jm"),
+            (f2, jm_bound, "jm"),
+            (f2, j2_bound, "j2"),
+        ):
+            got = bound(model, f, lam, lam, check_integer=False)
+            assert got.method == method
+            self.assert_same_report(got, oracles.grouped_jm_bound(model, f, lam, lam))
+
+    @staticmethod
+    def assert_same_report(got, want):
+        """Every number in float.hex and every detail by repr."""
         for name in (
             "lam",
             "term_mean_shift",
@@ -575,48 +652,9 @@ class TestProductFormulaRoute:
             "total",
         ):
             assert getattr(got, name).hex() == getattr(want, name).hex(), name
-        assert got.method == want.method
         assert {k: repr(v) for k, v in got.detail.items()} == {
             k: repr(v) for k, v in want.detail.items()
         }
-
-    def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
-        from radstein import chaos
-        from radstein.chaos import multiply
-        from radstein.kernels import sym_offdiag_weighted_contract as engine
-
-        def record(module):
-            calls = []
-
-            def recorded(model, f, g, r, ell):
-                calls.append((f.order, g.order, r, ell))
-                return engine(model, f, g, r, ell)
-
-            monkeypatch.setattr(module, "sym_offdiag_weighted_contract", recorded)
-            return calls
-
-        rng = random.Random(17)
-        model = build_model(oracles.rand_model_p(rng, 7))
-        f3 = oracles.rand_kernel(rng, 3, 7, density=0.5)
-        f2 = oracles.rand_kernel(rng, 2, 7)
-        calls, oracle_calls = record(chaos), record(oracles)
-
-        jm_bound(model, f3, 1.0, 1.5, check_integer=False)
-        oracles.grouped_jm_bound(model, f3, 1.0, 1.5)
-        assert calls == oracle_calls
-        # Five (r, l) terms above order 0 for f and for each of its 7 slices.
-        assert len(calls) == 5 + 7 * 5
-        # No order-0 term is formed: n + m - r - l > 0 on every call.
-        assert all(n + m - r - ell > 0 for n, m, r, ell in calls)
-
-        calls.clear()
-        oracle_calls.clear()
-        multiply(model, f2, f2)
-        oracles.loop_multiply(model, f2, f2)
-        assert calls == oracle_calls
-        # The mean's (n, n) contraction, formed once and last.
-        assert [c for c in calls if c[0] + c[1] == c[2] + c[3]] == [(2, 2, 2, 2)]
-        assert calls[-1] == (2, 2, 2, 2)
 
 
 class TestSecondOrderBound:

@@ -8,6 +8,7 @@ import types
 import pytest
 
 from radstein.cli import main
+from radstein.kernels import Kernel
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -781,3 +782,45 @@ class TestVarianceLambda:
             terms.append(fact * (fact * norm_sq))
         assert terms[0] + terms[1] + terms[2] != math.fsum(terms)  # the case bites
         assert json.loads(text)["rows"][0]["lambda"] == math.fsum(terms)
+
+
+class TestDuplicateEntries:
+    # Coordinate 1's coefficient sqrt(p q) is split into three parts that a
+    # left-to-right sum rounds one way and a right-to-left sum another.
+    P = [0.3, 0.4, 0.2]
+
+    def doc(self, parts):
+        sigma = [math.sqrt(p * (1.0 - p)) for p in self.P]
+        kernels = [[[1], c] for c in parts] + [[[2], sigma[1]], [[3], sigma[2]]]
+        return {
+            "model": {"p": self.P},
+            "functional": {"chaos": {"mean": sum(self.P), "kernels": kernels}},
+            "bounds": ["j1", "main"],
+            "lambda": "variance",
+        }
+
+    def test_reversed_duplicates_give_identical_output(self, tmp_path):
+        s1 = math.sqrt(self.P[0] * (1.0 - self.P[0]))
+        parts = [s1 - 0.2 - 0.1, 0.2, 0.1]
+        assert (parts[0] + parts[1]) + parts[2] != (parts[2] + parts[1]) + parts[0]
+        texts = []
+        for i, ordered in enumerate((parts, parts[::-1])):
+            spec = write_spec(tmp_path, self.doc(ordered), f"spec{i}.json")
+            code, text = run_cli(["bound", str(spec)], tmp_path, f"out{i}.json")
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1]
+
+    def test_kernel_merges_duplicates_by_their_exact_sum(self):
+        pairs = [((1,), 0.1), ((1,), 0.2), ((1,), 0.3)]
+        for ordered in (pairs, pairs[::-1]):
+            assert Kernel.from_pairs(1, ordered).entries == {(1,): 0.6}
+
+    def test_duplicates_summing_beyond_the_float_range_exit_two(
+        self, tmp_path, capsys
+    ):
+        doc = self.doc([1e308, 1e308])
+        code = main(["bound", str(write_spec(tmp_path, doc))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error at $.functional.chaos.kernels: ")

@@ -1,10 +1,14 @@
 import random
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radstein import kernels
 from radstein.errors import (
+    IndexOutOfRange,
     InvalidContractionIndices,
     OrderMismatch,
 )
@@ -19,6 +23,7 @@ from radstein.kernels import (
     norm_sq,
     slice_kernel,
     sym_offdiag_weighted_contract,
+    sym_offdiag_weighted_contracts,
     symmetrize,
     to_kernel,
     weighted_contract,
@@ -275,6 +280,124 @@ class TestFusedContraction:
                 assert [(k, v.hex()) for k, v in fused.entries.items()] == [
                     (k, v.hex()) for k, v in scan.entries.items()
                 ]
+
+
+class TestMultiTermEngine:
+    """``sym_offdiag_weighted_contracts`` against the postings-map engine it
+    replaced, called once per (r, l): the same kernels in key order and
+    float.hex, and the same exception at the same term."""
+
+    @staticmethod
+    def outcomes(parts):
+        """Each kernel of parts as (order, hexed entries), up to the first
+        exception, which ends the list as (type, message)."""
+        out = []
+        try:
+            for part in parts:
+                out.append(
+                    (part.order, [(k, v.hex()) for k, v in part.entries.items()])
+                )
+        except (IndexOutOfRange, ValueError, OverflowError) as err:
+            out.append((type(err), str(err)))
+        return out
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_equals_one_call_per_term_byte_for_byte(self, data):
+        size = data.draw(st.integers(1, 12), label="N")
+        p = data.draw(
+            st.lists(
+                st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                min_size=size,
+                max_size=size,
+            ),
+            label="p",
+        )
+        model = build_model(p)
+        # Indices up to N + 2: a kept index beyond N must raise where the
+        # one-term engine raises, and contract to a kernel where it does.
+        top = size + data.draw(st.sampled_from([0, 0, 1, 2]), label="beyond N")
+        coefficient = st.one_of(
+            st.sampled_from([1.0, -1.0, 0.5]),
+            st.floats(-2.0, 2.0),
+            st.sampled_from([1e200, -1e300, 1e155]),
+        )
+
+        def draw_kernel(label):
+            order = data.draw(st.integers(0, min(4, top)), label=f"order {label}")
+            key = st.frozensets(
+                st.integers(1, top), min_size=order, max_size=order
+            ).map(lambda s: tuple(sorted(s)))
+            return Kernel(
+                order,
+                data.draw(
+                    st.dictionaries(key, coefficient, max_size=24), label=label
+                ),
+            )
+
+        f = draw_kernel("f")
+        g = f if data.draw(st.booleans(), label="g is f") else draw_kernel("g")
+        term = st.integers(0, min(f.order, g.order)).flatmap(
+            lambda r: st.tuples(st.just(r), st.integers(0, r))
+        )
+        terms = data.draw(st.lists(term, min_size=1, max_size=8), label="terms")
+        block = data.draw(st.sampled_from([1, 2, 7, 1 << 15]), label="pair block")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(kernels, "_PAIR_BLOCK", block):
+                got = self.outcomes(
+                    sym_offdiag_weighted_contracts(model, f, g, terms)
+                )
+        want = self.outcomes(
+            oracles.postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
+            for r, ell in terms
+        )
+        assert got == want
+
+    def test_overflow_raises_without_a_numpy_warning(self, capfd):
+        model = build_model([0.3, 0.6, 0.5])
+        f = Kernel(2, {(1, 2): 1e200, (2, 3): 1e200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                list(sym_offdiag_weighted_contracts(model, f, f, [(1, 0)]))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [(-1e200, ValueError), (1.5e154, OverflowError)],
+    )
+    def test_sum_errors_match_the_one_term_engine(self, second, error):
+        # Two pairs meet at (2, 3) with weights (0.5 * c) * c and
+        # (0.5 * second) * c: +inf and -inf for c = 1e200, and two weights of
+        # about 1.1e308, whose sum overflows, for c = 1.5e154.
+        model = build_model([0.3, 0.6, 0.5])
+        c = abs(second)
+        f = Kernel(2, {(1, 2): c, (1, 3): second})
+        g = Kernel(2, {(1, 3): c, (1, 2): c})
+        got = self.outcomes(sym_offdiag_weighted_contracts(model, f, g, [(1, 1)]))
+        want = self.outcomes(
+            oracles.postings_sym_offdiag_weighted_contract(model, f, g, 1, 1)
+            for _ in range(1)
+        )
+        assert got == want
+        assert got[-1][0] is error
+
+    def test_kept_index_beyond_n_raises_at_its_term(self):
+        model = build_model([0.3, 0.6])
+        f = Kernel(2, {(1, 3): 1.0, (2, 3): 1.0})
+        parts = sym_offdiag_weighted_contracts(model, f, f, [(1, 1), (1, 0)])
+        assert next(parts).entries  # summed index 3: no phi is read
+        with pytest.raises(IndexOutOfRange, match="coordinate 3 outside 1..2"):
+            next(parts)
+
+    def test_invalid_term_raises_before_any_work(self):
+        model = build_model([0.3, 0.6])
+        f = Kernel(1, {(1,): 1.0})
+        parts = sym_offdiag_weighted_contracts(model, f, f, [(1, 1), (2, 0)])
+        with pytest.raises(InvalidContractionIndices):
+            next(parts)
 
 
 class TestEngineBuiltKernels:
