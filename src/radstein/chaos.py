@@ -208,19 +208,31 @@ def evaluate_on_signs(
     """Vectorized evaluation on a (rows, N) matrix of +-1 signs.
 
     Serves as the Monte Carlo evaluator for models beyond the enumeration cap.
+    Raises ValueError naming the first entry (in row-major order) that is
+    neither +1 nor -1.
     """
     signs = np.asarray(signs)
     if signs.ndim != 2 or signs.shape[1] != model.size:
         raise LengthMismatch("sign matrix must have one column per coordinate")
-    y = np.where(signs == 1, model.y_plus, model.y_minus)
+    bad = np.abs(signs) != 1
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), model.size)
+        raise ValueError(
+            f"sign matrix entries must be +1 or -1, got {signs[row, col].item()!r} "
+            f"at row {row}, column {col}"
+        )
+    # One contiguous row of Y values per coordinate, so each factor streams.
+    y = np.where(
+        np.ascontiguousarray(signs.T) == 1, model.y_plus[:, None], model.y_minus[:, None]
+    )
     out = np.full(signs.shape[0], expansion.mean)
     for order, kernel in expansion.kernels.items():
         _check_kernel_indices(model, kernel)
         scale = math.factorial(order)
-        for key, coeff in kernel.entries.items():
-            prod = np.full(signs.shape[0], scale * coeff)
-            for i in key:
-                prod *= y[:, i - 1]
+        for (i1, *rest), coeff in kernel.entries.items():
+            prod = (scale * coeff) * y[i1 - 1]
+            for i in rest:
+                prod *= y[i - 1]
             out += prod
     return out
 

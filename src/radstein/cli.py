@@ -27,6 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .chaos import ChaosExpansion, covariance, evaluate_on_signs, to_table
 from .distance import (
+    SEED_LIMIT,
     atom_law,
     tv_atoms_vs_poisson,
     tv_exact,
@@ -230,7 +231,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
         )
     form, payload = next(iter(functional.items()))
     seed = doc.get("seed", 0)
-    if not (type(seed) is int and 0 <= seed < 2**128):
+    if not (type(seed) is int and 0 <= seed < SEED_LIMIT):
         raise SpecParseError(
             f"seed must be an integer in [0, 2^128), got {seed!r}", "$.seed"
         )
@@ -453,7 +454,7 @@ def _cmd_j2_rate(args) -> tuple:
 def _cmd_bernoulli(args) -> tuple:
     """``bound`` on the Bernoulli-sum functional, with its own flag checks,
     its enumerated table built directly and lambda = sum p for ``mean``."""
-    if not 0 <= args.seed < 2**128:
+    if not 0 <= args.seed < SEED_LIMIT:
         raise _Rejected(f"--seed must be an integer in [0, 2^128), got {args.seed}")
     try:
         model = build_model(args.p)

@@ -9,7 +9,10 @@ mass is reported explicitly as ``tail_error``.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +24,7 @@ from .chenstein import (
     poisson_tail,
     truncation_point,
 )
-from .errors import TooFewSamples, TooManySamples
+from .errors import LengthMismatch, TooFewSamples, TooManySamples
 from .model import (
     INTEGER_TOLERANCE,
     DistributionTable,
@@ -33,7 +36,16 @@ from .model import (
 
 MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 10**8  # about 90 s at 10^6 samples/s
+SEED_LIMIT = 2**128  # Philox keys are 128-bit
+# Sampled values are checked for integrality one chunk at a time; within a
+# chunk, outcomes are drawn and evaluated in blocks small enough to stay in
+# cache, ahead of the evaluator on up to four helper threads.
 _MC_CHUNK = 1 << 16
+_BLOCK_BYTES = 1 << 20
+if hasattr(os, "sched_getaffinity"):
+    _MC_THREADS = min(len(os.sched_getaffinity(0)), 4)
+else:
+    _MC_THREADS = min(os.cpu_count() or 1, 4)
 ATOM_DECIMALS = 12
 
 
@@ -95,6 +107,33 @@ def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
     )
 
 
+def _block_rows(n: int) -> int:
+    """Rows per sampled block at ``n`` coordinates: a multiple of 4 whose
+    uniforms take at most :data:`_BLOCK_BYTES`, and no more than a chunk."""
+    return min(_MC_CHUNK, max(4, _BLOCK_BYTES // (8 * n) // 4 * 4))
+
+
+def _blocks(samples: int, block: int):
+    """(first outcome, rows) of each block: chunks of 2^16 outcomes, each
+    cut into blocks of ``block`` rows and a shorter last one."""
+    for start in range(0, samples, _MC_CHUNK):
+        end = min(start + _MC_CHUNK, samples)
+        for first in range(start, end, block):
+            yield first, min(block, end - first)
+
+
+def _sample_signs(p: np.ndarray, seed: int, first: int, rows: int) -> np.ndarray:
+    """Sign rows ``first``.. ``first + rows - 1`` of the stream keyed by
+    ``seed``, as int8.  Philox4x64 yields four uniforms per counter step and
+    ``first`` is a multiple of 4, so starting at counter ``first * N // 4``
+    reads exactly the uniforms one sequential generator would give these rows."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=first * p.size // 4))
+    signs = (gen.random((rows, p.size)) < p).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def tv_monte_carlo(
     model: ProbabilityModel,
     evaluator,
@@ -105,40 +144,63 @@ def tv_monte_carlo(
     """Monte Carlo total variation estimate for models beyond the enumeration cap.
 
     Outcomes are sampled by inverse transform per coordinate from a Philox
-    counter-based stream keyed by the seed, consumed in fixed-size chunks, so
-    the estimate is reproducible for a given seed regardless of scheduling.
-    The evaluator maps a (chunk, N) sign matrix to functional values.
+    counter-based stream keyed by ``seed``, an int in [0, 2^128).  Outcome i
+    always takes uniforms i*N .. i*N + N - 1 of the stream, so the estimate
+    depends on the seed alone, not on scheduling or thread count.  Helper
+    threads (one per CPU in the process's affinity, at most four) draw
+    blocks of B rows ahead, B a multiple of 4 whose B*N uniforms fill at
+    most 1 MiB.  The evaluator maps a (rows, N) int8 sign matrix to one value
+    per row; it is called on consecutive blocks of at most B rows, in order,
+    on the calling thread.  Values are checked for integrality one chunk of
+    2^16 outcomes at a time.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     lam = _check_lambda(lam)
     samples = int(samples)
     if samples < MIN_MC_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if samples > MAX_MC_SAMPLES:
         raise TooManySamples(f"at most {MAX_MC_SAMPLES} samples allowed, got {samples}")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     counts = np.zeros(1, dtype=np.int64)
-    done = 0
-    while done < samples:
-        chunk = min(_MC_CHUNK, samples - done)
-        u = gen.random((chunk, model.size))
-        signs = np.where(u < model.p, 1, -1).astype(np.int8)
-        values = np.asarray(evaluator(signs), dtype=float)
-        ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
-        top = int(ints.max())
-        if top >= counts.size:
-            _check_range(top, lam, top)
-            counts = np.concatenate(
-                [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
-            )
-        counts += np.bincount(ints, minlength=counts.size)
-        done += chunk
+    values = np.empty(min(_MC_CHUNK, samples))
+    with ThreadPoolExecutor(_MC_THREADS) as pool:
+        jobs = (
+            (first, rows, pool.submit(_sample_signs, model.p, seed, first, rows))
+            for first, rows in _blocks(samples, _block_rows(model.size))
+        )
+        # A few blocks in flight hide the sampling and bound the memory.
+        pending = deque(itertools.islice(jobs, 2 * _MC_THREADS))
+        while pending:
+            first, rows, job = pending.popleft()
+            pending.extend(itertools.islice(jobs, 1))
+            at, end = first % _MC_CHUNK, first + rows
+            block = np.asarray(evaluator(job.result()), dtype=float)
+            if block.shape != (rows,):
+                raise LengthMismatch(
+                    f"evaluator returned shape {block.shape} for {rows} sign rows"
+                )
+            values[at : at + rows] = block
+            if end % _MC_CHUNK and end < samples:
+                continue
+            chunk = values[: at + rows]
+            ints = rounded_integers(chunk, countable=True, sampled=True).astype(np.int64)
+            top = int(ints.max())
+            if top >= counts.size:
+                _check_range(top, lam, top)
+                counts = np.concatenate(
+                    [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
+                )
+            counts += np.bincount(ints, minlength=counts.size)
     pmf = {k: c / samples for k, c in enumerate(counts) if c > 0}
     spread = stable_sum(p * (1.0 - p) for p in pmf.values())
     return replace(
         _half_l1_vs_poisson(pmf, lam),
         method="monte_carlo",
         samples=samples,
-        seed=int(seed),
+        seed=seed,
         std_error=0.5 * math.sqrt(spread / samples),
     )
 

@@ -8,18 +8,24 @@ all-pairs scan of the fused kernel contraction, the postings-map engine that
 ran it one (r, l) at a time, the sparse-kernel computation of
 -D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
 second-order bound that holds every D_j D_l F table and sums each moment
-with its own ``math.fsum``, and the product formula's (r, l) loop written out
-separately for ``multiply`` and for the J_m bound's grouped kernels.
+with its own ``math.fsum``, the product formula's (r, l) loop written out
+separately for ``multiply`` and for the J_m bound's grouped kernels, and the
+Monte Carlo distance drawn from one sequential generator in whole chunks with
+the evaluator reading one strided column per factor.
 """
 
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
 from radstein.bounds import BoundReport
-from radstein.chaos import decompose, to_table
+from radstein.chaos import _check_kernel_indices, decompose, to_table
+from radstein.chenstein import _check_lambda, _check_range
+from radstein import distance
+from radstein.errors import LengthMismatch, TooFewSamples, TooManySamples
 from radstein.kernels import (
     Kernel,
     _check_contraction_indices,
@@ -29,7 +35,7 @@ from radstein.kernels import (
     slice_kernel,
 )
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
-from radstein.model import FunctionalTable
+from radstein.model import FunctionalTable, rounded_integers, stable_sum
 
 
 def all_outcomes(n):
@@ -545,4 +551,63 @@ def dict_second_order_bound(model, table, lam):
         math.fsum((t1, t2, math.fsum((t3, t4, t5)))),
         "second_order",
         {"term_mixed_triple": t3, "term_scaled_triple": t4, "term_coordinate": t5},
+    )
+
+
+def columnwise_evaluate_on_signs(model, expansion, signs):
+    """The functional on a (rows, N) sign matrix from a (rows, N) table of
+    Y values, one strided column per factor; any entry other than 1 reads as
+    -1."""
+    signs = np.asarray(signs)
+    if signs.ndim != 2 or signs.shape[1] != model.size:
+        raise LengthMismatch("sign matrix must have one column per coordinate")
+    y = np.where(signs == 1, model.y_plus, model.y_minus)
+    out = np.full(signs.shape[0], expansion.mean)
+    for order, kernel in expansion.kernels.items():
+        _check_kernel_indices(model, kernel)
+        scale = math.factorial(order)
+        for key, coeff in kernel.entries.items():
+            prod = np.full(signs.shape[0], scale * coeff)
+            for i in key:
+                prod *= y[:, i - 1]
+            out += prod
+    return out
+
+
+def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
+    """Monte Carlo total variation from one Philox generator keyed by the
+    seed, drawn and evaluated in whole chunks of ``distance._MC_CHUNK``
+    outcomes (read at call time, so a test may shrink it)."""
+    lam = _check_lambda(lam)
+    samples = int(samples)
+    least, most = distance.MIN_MC_SAMPLES, distance.MAX_MC_SAMPLES
+    if samples < least:
+        raise TooFewSamples(f"need at least {least} samples, got {samples}")
+    if samples > most:
+        raise TooManySamples(f"at most {most} samples allowed, got {samples}")
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    counts = np.zeros(1, dtype=np.int64)
+    done = 0
+    while done < samples:
+        chunk = min(distance._MC_CHUNK, samples - done)
+        u = gen.random((chunk, model.size))
+        signs = np.where(u < model.p, 1, -1).astype(np.int8)
+        values = np.asarray(evaluator(signs), dtype=float)
+        ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
+        top = int(ints.max())
+        if top >= counts.size:
+            _check_range(top, lam, top)
+            counts = np.concatenate(
+                [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
+            )
+        counts += np.bincount(ints, minlength=counts.size)
+        done += chunk
+    pmf = {k: c / samples for k, c in enumerate(counts) if c > 0}
+    spread = stable_sum(p * (1.0 - p) for p in pmf.values())
+    return replace(
+        distance._half_l1_vs_poisson(pmf, lam),
+        method="monte_carlo",
+        samples=samples,
+        seed=int(seed),
+        std_error=0.5 * math.sqrt(spread / samples),
     )

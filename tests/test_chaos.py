@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ class TestEvaluateAndTables:
         np.testing.assert_allclose(
             evaluate_on_signs(model, expansion, signs), table.values, atol=1e-12
         )
+
+
+    @pytest.mark.parametrize(
+        "signs,first",
+        [
+            ([[0, 2, 5]], "got 0 at row 0, column 0"),
+            ([[1, -1, 1], [1, 2, 0]], "got 2 at row 1, column 1"),
+            (np.array([[1, -128, 1]], dtype=np.int8), "got -128 at row 0, column 1"),
+            ([[1.0, -1.0, 0.5]], "got 0.5 at row 0, column 2"),
+            ([[1.0, float("nan"), 1.0]], "got nan at row 0, column 1"),
+        ],
+    )
+    def test_entries_other_than_plus_or_minus_one_are_refused(self, signs, first):
+        model = build_model([0.3] * 3)
+        unit = ChaosExpansion(0.0, {1: Kernel(1, {(1,): 1.0})})
+        with pytest.raises(ValueError, match=re.escape(first)):
+            evaluate_on_signs(model, unit, np.array(signs))
 
 
 class TestDecompose:

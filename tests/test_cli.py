@@ -572,6 +572,36 @@ class TestReproducibility:
         assert runs[0][1] == runs[1][1]
         assert len(runs[0][1]) > 0
 
+    def test_monte_carlo_byte_identical_across_threads_and_cpus(self):
+        args = [
+            "bernoulli",
+            "--p",
+            *(repr(0.02 + 0.005 * k) for k in range(30)),
+            "--mc-samples",
+            "20000",
+            "--seed",
+            "5",
+        ]
+        runs = [run_subprocess(args, {"OMP_NUM_THREADS": t}) for t in ("1", "4")]
+        # One CPU before radstein is imported: one sampling thread.
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from radstein import cli, distance\n"
+            "assert distance._MC_THREADS == 1\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        pinned = subprocess.run(
+            [sys.executable, "-c", child, *args], capture_output=True, env=env
+        )
+        runs.append((pinned.returncode, pinned.stdout))
+        assert pinned.stderr == b""
+        assert [code for code, _ in runs] == [0, 0, 0]
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+        assert b'"exact_kind": "tv"' in runs[0][1]
+
 
 
 class TestValidationBeforeWork:

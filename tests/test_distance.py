@@ -1,10 +1,17 @@
+import functools
+import itertools
 import math
 import random
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from radstein import distance
 from radstein.chaos import ChaosExpansion, evaluate_on_signs
 from radstein.chenstein import poisson_pmf, truncation_point
 from radstein.distance import (
@@ -18,6 +25,7 @@ from radstein.distance import (
 from radstein.errors import (
     EnumerationCapExceeded,
     InvalidLambda,
+    LengthMismatch,
     TooFewSamples,
     TooManySamples,
 )
@@ -237,6 +245,175 @@ class TestMonteCarlo:
         top = lambda s: np.full(len(s), 2.0**24)
         with pytest.raises(EnumerationCapExceeded, match="support value 16777216 "):
             tv_monte_carlo(model, top, 1.0, 10_000, seed=0)
+
+
+def _all_plus_count(model, tuples):
+    """Chaos expansion of the number of ``tuples`` whose coordinates are all
+    +1: the product of the indicators p_i + sigma_i Y_i, expanded."""
+    mean, kernels = 0.0, {}
+    for t in tuples:
+        for size in range(len(t) + 1):
+            for keep in itertools.combinations(t, size):
+                w = math.prod(model.p[i - 1] for i in t if i not in keep)
+                w *= math.prod(model.sigma[i - 1] for i in keep) / math.factorial(size)
+                if size == 0:
+                    mean += w
+                else:
+                    entries = kernels.setdefault(size, {})
+                    entries[keep] = entries.get(keep, 0.0) + w
+    return ChaosExpansion(mean, {m: Kernel(m, e) for m, e in kernels.items()})
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+# Each fault replaces the value of every row whose first ``width``
+# coordinates are all +1, or raises when a block holds such a row.
+_FAULTS = {
+    "fraction": lambda v: v + 0.25,
+    "negative": lambda v: v - 1e3,
+    "beyond_2^53": lambda v: np.full_like(v, 2.0**53),
+    "range_limit": lambda v: np.full_like(v, 2.0**24),
+}
+
+
+def _faulty(evaluator, fault, width):
+    def values(signs):
+        out = evaluator(signs)
+        hit = (signs[:, :width] == 1).all(axis=1)
+        if fault == "raise" and hit.any():
+            raise RuntimeError("evaluator failed")
+        if fault in _FAULTS:
+            out = np.where(hit, _FAULTS[fault](out), out)
+        return out
+
+    return values
+
+
+class TestBlockStream:
+    """The blocked, threaded sampler and the row-streaming evaluator against
+    the one-generator, whole-chunk oracle of ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("block", [4, 12, None])
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(case=st.integers(0, 2**32))
+    def test_equals_the_sequential_stream(self, block, threads, case):
+        rng = random.Random(case)
+        n = rng.randint(1, 40)
+        model = build_model([rng.uniform(0.05, 0.95) for _ in range(n)])
+        order = rng.randint(1, min(3, n))
+        tuples = [
+            tuple(sorted(rng.sample(range(1, n + 1), order)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        expansion = _all_plus_count(model, tuples)
+        chunk = rng.choice([1000, distance._MC_CHUNK])
+        if block is None and chunk == distance._MC_CHUNK and rng.random() < 0.5:
+            samples = rng.randint(65_537, 70_001)  # past the first chunk
+        else:
+            samples = rng.randint(10_000, 10_099)
+        seed = rng.choice([0, 2**128 - 1, rng.randrange(2**128)])
+        fault = rng.choice([None, None, "raise", *_FAULTS])
+        width = rng.randint(1, min(n, 6))
+        lam = rng.uniform(0.5, 8.0)
+
+        def run(estimate, evaluate):
+            values = _faulty(functools.partial(evaluate, model, expansion), fault, width)
+            return _outcome(lambda: estimate(model, values, lam, samples, seed))
+
+        rows = distance._block_rows if block is None else (lambda n: block)
+        with mock.patch.object(distance, "_MC_CHUNK", chunk):
+            want = run(
+                oracles.sequential_tv_monte_carlo, oracles.columnwise_evaluate_on_signs
+            )
+            with mock.patch.multiple(distance, _MC_THREADS=threads, _block_rows=rows):
+                got = run(tv_monte_carlo, evaluate_on_signs)
+        assert got == want
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_evaluator_equals_the_columnwise_oracle(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+        model = build_model([rng.uniform(0.01, 0.99) for _ in range(n)])
+        top = n + data.draw(st.sampled_from([0, 0, 0, 1]), label="beyond")
+        kernels = {}
+        for order in range(1, min(3, top) + 1):
+            if rng.random() < 0.7:
+                kernels[order] = Kernel(
+                    order,
+                    {
+                        tuple(sorted(rng.sample(range(1, top + 1), order))): rng.uniform(
+                            -2.0, 2.0
+                        )
+                        for _ in range(rng.randint(1, 60))
+                    },
+                )
+        expansion = ChaosExpansion(rng.uniform(-1.0, 1.0), kernels)
+        rows = data.draw(st.integers(0, 300), label="rows")
+        dtype = data.draw(st.sampled_from([np.int8, np.int64, np.float64]), label="dtype")
+        signs = np.where(
+            np.random.default_rng(rng.randrange(2**32)).random((rows, n)) < 0.5, 1, -1
+        ).astype(dtype)
+        got = _outcome(lambda: evaluate_on_signs(model, expansion, signs))
+        want = _outcome(
+            lambda: oracles.columnwise_evaluate_on_signs(model, expansion, signs)
+        )
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+    def test_memory_is_one_block_not_one_chunk(self):
+        model = build_model([0.1] * 40)
+        expansion = ChaosExpansion(
+            float(np.sum(model.p)),
+            {1: Kernel(1, {(k,): model.sigma[k - 1] for k in range(1, 41)})},
+        )
+        values = functools.partial(evaluate_on_signs, model, expansion)
+        tracemalloc.start()
+        try:
+            tv_monte_carlo(model, values, 4.0, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, 2**128, "3", None])
+    def test_seed_is_checked_before_the_first_sample(self, seed):
+        def never(signs):
+            raise AssertionError("sampled with a bad seed")
+
+        model = build_model([0.5, 0.5])
+        message = f"seed must be an integer in [0, 2^128), got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tv_monte_carlo(model, never, 1.0, 10_000, seed=seed)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            lambda s: 0.0,
+            lambda s: np.zeros(len(s) + 1),
+            lambda s: np.zeros((len(s), 1)),
+        ],
+        ids=["scalar", "one_too_many", "column"],
+    )
+    def test_evaluator_returns_one_value_per_row(self, values):
+        model = build_model([0.5, 0.5])
+        with pytest.raises(LengthMismatch, match="evaluator returned shape "):
+            tv_monte_carlo(model, values, 1.0, 10_000, seed=0)
+
+    def test_largest_seed_is_reported_as_given(self):
+        model = build_model([0.3, 0.4])
+        count = lambda s: (s == 1).sum(axis=1)
+        result = tv_monte_carlo(model, count, 0.7, 10_000, seed=2**128 - 1)
+        assert result.seed == 2**128 - 1
 
 
 class TestRangeLimit:
