@@ -4,19 +4,24 @@ For a target set A and mean lambda the equation reads
 
     lambda f(k+1) - k f(k) = 1_A(k) - P(Po(lambda) in A),
 
-with f(0) = 0 by convention.  The tabulation evaluates the closed-form
-solution per k, via the prefix sum for k below the mean and the equivalent
-tail sum above it (the two agree because the full series telescopes to zero).
-Both variants generate terms by downward/upward ratio recurrences inside the
-floating range, so no factorial is ever formed and no forward recurrence can
-amplify rounding error across the table.
+with f(0) = 0 by convention.  f(k) is the prefix sum over j < k of
+(1_A(j) - pi) t(j, k), t(j, k) = (k-1)! lambda^(j-k) / j!, for k up to
+ceil(lambda) + 1, and minus the tail sum over j >= k above it (the full
+series telescopes to zero).  The ratios t depend on lambda and k only, not on
+A, so they are tabulated once per (lambda, k_max), each by the multiplications
+of the downward or upward ratio recurrence along its row: no factorial is
+formed and no forward recurrence amplifies rounding.  f(k) is one math.fsum of
+its row's products (1_A(j) - pi) * t(j, k); fsum is correctly rounded, so the
+order in which the terms come does not matter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +33,18 @@ _TERM_EPS = 1e-22
 # The most entries a Poisson range or a count array may have: as many as one
 # value table at the enumeration cap.
 _RANGE_LIMIT = 1 << ENUMERATION_CAP
+# Ratio tables are built in blocks of about _BLOCK_TERMS grid cells; up to
+# _CACHED_TABLES tables of at most _TABLE_TERMS terms (4 MiB) each are kept.
+_BLOCK_TERMS = 1 << 16
+_TABLE_TERMS = 1 << 18
+_CACHED_TABLES = 8
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_lambda(lam: float) -> float:
@@ -101,11 +118,11 @@ class TargetSet:
     tail_start: int | None = None
 
     def __post_init__(self):
-        members = frozenset(int(k) for k in self.members)
+        members = frozenset(_integer(k, "target member") for k in self.members)
         if any(k < 0 for k in members):
             raise ValueError("target sets live on the nonnegative integers")
         if self.tail_start is not None:
-            tail = int(self.tail_start)
+            tail = _integer(self.tail_start, "tail_start")
             if tail < 0:
                 raise ValueError("tail must start at a nonnegative integer")
             members = frozenset(k for k in members if k < tail)
@@ -120,6 +137,14 @@ class TargetSet:
         return k in self.members or (
             self.tail_start is not None and k >= self.tail_start
         )
+
+    def _indicator(self, lo: int, span: int) -> np.ndarray:
+        """1_A(j) for j = lo..lo+span-1."""
+        ind = np.zeros(span)
+        ind[[k - lo for k in self.members if lo <= k < lo + span]] = 1.0
+        if self.tail_start is not None:
+            ind[max(self.tail_start - lo, 0) :] = 1.0
+        return ind
 
 
 def poisson_set_prob(lam: float, target: TargetSet) -> float:
@@ -155,7 +180,7 @@ class SteinSolution:
     def equation_residuals(self) -> np.ndarray:
         """lam f(k+1) - k f(k) - (1_A(k) - P(Po in A)) over 0..k_max-1."""
         ks = np.arange(self.k_max)
-        ind = np.array([1.0 if self.target.contains(int(k)) else 0.0 for k in ks])
+        ind = self.target._indicator(0, self.k_max)
         return (
             self.lam * self.values[1:]
             - ks * self.values[:-1]
@@ -163,45 +188,62 @@ class SteinSolution:
         )
 
 
-def _solve_prefix(lam: float, target: TargetSet, pi: float, k: int) -> float:
-    # f(k) = sum_{j<k} (1_A(j) - pi) * (k-1)! lam^{j-k} / j!, largest term last
-    terms = []
-    t = 1.0 / lam
-    for j in range(k - 1, -1, -1):
-        b = (1.0 if target.contains(j) else 0.0) - pi
-        terms.append(b * t)
-        t *= j / lam
-    return stable_sum(terms)
+def _table_blocks(lam: float, k_max: int):
+    """Rows k = 1..k_max of the ratio table, in blocks (k, lo, span, lengths,
+    cols - lo, ratios) of consecutive rows, each run along a grid of about
+    _BLOCK_TERMS cells that is widened until every row has ended."""
+    switch = min(math.ceil(lam) + 1, k_max)
+    k, width = 1, switch + 1
+    while k <= k_max:
+        tail = k > switch
+        stop = (k_max if tail else switch) + 1
+        ks = np.arange(k, min(k + max(1, _BLOCK_TERMS // width), stop))[:, None]
+        # prefix: t = 1/lam at j = k-1, then t *= j/lam down to j = 0; tail:
+        # t = 1/k at j = k, then j += 1 and t *= lam/j while the rule holds
+        cols = ks + np.arange(width) if tail else ks - 1 - np.arange(width)
+        steps = lam / cols if tail else (cols + 1) / lam
+        steps[:, :1] = 1.0 / ks if tail else 1.0 / lam
+        ratios = np.multiply.accumulate(steps, axis=1)
+        going = (ratios > _TERM_EPS) | (cols <= lam + 1)
+        keep = np.logical_and.accumulate(going, axis=1) & (cols >= 0)
+        if keep[:, -1].any():  # a row may run on past the grid
+            width *= 2
+            continue
+        lo, lengths, cols = k if tail else 0, keep.sum(axis=1), cols[keep]
+        yield k, lo, int(cols.max()) + 1 - lo, lengths.tolist(), cols - lo, ratios[keep]
+        k, width = int(ks[-1, 0]) + 1, int(lengths.max()) + 1 if tail else width
 
 
-def _solve_tail(lam: float, target: TargetSet, pi: float, k: int) -> float:
-    # f(k) = -sum_{j>=k} (1_A(j) - pi) * (k-1)! lam^{j-k} / j!, terms decay
-    terms = []
-    t = 1.0 / k
-    j = k
-    while t > _TERM_EPS or j <= lam + 1:
-        b = (1.0 if target.contains(j) else 0.0) - pi
-        terms.append(b * t)
-        j += 1
-        t *= lam / j
-    return -stable_sum(terms)
+@lru_cache(maxsize=_CACHED_TABLES)
+def _cached_table(lam: float, k_max: int) -> list | None:
+    """The blocks of _table_blocks if they hold at most _TABLE_TERMS terms."""
+    blocks, size = [], 0
+    for block in _table_blocks(lam, k_max):
+        blocks.append(block)
+        size += block[-1].size
+        if size > _TABLE_TERMS:
+            return None
+    return blocks
 
 
 def solve(lam: float, target: TargetSet, k_max: int) -> SteinSolution:
     """Tabulate the bounded solution of the Chen-Stein equation on 0..k_max."""
     lam = _check_lambda(lam)
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
+    _check_range(k_max, lam, k_max)
     pi = poisson_set_prob(lam, target)
-    switch = math.ceil(lam) + 1
     values = np.zeros(k_max + 1)
-    for k in range(1, k_max + 1):
-        values[k] = (
-            _solve_prefix(lam, target, pi, k)
-            if k <= switch
-            else _solve_tail(lam, target, pi, k)
-        )
-    return SteinSolution(lam, target, k_max, values)
+    blocks = _cached_table(lam, k_max) or _table_blocks(lam, k_max)
+    for k, lo, span, lengths, cols, ratios in blocks:
+        terms = iter(memoryview((target._indicator(lo, span) - pi)[cols] * ratios))
+        sums = [math.fsum(itertools.islice(terms, n)) for n in lengths]
+        values[k : k + len(sums)] = sums
+    values[math.ceil(lam) + 2 :] *= -1.0  # tail rows: f(k) = -sum over j >= k
+    solution = SteinSolution(lam, target, k_max, values)
+    solution.__dict__["set_probability"] = pi  # as the cached property stores it
+    return solution
 
 
 def forward_diff(solution: SteinSolution) -> np.ndarray:

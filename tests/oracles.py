@@ -9,9 +9,10 @@ ran it one (r, l) at a time, the sparse-kernel computation of
 -D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
 second-order bound that holds every D_j D_l F table and sums each moment
 with its own ``math.fsum``, the product formula's (r, l) loop written out
-separately for ``multiply`` and for the J_m bound's grouped kernels, and the
+separately for ``multiply`` and for the J_m bound's grouped kernels, the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
-the evaluator reading one strided column per factor.
+the evaluator reading one strided column per factor, and the Chen-Stein
+solution built term by term from the ratio recurrences for each k.
 """
 
 import itertools
@@ -23,7 +24,12 @@ import numpy as np
 
 from radstein.bounds import BoundReport
 from radstein.chaos import _check_kernel_indices, decompose, to_table
-from radstein.chenstein import _check_lambda, _check_range
+from radstein.chenstein import (
+    _TERM_EPS,
+    _check_lambda,
+    _check_range,
+    poisson_set_prob,
+)
 from radstein import distance
 from radstein.errors import LengthMismatch, TooFewSamples, TooManySamples
 from radstein.kernels import (
@@ -611,3 +617,47 @@ def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
         seed=int(seed),
         std_error=0.5 * math.sqrt(spread / samples),
     )
+
+
+def _solve_prefix(lam, target, pi, k):
+    # f(k) = sum_{j<k} (1_A(j) - pi) * (k-1)! lam^{j-k} / j!, largest term last
+    terms = []
+    t = 1.0 / lam
+    for j in range(k - 1, -1, -1):
+        b = (1.0 if target.contains(j) else 0.0) - pi
+        terms.append(b * t)
+        t *= j / lam
+    return stable_sum(terms)
+
+
+def _solve_tail(lam, target, pi, k):
+    # f(k) = -sum_{j>=k} (1_A(j) - pi) * (k-1)! lam^{j-k} / j!, terms decay
+    terms = []
+    t = 1.0 / k
+    j = k
+    while t > _TERM_EPS or j <= lam + 1:
+        b = (1.0 if target.contains(j) else 0.0) - pi
+        terms.append(b * t)
+        j += 1
+        t *= lam / j
+    return -stable_sum(terms)
+
+
+def loop_solve(lam, target, k_max):
+    """The Chen-Stein solution on 0..k_max and its equation residuals on
+    0..k_max-1, each term of each f(k) generated and tested for membership in
+    its own loop step: (values, residuals)."""
+    lam = _check_lambda(lam)
+    pi = poisson_set_prob(lam, target)
+    switch = math.ceil(lam) + 1
+    values = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        values[k] = (
+            _solve_prefix(lam, target, pi, k)
+            if k <= switch
+            else _solve_tail(lam, target, pi, k)
+        )
+    ks = np.arange(k_max)
+    ind = np.array([1.0 if target.contains(int(k)) else 0.0 for k in ks])
+    pi = poisson_set_prob(lam, target)
+    return values, lam * values[1:] - ks * values[:-1] - (ind - pi)

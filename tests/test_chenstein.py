@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radstein import chenstein
 from radstein.chenstein import (
     TargetSet,
     forward_diff,
@@ -17,7 +19,7 @@ from radstein.chenstein import (
     stein_factors,
     truncation_point,
 )
-from radstein.errors import InvalidLambda, RangeTooShort
+from radstein.errors import EnumerationCapExceeded, InvalidLambda, RangeTooShort
 from radstein.model import stable_sum
 
 import oracles
@@ -53,8 +55,34 @@ class TestPoissonUtilities:
         assert target.members == frozenset({1})
         assert target.contains(5) and target.contains(100)
 
+    def test_target_set_refuses_non_integral_values(self):
+        with pytest.raises(ValueError, match="2.5"):
+            TargetSet(frozenset({2.5, 1}))
+        with pytest.raises(ValueError, match="3.9"):
+            TargetSet(frozenset({1}), 3.9)
+        with pytest.raises(ValueError, match="4.0"):
+            TargetSet(frozenset({np.float64(4.0)}))
+        target = TargetSet(frozenset({np.int64(2), 5}), np.int32(4))
+        assert target.members == frozenset({2}) and target.tail_start == 4
+        assert all(type(k) is int for k in target.members)
+
 
 class TestSolve:
+    def test_oversized_k_max_is_refused_before_any_work(self):
+        with pytest.raises(EnumerationCapExceeded):
+            solve(1.0, TargetSet(frozenset({1})), 2**40)
+
+    @pytest.mark.parametrize("k_max", [10.5, 10.0, "10"])
+    def test_non_integral_k_max_is_refused(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            solve(1.0, TargetSet(frozenset({1})), k_max)
+
+    def test_solution_keeps_the_set_probability_it_was_solved_with(self):
+        target = TargetSet(frozenset({0, 4}), 9)
+        sol = solve(2.5, target, 40)
+        assert sol.set_probability == poisson_set_prob(2.5, target)
+        assert "set_probability" in vars(sol)
+
     def test_first_value_for_point_set(self):
         sol = solve(1.0, TargetSet(frozenset({0})), 50)
         assert sol.values[0] == 0.0
@@ -196,3 +224,78 @@ class TestSteinFactors:
             second = float(np.max(np.abs(second_forward_diff(sol))))
             assert second <= factors.second_diff_bound + 1e-12
             assert second <= factors.second_diff_alternative + 1e-12
+
+
+def _same_as_loop(lam, target, k_max):
+    sol = solve(lam, target, k_max)
+    values, residuals = oracles.loop_solve(lam, target, k_max)
+    assert sol.values.tobytes() == values.tobytes(), (lam, target, k_max)
+    assert sol.equation_residuals().tobytes() == residuals.tobytes()
+
+
+# solve(1.0, A, 2^18) keeps at most the values, one cache's worth of blocks
+# and one block's products at once; the cache keeps at most _CACHED_TABLES
+# tables of at most _TABLE_TERMS terms.
+PEAK_MIB = 16
+RETAINED_MIB = 8
+
+
+class TestRatioTable:
+    """solve's per-(lambda, k_max) ratio table against the loop that builds
+    every term of every f(k) on its own, byte for byte."""
+
+    def test_equals_loop_on_every_criterion_04_target(self):
+        for lam in (0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
+            k_max = max(truncation_point(lam, 10), 3)
+            for mask in range(1 << 11):
+                members = frozenset(k for k in range(11) if (mask >> k) & 1)
+                _same_as_loop(lam, TargetSet(members), k_max)
+
+    @pytest.mark.parametrize("lam", [0.001, 57.3, 300.0])
+    def test_equals_loop_at_extreme_means_and_short_ranges(self, lam):
+        rng = random.Random(repr(lam))
+        targets = [TargetSet(), TargetSet.naturals()]  # f = 0, tail rows -0.0
+        targets += [TargetSet(frozenset(), t) for t in (1, 5, math.ceil(lam) + 3)]
+        targets += [
+            TargetSet(
+                frozenset(k for k in range(int(2 * lam) + 12) if rng.random() < 0.3),
+                rng.choice([None, rng.randint(0, int(3 * lam) + 12)]),
+            )
+            for _ in range(3)
+        ]
+        for k_max in (1, 2, 3, truncation_point(lam, 12)):
+            for target in targets:
+                _same_as_loop(lam, target, k_max)
+
+    def test_streamed_table_equals_loop(self):
+        # More terms than one cached table may hold: built and used block by block.
+        assert chenstein._cached_table(1.0, 1 << 16) is None
+        _same_as_loop(1.0, TargetSet(frozenset({0, 2, 3}), 11), 1 << 16)
+
+    def test_cold_warm_and_streamed_tables_agree(self, monkeypatch):
+        target = TargetSet(frozenset({1, 4, 6}), 13)
+        chenstein._cached_table.cache_clear()
+        cold = solve(5.0, target, 80).values.tobytes()
+        assert solve(5.0, target, 80).values.tobytes() == cold
+        assert chenstein._cached_table.cache_info().hits >= 1
+        chenstein._cached_table.cache_clear()
+        monkeypatch.setattr(chenstein, "_TABLE_TERMS", 0)
+        assert solve(5.0, target, 80).values.tobytes() == cold
+        chenstein._cached_table.cache_clear()
+
+    def test_memory_is_bounded(self):
+        target = TargetSet(frozenset({1, 3}), 7)
+        chenstein._cached_table.cache_clear()
+        tracemalloc.start()
+        try:
+            sol = solve(1.0, target, 1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+            del sol
+            for i in range(2 * chenstein._CACHED_TABLES):
+                solve(1.0 + i / 16, target, 1 << 13)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            chenstein._cached_table.cache_clear()
+        assert peak < PEAK_MIB << 20, peak
+        assert retained < RETAINED_MIB << 20, retained
