@@ -61,7 +61,7 @@ class BoundReport:
         terms = (self.term_mean_shift, self.term_variance_like, self.term_remainder)
         if any(t < 0 for t in terms):
             raise ValueError(f"bound terms must be nonnegative, got {terms}")
-        if abs(self.total - math.fsum(terms)) > 1e-12:
+        if abs(self.total - stable_sum(terms)) > 1e-12:
             raise ValueError("total must equal the sum of the three terms")
 
 
@@ -71,7 +71,7 @@ def _report(lam, t1, t2, t3, method, detail=None) -> BoundReport:
         term_mean_shift=t1,
         term_variance_like=t2,
         term_remainder=t3,
-        total=math.fsum((t1, t2, t3)),
+        total=stable_sum((t1, t2, t3)),
         method=method,
         detail=detail or {},
     )
@@ -264,7 +264,7 @@ def jm_bound(
         lam,
         t1,
         t2,
-        math.fsum((t3, t4)),
+        stable_sum((t3, t4)),
         "jm",
         {"term_fluctuation": t3, "term_coordinate_block": t4, "order": m},
     )
@@ -378,7 +378,7 @@ def second_order_bound(
         lam,
         t1,
         t2,
-        math.fsum((t3, t4, t5)),
+        stable_sum((t3, t4, t5)),
         "second_order",
         {"term_mixed_triple": t3, "term_scaled_triple": t4, "term_coordinate": t5},
     )
@@ -414,7 +414,7 @@ def j2_example_kernel(n: int) -> tuple:
 def _j2_example_record(n, lam, a1, a3, a4, a5, a6, a7) -> J2Example:
     """Assemble A1 + 2 sqrt(A3) + 2 sqrt(2 A4) + 2 sqrt(2 A5) + 4 sqrt(A6);
     A2 vanishes because lambda is matched to the variance."""
-    total = math.fsum(
+    total = stable_sum(
         (
             a1,
             2 * math.sqrt(a3),

@@ -10,14 +10,13 @@ ceil(lambda) + 1, and minus the tail sum over j >= k above it (the full
 series telescopes to zero).  The ratios t depend on lambda and k only, not on
 A, so they are tabulated once per (lambda, k_max), each by the multiplications
 of the downward or upward ratio recurrence along its row: no factorial is
-formed and no forward recurrence amplifies rounding.  f(k) is one math.fsum of
-its row's products (1_A(j) - pi) * t(j, k); fsum is correctly rounded, so the
-order in which the terms come does not matter.
+formed and no forward recurrence amplifies rounding.  f(k) is the correctly
+rounded sum (``model.run_sums``) of its row's products (1_A(j) - pi) * t(j, k),
+so the order in which the terms come does not matter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import EnumerationCapExceeded, InvalidLambda, RangeTooShort
-from .model import ENUMERATION_CAP, stable_sum
+from .model import ENUMERATION_CAP, run_sums, stable_sum
 
 _TAIL_EPS = 1e-14
 _TERM_EPS = 1e-22
@@ -88,12 +87,12 @@ def poisson_tail(lam: float, k: int) -> float:
     return min(1.0, stable_sum(terms))
 
 
-def _check_range(top: float, lam: float, support_max: int) -> None:
+def _check_range(top, lam: float, value: int, name="largest support value") -> None:
     """Raise EnumerationCapExceeded unless a range 0..top fits _RANGE_LIMIT."""
     if top >= _RANGE_LIMIT:
         raise EnumerationCapExceeded(
-            f"lambda = {lam!r} and largest support value {support_max} need a "
-            f"range of more than {_RANGE_LIMIT} = 2^{ENUMERATION_CAP} entries"
+            f"lambda = {lam!r} and {name} {value} need a range of more than "
+            f"{_RANGE_LIMIT} = 2^{ENUMERATION_CAP} entries"
         )
 
 
@@ -189,9 +188,10 @@ class SteinSolution:
 
 
 def _table_blocks(lam: float, k_max: int):
-    """Rows k = 1..k_max of the ratio table, in blocks (k, lo, span, lengths,
-    cols - lo, ratios) of consecutive rows, each run along a grid of about
-    _BLOCK_TERMS cells that is widened until every row has ended."""
+    """Rows k = 1..k_max of the ratio table, in blocks (k, lo, span, edges,
+    cols - lo, ratios) of consecutive rows, row i holding terms edges[i] to
+    edges[i+1]-1, each block run along a grid of about _BLOCK_TERMS cells that
+    is widened until every row has ended."""
     switch = min(math.ceil(lam) + 1, k_max)
     k, width = 1, switch + 1
     while k <= k_max:
@@ -210,7 +210,8 @@ def _table_blocks(lam: float, k_max: int):
             width *= 2
             continue
         lo, lengths, cols = k if tail else 0, keep.sum(axis=1), cols[keep]
-        yield k, lo, int(cols.max()) + 1 - lo, lengths.tolist(), cols - lo, ratios[keep]
+        edges = np.concatenate(([0], lengths.cumsum()))
+        yield k, lo, int(cols.max()) + 1 - lo, edges, cols - lo, ratios[keep]
         k, width = int(ks[-1, 0]) + 1, int(lengths.max()) + 1 if tail else width
 
 
@@ -232,13 +233,13 @@ def solve(lam: float, target: TargetSet, k_max: int) -> SteinSolution:
     k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    _check_range(k_max, lam, k_max)
+    _check_range(k_max, lam, k_max, "k_max")
     pi = poisson_set_prob(lam, target)
     values = np.zeros(k_max + 1)
     blocks = _cached_table(lam, k_max) or _table_blocks(lam, k_max)
-    for k, lo, span, lengths, cols, ratios in blocks:
-        terms = iter(memoryview((target._indicator(lo, span) - pi)[cols] * ratios))
-        sums = [math.fsum(itertools.islice(terms, n)) for n in lengths]
+    for k, lo, span, edges, cols, ratios in blocks:
+        terms = (target._indicator(lo, span) - pi)[cols] * ratios
+        sums = run_sums(terms, edges[:-1].tolist(), edges[1:].tolist())
         values[k : k + len(sums)] = sums
     values[math.ceil(lam) + 2 :] *= -1.0  # tail rows: f(k) = -sum over j >= k
     solution = SteinSolution(lam, target, k_max, values)

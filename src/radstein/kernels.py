@@ -44,7 +44,7 @@ from .errors import (
     InvalidContractionIndices,
     OrderMismatch,
 )
-from .model import ProbabilityModel, stable_sum
+from .model import ProbabilityModel, stable_sum, sums_by_key
 
 
 def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
@@ -105,15 +105,18 @@ class Kernel:
     @classmethod
     def from_pairs(cls, order: int, pairs) -> "Kernel":
         """Build from [index-tuple, coefficient] pairs; duplicates merge by
-        ``math.fsum``, so their order does not matter (OverflowError if the
-        sum leaves the float range)."""
-        acc: dict[tuple, list] = {}
+        their correctly rounded sum, so their order does not matter
+        (OverflowError if the sum leaves the float range)."""
+        keys, values = [], []
         for key, value in pairs:
             key = tuple(sorted(int(i) for i in key))
             if len(set(key)) != len(key):
                 raise ValueError(f"tuple {key} repeats an index")
-            acc.setdefault(key, []).append(float(value))
-        return cls(order, {key: math.fsum(values) for key, values in acc.items()})
+            keys.append(key)
+            values.append(float(value))
+        tuples = np.fromiter(keys, dtype=object, count=len(keys))
+        firsts, sums = sums_by_key(tuples, np.array(values))
+        return cls(order, dict(zip(tuples[firsts].tolist(), sums)))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -351,25 +354,6 @@ def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
     return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
 
 
-def _fsum_by_key(names: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> dict:
-    """Index tuple -> ``math.fsum`` of its weights, for each distinct row of
-    keys (index ranks), in order of first appearance.  A stable sort lines
-    up equal rows with their weights in order of appearance."""
-    count, width = keys.shape
-    order = np.lexsort(keys.T[::-1]) if width else np.arange(count)
-    ordered = keys[order]
-    new = np.ones(count + 1, dtype=bool)
-    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    edges = new.nonzero()[0]  # where each run of equal rows starts, then count
-    emit = order[edges[:-1]].argsort(kind="stable")
-    starts, ends = edges[:-1][emit], edges[1:][emit]
-    columns = [names[c].tolist() for c in ordered[starts].T]
-    tuples = zip(*columns) if width else itertools.repeat((), len(starts))
-    values = weights[order].tolist()
-    bounds = zip(starts.tolist(), ends.tolist())
-    return {key: math.fsum(values[lo:hi]) for key, (lo, hi) in zip(tuples, bounds)}
-
-
 def sym_offdiag_weighted_contracts(
     model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
 ):
@@ -383,8 +367,9 @@ def sym_offdiag_weighted_contracts(
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
 
     (multiplied left to right, phi in ascending index order) at the tuple
-    U = (T_f union T_g) minus the summed indices.  Each coefficient is one
-    ``math.fsum``, keyed in order of first contribution in an all-pairs scan.
+    U = (T_f union T_g) minus the summed indices.  Each coefficient is the
+    correctly rounded sum of its contributions (``model.sums_by_key``), keyed
+    and summed in order of first contribution in an all-pairs scan.
     """
     n, m = f.order, g.order
     for r, ell in terms:
@@ -437,7 +422,9 @@ def sym_offdiag_weighted_contracts(
         keys = np.array(keys).reshape(len(keys), count, out_order).transpose(1, 0, 2)
         keys = keys.reshape(count * len(weights), out_order)
         weights = np.array(weights).T.reshape(-1)
-        yield Kernel._built(out_order, _fsum_by_key(names, keys, weights))
+        firsts, sums = sums_by_key(keys, weights)
+        tuples = map(tuple, names[keys[firsts]].tolist())
+        yield Kernel._built(out_order, dict(zip(tuples, sums)))
 
 
 def sym_offdiag_weighted_contract(

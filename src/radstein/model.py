@@ -4,20 +4,19 @@ Coordinates are 1-based in every public signature.  Internally an outcome is a
 bitmask ``idx`` in ``0..2^N-1`` where bit ``k-1`` set means coordinate ``k``
 equals +1; outcomes are always iterated by ascending bitmask.
 
-Sums are correctly rounded: :func:`stable_sum` returns the bits of
-``math.fsum``, and :func:`stable_sums` those of one ``math.fsum`` per row of a
-2-D array.  Arrays are summed exactly per (row, binary exponent) with
+Sums are correctly rounded, by this module alone: :func:`stable_sum`,
+:func:`stable_sums` (per row), :func:`run_sums` (per run) and
+:func:`sums_by_key` (per key) return the bits of ``math.fsum`` over each sum's
+terms.  Arrays are summed exactly per (row, binary exponent) with
 ``np.bincount`` over the high 27 and the low 26 bits of each significand; the
 bins add up exactly to the row's sum, and one ``math.fsum`` over them rounds
-it once.
-``math.fsum`` runs on the values themselves for short input (rows below 512
-values or fewer than 2048 values in all), non-finite input and input with an
-exponent outside +-990.
+it once.  ``math.fsum`` runs on the values themselves for short input (rows
+or runs below 512 values, or fewer than 2048 values in all), non-finite input
+and input with an exponent outside +-990.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,15 +51,13 @@ _BINNED_EXPONENT = 990
 # Values per block of stable_sums and per batch fed to it: 2^14 keeps a
 # block's temporaries in a core's L2 cache, and ran faster than 2^13 or 2^16.
 SUM_BLOCK = 1 << 14
-# Bound once: the contraction engine calls stable_sum once per output entry.
-_NDARRAY = np.ndarray
 
 
 def stable_sum(values) -> float:
     """Correctly rounded sum of floats, independent of ordering and chunking:
     the bits of ``math.fsum(values)``.  A 1-D float64 array goes through
     :func:`stable_sums`; anything else goes to ``math.fsum`` as it is."""
-    if type(values) is _NDARRAY and values.ndim == 1 and values.dtype == np.float64:
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
         return stable_sums(values[None, :])[0]
     return math.fsum(values)
 
@@ -89,7 +86,7 @@ def stable_sums(rows) -> list:
         for col in range(0, n, width):
             bins = _exponent_bins(rows[start : start + step, col : col + width])
             if bins is None:
-                return [_fsum_row(r) for r in rows]
+                return [math.fsum(memoryview(r)) for r in rows]
             for part, row_bins in zip(parts[start : start + step], bins.tolist()):
                 part += row_bins
     sums = [stable_sum(part) for part in parts]
@@ -125,21 +122,42 @@ def _exponent_bins(block: np.ndarray):
     return scaled.transpose(1, 0, 2).reshape(rows, 2 * span)
 
 
-def _fsum_row(row: np.ndarray) -> float:
-    """``math.fsum`` of a 1-D array, converted to Python floats block by block."""
-    return math.fsum(
-        itertools.chain.from_iterable(
-            row[i : i + SUM_BLOCK].tolist() for i in range(0, row.size, SUM_BLOCK)
-        )
-    )
-
-
 def _zero_row_sum(row: np.ndarray) -> float:
     """``math.fsum`` of a row whose exact sum is zero: the sign of a zero sum
     is fsum's own rule, which depends on the Python version."""
     if row.any():
-        return _fsum_row(row)
+        return math.fsum(memoryview(row))
     return math.fsum([-0.0] if np.signbit(row).all() else [0.0])
+
+
+def run_sums(values: np.ndarray, starts, stops) -> list:
+    """Correctly rounded sum of each run ``values[start:stop]`` of a 1-D
+    float64 array, in the order of the (start, stop) pairs: ``math.fsum`` of
+    a memoryview slice below 512 values, :func:`stable_sums` from there on."""
+    view, sums = memoryview(values), []
+    for start, stop in zip(starts, stops):
+        if stop - start < _BINNED_MIN_ROW:
+            sums.append(math.fsum(view[start:stop]))
+        else:
+            sums += stable_sums(values[None, start:stop])
+    return sums
+
+
+def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """Correctly rounded sum of the float64 ``values`` of each key: ``keys``
+    is 1-D (floats, 0.0 and -0.0 being one key, or tuples) or 2-D int rows.
+    Returns each group's first position, ascending, and the groups' sums in
+    that order, the order they are summed in, so the first to raise does."""
+    rows = keys if keys.ndim == 2 else keys[:, None]
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]  # a stable sort keeps each group in input order
+    new = np.ones(len(rows) + 1, dtype=bool)
+    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    edges = new.nonzero()[0]  # where each run of equal keys starts, then its end
+    firsts = order[edges[:-1]]
+    emit = firsts.argsort()
+    starts, stops = edges[:-1][emit].tolist(), edges[1:][emit].tolist()
+    return firsts[emit], run_sums(values[order], starts, stops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,14 +373,8 @@ def weight_per_value(model: ProbabilityModel, keys: np.ndarray) -> dict:
     """key -> total outcome weight of the outcomes holding that key, keys in
     ascending order, each total correctly rounded.  Equal keys form one
     entry named by its first outcome's key (so 0.0 and -0.0 merge)."""
-    order = np.argsort(keys, kind="stable")
-    keys, w = keys[order], model.outcome_weights[order]
-    starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()]
-    stops = starts[1:] + [keys.size]
-    return {
-        key: stable_sum(w[a:b])
-        for key, a, b in zip(keys[starts].tolist(), starts, stops)
-    }
+    firsts, sums = sums_by_key(keys, model.outcome_weights)
+    return dict(sorted(zip(keys[firsts].tolist(), sums)))
 
 
 def distribution(model: ProbabilityModel, table: FunctionalTable) -> DistributionTable:

@@ -69,7 +69,8 @@ class TestPoissonUtilities:
 
 class TestSolve:
     def test_oversized_k_max_is_refused_before_any_work(self):
-        with pytest.raises(EnumerationCapExceeded):
+        message = "lambda = 1.0 and k_max 1099511627776 need a range of more than"
+        with pytest.raises(EnumerationCapExceeded, match=message):
             solve(1.0, TargetSet(frozenset({1})), 2**40)
 
     @pytest.mark.parametrize("k_max", [10.5, 10.0, "10"])

@@ -21,8 +21,10 @@ from radstein.model import (
     build_model,
     distribution,
     expectation,
+    run_sums,
     stable_sum,
     stable_sums,
+    sums_by_key,
     variance,
 )
 
@@ -409,3 +411,135 @@ class TestStableSums:
         assert stable_sum(x for x in values) == math.fsum(values)
         with pytest.raises(AssertionError, match="stable_sums called"):
             stable_sum(np.array(values))
+
+
+# Group sizes below, at and above the fsum fallback, and across the 2^14 block.
+GROUP_SIZES = [0, 1, 7, 511, 512, 513, 2048, (1 << 14) - 3, (1 << 14) + 5]
+GROUP_SPECIALS = [
+    "plain", "cancel", "negative_cancel", "zeros", "negative_zeros",
+    "nan", "inf", "minus_inf", "both_inf", "overflow", "both_inf", "overflow",
+]
+
+
+def group_values(rng, size, special):
+    """``size`` floats of random significands and exponents, turned into a
+    group of the kind ``special`` names."""
+    low = int(rng.integers(-1080, 1000))
+    spread = int(rng.choice([0, 4, 60, 700]))
+    exps = np.clip(rng.integers(low, low + spread + 1, size), -1100, 1000)
+    values = np.ldexp(rng.uniform(1.0, 2.0, size), exps)
+    values *= rng.choice([-1.0, 1.0], size)
+    if special in ("cancel", "negative_cancel"):  # an exact sum of zero
+        half = size // 2
+        values[half : 2 * half] = -values[:half][rng.permutation(half)]
+        values[2 * half :] = 0.0
+        if special == "negative_cancel":
+            values *= -0.0
+    elif special == "zeros":
+        values = rng.choice([-0.0, 0.0], size)
+    elif special == "negative_zeros":
+        values = np.full(size, -0.0)
+    elif size and special == "overflow":
+        values[rng.integers(size, size=3)] = 1.5e308
+    elif size and special in ("nan", "inf", "minus_inf"):
+        values[rng.integers(size)] = {"nan": math.nan, "inf": math.inf}.get(
+            special, -math.inf
+        )
+    elif size > 1 and special == "both_inf":
+        values[:2] = (math.inf, -math.inf)
+    return values
+
+
+@st.composite
+def keyed_groups(draw):
+    """Keys and values of 1-7 groups, their members interleaved at random:
+    1-D float keys (0.0 and -0.0 both in the pool) or 2-D int key rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 7))
+    sizes = [draw(st.sampled_from(GROUP_SIZES)) for _ in range(count)]
+    specials = [draw(st.sampled_from(GROUP_SPECIALS)) for _ in range(count)]
+    width = draw(st.sampled_from([None, None, 0, 1, 3]))
+    if width is None:
+        pool = np.array([0.0, -0.0, 1.5, -2.0, 1e300])
+    else:
+        pool = rng.integers(-2, 3, (5, width))
+    labels = np.concatenate([np.full(n, rng.integers(len(pool))) for n in sizes])
+    values = np.concatenate(
+        [group_values(rng, n, kind) for n, kind in zip(sizes, specials)]
+    )
+    shuffle = rng.permutation(labels.size)
+    return pool[labels[shuffle].astype(int)], values[shuffle]
+
+
+def as_key(key):
+    """A key of ``keys.tolist()``: a float, or a key row as a tuple."""
+    return tuple(key) if isinstance(key, list) else key
+
+
+def fsum_groups(keys, values):
+    """(key, fsum) per distinct key in order of first appearance, named by
+    the first key; or the exception of the first group fsum rejects."""
+    groups = {}
+    for key, value in zip(keys.tolist(), values.tolist()):
+        groups.setdefault(as_key(key), []).append(value)
+    try:
+        return [(key, math.fsum(group)) for key, group in groups.items()]
+    except (ValueError, OverflowError) as err:
+        return err
+
+
+def hexed(groups):
+    if isinstance(groups, Exception):
+        return type(groups), str(groups)
+    return [(k.hex() if isinstance(k, float) else k, v.hex()) for k, v in groups]
+
+
+class TestGroupedSums:
+    """run_sums and sums_by_key against math.fsum per run or group, in
+    float.hex, and the same exception from the same run or group."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=keyed_groups())
+    def test_sums_by_key_equals_fsum_per_key(self, case):
+        keys, values = case
+        try:
+            firsts, sums = sums_by_key(keys, values)
+            got = list(zip(map(as_key, keys[firsts].tolist()), sums))
+        except (ValueError, OverflowError) as err:
+            got = err
+        assert hexed(got) == hexed(fsum_groups(keys, values))
+        if not isinstance(got, Exception):
+            assert firsts.tolist() == sorted(firsts.tolist())
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from(GROUP_SIZES), min_size=1, max_size=5),
+        specials=st.lists(st.sampled_from(GROUP_SPECIALS), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_sums_equals_fsum_per_run_in_the_order_given(
+        self, sizes, specials, seed
+    ):
+        rng = np.random.default_rng(seed)
+        values = np.concatenate(
+            [group_values(rng, n, kind) for n, kind in zip(sizes, specials)]
+        )
+        edges = np.cumsum([0, *sizes]).tolist()
+        runs = rng.permutation(len(sizes)).tolist()
+        starts, stops = [edges[i] for i in runs], [edges[i + 1] for i in runs]
+        try:
+            got = list(zip(starts, run_sums(values, starts, stops)))
+        except (ValueError, OverflowError) as err:
+            got = err
+        try:
+            want = [(a, math.fsum(values[a:b].tolist())) for a, b in zip(starts, stops)]
+        except (ValueError, OverflowError) as err:
+            want = err
+        assert hexed(got) == hexed(want)
+
+    def test_signed_zero_keys_merge_under_the_first(self):
+        keys = np.array([-0.0, 1.0, 0.0, 1.0])
+        firsts, sums = sums_by_key(keys, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert firsts.tolist() == [0, 1]
+        assert [k.hex() for k in keys[firsts].tolist()] == [(-0.0).hex(), (1.0).hex()]
+        assert sums == [math.fsum([0.1, 0.3]), math.fsum([0.2, 0.4])]

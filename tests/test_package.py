@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import radstein
 
 
@@ -76,3 +79,16 @@ def test_version_metadata():
     except importlib.metadata.PackageNotFoundError:
         return  # running from a source tree without installation
     assert version
+
+
+def test_only_model_calls_math_fsum():
+    # How a sum is rounded is decided in one module; every other module sums
+    # through stable_sum, stable_sums, run_sums or sums_by_key.
+    callers = set()
+    for path in pathlib.Path(radstein.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = isinstance(node, ast.Attribute) and node.attr == "fsum"
+            imported = isinstance(node, ast.ImportFrom) and node.module == "math"
+            if named or imported and any(a.name == "fsum" for a in node.names):
+                callers.add(path.name)
+    assert callers == {"model.py"}
