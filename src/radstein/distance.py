@@ -31,7 +31,7 @@ from .model import (
     ProbabilityModel,
     rounded_integers,
     stable_sum,
-    weight_per_value,
+    sums_by_key,
 )
 
 MIN_MC_SAMPLES = 10_000
@@ -206,12 +206,16 @@ def tv_monte_carlo(
 
 
 def atom_law(model: ProbabilityModel, values: np.ndarray) -> dict:
-    """Exact law of an arbitrary real-valued table: atom -> probability.
+    """Exact law of an arbitrary real-valued table: atom -> probability, in
+    ascending order, each probability correctly rounded.
 
     Values are grouped after rounding to :data:`ATOM_DECIMALS` places so that
-    float noise does not split atoms.
+    float noise does not split atoms; an atom is named by its first outcome's
+    value (so 0.0 and -0.0 merge).
     """
-    return weight_per_value(model, np.round(np.asarray(values, float), ATOM_DECIMALS))
+    atoms = np.round(np.asarray(values, float), ATOM_DECIMALS)
+    firsts, sums = sums_by_key(atoms, model.outcome_weights)
+    return dict(sorted(zip(atoms[firsts].tolist(), sums)))
 
 
 def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:

@@ -369,18 +369,10 @@ def integer_values(table: FunctionalTable) -> np.ndarray:
     return rounded_integers(table.values)
 
 
-def weight_per_value(model: ProbabilityModel, keys: np.ndarray) -> dict:
-    """key -> total outcome weight of the outcomes holding that key, keys in
-    ascending order, each total correctly rounded.  Equal keys form one
-    entry named by its first outcome's key (so 0.0 and -0.0 merge)."""
-    firsts, sums = sums_by_key(keys, model.outcome_weights)
-    return dict(sorted(zip(keys[firsts].tolist(), sums)))
-
-
 def distribution(model: ProbabilityModel, table: FunctionalTable) -> DistributionTable:
-    """Exact pmf of an integer-valued functional, weights aggregated per value;
-    values must lie below 2^53."""
+    """Exact pmf of an integer-valued functional, weights aggregated per value
+    and correctly rounded; values must lie below 2^53."""
     _check_table(model, table)
-    return DistributionTable(
-        weight_per_value(model, rounded_integers(table.values, countable=True))
-    )
+    values = rounded_integers(table.values, countable=True)
+    firsts, sums = sums_by_key(values, model.outcome_weights)
+    return DistributionTable(dict(zip(values[firsts].tolist(), sums)))
