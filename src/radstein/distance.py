@@ -223,14 +223,14 @@ def tv_atoms_vs_poisson(atoms: dict, lam: float) -> DistanceResult:
 
     Atoms within 1e-9 of a nonnegative integer are matched against the Poisson
     pmf; all other atoms are disjoint from the Poisson support and contribute
-    their full mass.
+    their full mass; each sum of masses is correctly rounded.
     """
-    integer_mass: dict[int, float] = {}
-    off_mass = 0.0
-    for x, prob in atoms.items():
+    keys = []  # the integer an atom is matched to, or -1 for one off them
+    for x in atoms:
         r = round(float(x))
-        if r >= 0 and abs(float(x) - r) <= INTEGER_TOLERANCE:
-            integer_mass[int(r)] = integer_mass.get(int(r), 0.0) + prob
-        else:
-            off_mass += prob
-    return _half_l1_vs_poisson(integer_mass, lam, off_mass)
+        keys.append(r if r >= 0 and abs(float(x) - r) <= INTEGER_TOLERANCE else -1)
+    probs = np.array(list(atoms.values()), dtype=float)
+    firsts, sums = sums_by_key(np.array(keys, dtype=float), probs)
+    masses = {keys[i]: mass for i, mass in zip(firsts.tolist(), sums)}
+    off_mass = masses.pop(-1, 0.0)
+    return _half_l1_vs_poisson(masses, lam, off_mass)

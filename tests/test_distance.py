@@ -115,6 +115,15 @@ class TestAtomLaw:
         got = tv_atoms_vs_poisson({0.25: 0.5, -0.25: 0.5}, 1.0 / 16.0)
         assert got.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_masses_off_and_at_an_integer_are_correctly_rounded(self):
+        assert 0.1 + 0.2 + 0.3 != math.fsum([0.1, 0.2, 0.3])  # the case bites
+        off = {0.5: 0.1, 1.5: 0.2, 2.5: 0.3, 0.0: 0.4}
+        near = {1.0 - 1e-10: 0.1, 1.0: 0.2, 1.0 + 1e-10: 0.3, 2.5: 0.4}
+        merged = tv_atoms_vs_poisson({1.0: 0.6, 2.5: 0.4}, 1.0).value.hex()
+        for atoms, want in ((off, "0x1.43a54e4e98864p-1"), (near, merged)):
+            for ordered in (atoms, dict(reversed(atoms.items()))):
+                assert tv_atoms_vs_poisson(ordered, 1.0).value.hex() == want
+
     def test_integer_atoms_match_poisson_mass(self):
         lam = 0.7
         atoms = {float(k): poisson_pmf(lam, k) for k in range(25)}
