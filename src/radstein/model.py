@@ -152,7 +152,8 @@ def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     ordered = rows[order]  # a stable sort keeps each group in input order
     new = np.ones(len(rows) + 1, dtype=bool)
-    new[1:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:-1])
+    del ordered  # at 2^N keys, gone before the sorted values are made
     edges = new.nonzero()[0]  # where each run of equal keys starts, then its end
     firsts = order[edges[:-1]]
     emit = firsts.argsort()
