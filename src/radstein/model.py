@@ -134,13 +134,13 @@ def run_sums(values: np.ndarray, starts, stops) -> list:
     """Correctly rounded sum of each run ``values[start:stop]`` of a 1-D
     float64 array, in the order of the (start, stop) pairs: ``math.fsum`` of
     a memoryview slice below 512 values, :func:`stable_sums` from there on."""
-    view, sums = memoryview(values), []
-    for start, stop in zip(starts, stops):
-        if stop - start < _BINNED_MIN_ROW:
-            sums.append(math.fsum(view[start:stop]))
-        else:
-            sums += stable_sums(values[None, start:stop])
-    return sums
+    view = memoryview(values)
+    return [
+        math.fsum(view[start:stop])
+        if stop - start < _BINNED_MIN_ROW
+        else stable_sums(values[None, start:stop])[0]
+        for start, stop in zip(starts, stops)
+    ]
 
 
 def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
