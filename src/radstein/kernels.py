@@ -423,7 +423,8 @@ def sym_offdiag_weighted_contracts(
         keys = keys.reshape(count * len(weights), out_order)
         weights = np.array(weights).T.reshape(-1)
         firsts, sums = sums_by_key(keys, weights)
-        tuples = map(tuple, names[keys[firsts]].tolist())
+        columns = [names[c].tolist() for c in keys[firsts].T]
+        tuples = zip(*columns) if out_order else [()] * len(sums)
         yield Kernel._built(out_order, dict(zip(tuples, sums)))
 
 

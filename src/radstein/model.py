@@ -147,7 +147,7 @@ def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     """Correctly rounded sum of the float64 ``values`` of each key: ``keys``
     is 1-D (floats, 0.0 and -0.0 being one key, or tuples) or 2-D int rows.
     Returns each group's first position, ascending, and the groups' sums in
-    that order, the order they are summed in, so the first to raise does."""
+    that order, summed in that order: an error comes from the first that fails."""
     rows = keys if keys.ndim == 2 else keys[:, None]
     order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     ordered = rows[order]  # a stable sort keeps each group in input order
