@@ -89,6 +89,6 @@ def test_only_model_calls_math_fsum():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             named = isinstance(node, ast.Attribute) and node.attr == "fsum"
             imported = isinstance(node, ast.ImportFrom) and node.module == "math"
-            if named or imported and any(a.name == "fsum" for a in node.names):
+            if named or (imported and any(a.name == "fsum" for a in node.names)):
                 callers.add(path.name)
     assert callers == {"model.py"}
