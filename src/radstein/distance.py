@@ -78,7 +78,7 @@ def _half_l1_vs_poisson(
     ``off_mass``."""
     lam, k_max, fun, pois = _laws_on_range(pmf, lam)
     tail = poisson_tail(lam, k_max + 1)
-    value = 0.5 * (stable_sum(np.abs(fun - pois)) + tail + off_mass)
+    value = 0.5 * stable_sum((stable_sum(np.abs(fun - pois)), tail, off_mass))
     return DistanceResult(value=min(value, 1.0), tail_error=tail, method="exact")
 
 
