@@ -94,9 +94,10 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
     Reading u_k = sum_n J_{n-1}(f_n(., k)) recovers f_n on the slice through
     k; the divergence is sum_n J_n of the symmetrized, off-diagonal
     restriction of the assembled f_n.  Averaging over which argument carries k
-    performs the symmetrization directly on increasing tuples.
+    performs the symmetrization directly on increasing tuples; each
+    coefficient is the correctly rounded sum of its contributions.
     """
-    raw: dict[int, dict] = {}
+    raw: dict[int, list] = {}  # order -> (tuple, contribution) pairs
     for k, component in u.components.items():
         if not 1 <= int(k) <= model.size:
             raise MalformedField(f"component index {k} outside 1..{model.size}")
@@ -112,15 +113,14 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
             )
         k = int(k)
         if component.mean != 0.0:
-            raw.setdefault(1, {})[(k,)] = raw.get(1, {}).get((k,), 0.0) + component.mean
+            raw.setdefault(1, []).append(((k,), component.mean))
         for order, kernel in component.kernels.items():
-            target = raw.setdefault(order + 1, {})
-            for key, value in kernel.entries.items():
-                if k in key:
-                    continue  # diagonal position, masked away
-                joined = tuple(sorted(key + (k,)))
-                target[joined] = target.get(joined, 0.0) + value / (order + 1)
-    return ChaosExpansion(0.0, {n: Kernel(n, entries) for n, entries in raw.items()})
+            raw.setdefault(order + 1, []).extend(
+                (key + (k,), value / (order + 1))
+                for key, value in kernel.entries.items()
+                if k not in key  # a diagonal position, masked away
+            )
+    return ChaosExpansion(0.0, {n: Kernel.from_pairs(n, p) for n, p in raw.items()})
 
 
 def pseudo_inverse_table(model: ProbabilityModel, table: FunctionalTable) -> FunctionalTable:

@@ -261,6 +261,45 @@ class TestDivergence:
         for key, value in g.entries.items():
             assert got.kernel(2).entries[key] == pytest.approx(2.0 * value, abs=1e-13)
 
+    def test_coefficients_are_correctly_rounded_sums(self):
+        """Each coefficient is math.fsum of its contributions, pinned in
+        float.hex: at (1, 2, 3), 0.1/3 + 0.2/3 + 0.2/3, which `+` in
+        component order rounds twice to 0x1.5555555555556p-3."""
+        model = build_model([0.3, 0.6, 0.5])
+        u = GradientField(
+            {
+                1: ChaosExpansion(0.5, {2: Kernel(2, {(2, 3): 0.1})}),
+                2: ChaosExpansion(0.0, {2: Kernel(2, {(1, 3): 0.2})}),
+                3: ChaosExpansion(-0.25, {2: Kernel(2, {(1, 2): 0.2})}),
+            }
+        )
+        got = divergence(model, u)
+        assert {
+            order: [(key, value.hex()) for key, value in kernel.entries.items()]
+            for order, kernel in got.kernels.items()
+        } == {
+            1: [((1,), "0x1.0000000000000p-1"), ((3,), "-0x1.0000000000000p-2")],
+            3: [((1, 2, 3), "0x1.5555555555555p-3")],
+        }
+
+    def test_random_fields_sum_each_tuple_once(self):
+        """Order-2 components at N = 3, one entry each: every coefficient, in
+        float.hex, is math.fsum of its three contributions."""
+        rng = random.Random(2000)
+        model = build_model([0.3, 0.6, 0.5])
+        for _ in range(300):
+            values = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            u = GradientField(
+                {
+                    k: ChaosExpansion(
+                        0.0, {2: Kernel(2, {tuple(sorted({1, 2, 3} - {k})): v})}
+                    )
+                    for k, v in zip((1, 2, 3), values)
+                }
+            )
+            (coefficient,) = divergence(model, u).kernel(3).entries.values()
+            assert coefficient.hex() == math.fsum(v / 3 for v in values).hex()
+
     def test_component_index_out_of_range(self):
         model = build_model([0.5, 0.5])
         with pytest.raises(MalformedField):
