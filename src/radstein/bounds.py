@@ -19,16 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chaos import ChaosExpansion, mask_orders, product_kernels, to_table
+from .chaos import (
+    ChaosExpansion, mask_orders, product_kernels, slice_product_kernels, to_table
+)
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
-from .kernels import (
-    Kernel,
-    inner_product,
-    kernel_add,
-    norm_sq,
-    slice_kernel,
-)
+from .kernels import Kernel, inner_product, kernel_add, norm_sq
 from .malliavin import flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
@@ -219,7 +215,9 @@ def jm_bound(
 ) -> BoundReport:
     """Bound for F = shift + J_m(f) with m >= 2, via the product formula's
     grouped kernels: those of f with itself at shift 1 (fluctuation block)
-    and of each slice f(., k) with itself at shift 0 (coordinate block).
+    and of each nonzero slice f(., k) with itself at shift 0 (coordinate
+    block, every k from one engine call).  The fluctuation block raises
+    first (an index beyond N raises there), then the slices in ascending k.
 
     The remainder has two square-root blocks: the fluctuation of the gradient
     inner product around its mean, and the sqrt(Var F)-weighted block over
@@ -243,13 +241,9 @@ def jm_bound(
     t3 = diff_f * math.sqrt(m * m * fluct)
 
     per_k = []
-    for k in range(1, model.size + 1):
-        fk = slice_kernel(f, k)
-        if fk.is_zero():
-            continue
+    for k, fk, sliced in slice_product_kernels(model, f):
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        sliced = product_kernels(model, fk, fk)
         special = sliced.pop(m - 1, Kernel.zero(m - 1))
         special = kernel_add(special, fk.scaled(drift / m))
         pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
@@ -454,11 +448,9 @@ def j2_example_machinery(n: int) -> J2Example:
     a3 = norm_sq(grouped.get(1, Kernel.zero(1)))
     a4 = norm_sq(grouped.get(2, Kernel.zero(2)))
     parts = []
-    for k in range(1, n + 1):
-        fk = slice_kernel(f, k)
+    for k, fk, sliced in slice_product_kernels(model, f):  # no slice is zero
         pq = model.p[k - 1] * model.q[k - 1]
         drift = model.sigma[k - 1] * (model.p[k - 1] - model.q[k - 1])
-        sliced = product_kernels(model, fk, fk)
         tensor = sliced.get(2, Kernel.zero(2))
         mixed = kernel_add(sliced.get(1, Kernel.zero(1)), fk.scaled(0.5 * drift))
         squares = (norm_sq(fk) ** 2, norm_sq(tensor), norm_sq(mixed))

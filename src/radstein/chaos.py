@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import IndexOutOfRange, LengthMismatch, RadsteinError
 from .kernels import (
     Kernel,
     inner_product,
     kernel_add,
+    slice_kernel,
+    slice_weighted_contracts,
     sym_offdiag_weighted_contracts,
 )
 from .model import FunctionalTable, ProbabilityModel
@@ -174,6 +176,11 @@ def _product_formula(
     terms = [(r, ell) for r, ell in terms if n + m - r - ell > 0 or with_mean]
     shifted = [(r + shift, ell + shift) for r, ell in terms]
     parts = sym_offdiag_weighted_contracts(model, f, g, shifted)
+    return _grouped(n, m, terms, parts)
+
+
+def _grouped(n: int, m: int, terms: list, parts) -> tuple:
+    """(mean, kernels by order) of the product formula's parts at terms."""
     mean, grouped = 0.0, {}
     for (r, ell), part in zip(terms, parts):
         if part.is_zero():
@@ -189,6 +196,24 @@ def _product_formula(
             kernel_add(grouped[order], scaled) if order in grouped else scaled
         )
     return mean, grouped
+
+
+def slice_product_kernels(model: ProbabilityModel, f: Kernel):
+    """Iterator over (k, f_k, product_kernels(model, f_k, f_k)) for each
+    k = 1..N, ascending, whose slice f_k = ``slice_kernel(f, k)`` is nonzero,
+    all from one engine call.  Should that raise, the slices are redone one
+    by one as iterated, so each error comes where the per-slice route's does."""
+    n = f.order - 1
+    terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
+    try:
+        batch = slice_weighted_contracts(model, f, terms)
+        for k in batch:  # each slice's parts go as its kernels are grouped
+            batch[k] = _grouped(n, n, terms, batch[k])[1]
+        return ((k, slice_kernel(f, k), batch.pop(k)) for k in list(batch))
+    except (ArithmeticError, ValueError, RadsteinError):
+        slices = ((k, slice_kernel(f, k)) for k in range(1, model.size + 1))
+        slices = ((k, fk) for k, fk in slices if not fk.is_zero())
+        return ((k, fk, product_kernels(model, fk, fk)) for k, fk in slices)
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:

@@ -21,10 +21,10 @@ model's phi over the identified-but-unsummed slots.
 :func:`weighted_contract`, :func:`symmetrize`, :func:`to_kernel`,
 :func:`kernel_as_raw`) are the reference path: they expand every permutation
 explicitly and serve as the definition that tests check against.  The bounds
-and the product formula use only :func:`sym_offdiag_weighted_contracts`,
-which computes the symmetrized off-diagonal kernels of every (r, l) of a
-kernel pair directly from sparse entries, in one pass over the entry pairs
-(all nnz_f x nnz_g of them, in numpy blocks of about ``_PAIR_BLOCK``).
+and the product formula use only :func:`sym_offdiag_weighted_contracts`
+(all nnz_f x nnz_g entry pairs, in numpy blocks of about ``_PAIR_BLOCK``)
+and :func:`slice_weighted_contracts` (each slice's pairs, from postings):
+one emission of the symmetrized off-diagonal kernels at every (r, l).
 Kernels that this module builds from valid kernels (the engine's output,
 ``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not re-parsed:
 only finiteness is checked and zeros are dropped.
@@ -339,6 +339,17 @@ def to_kernel(t: RawTensor) -> Kernel:
 _PAIR_BLOCK = 1 << 15
 
 
+def _ranked(kernels) -> tuple:
+    """Their indices, ascending, and each one's (index rank rows, values)."""
+    names = sorted({i for h in kernels for key in h.entries for i in key})
+    rank = {k: i for i, k in enumerate(names)}  # indices become their ranks
+    rows = [[[rank[i] for i in key] for key in h.entries] for h in kernels]
+    return names, [
+        (np.array(r, np.int32).reshape(len(r), h.order), np.array([*h.entries.values()]))
+        for r, h in zip(rows, kernels)
+    ]
+
+
 def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
     """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, in
     all-pairs scan order; each row of tf and tg holds one entry's indices.
@@ -354,39 +365,26 @@ def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
     return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
 
 
-def sym_offdiag_weighted_contracts(
-    model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
-):
-    """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
-    each (r, l) of terms in order.  An invalid (r, l) raises before any work;
-    each kernel raises what its own computation meets when it is reached.
-
-    Only entry pairs sharing exactly r indices contribute; each split of the
-    shared indices into l summed and r - l kept ones adds
+def _weighted_contracts(model, names, n, m, terms, lead, tf, cf, tg, cg, pairs):
+    """Per (r, l) of terms in order (checked first), the kernel under each
+    lead, ascending, of the pairs ``pairs[r]`` of rows of tf and tg (index
+    ranks, order n and m, values cf and cg); lead is per tf row.  Each split
+    of a pair's r shared indices into l summed and r - l kept ones adds
 
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
 
     (multiplied left to right, phi in ascending index order) at the tuple
     U = (T_f union T_g) minus the summed indices.  Each coefficient is the
-    correctly rounded sum of its contributions (``model.sums_by_key``), keyed
-    and summed in order of first contribution in an all-pairs scan.
+    correctly rounded sum of its contributions (``model.sums_by_key``, the
+    lead as first key column), keyed and summed in order of first
+    contribution, pair by pair, each pair's splits in turn.
     """
-    n, m = f.order, g.order
     for r, ell in terms:
         _check_contraction_indices(n, m, r, ell)
-    names = sorted(set(itertools.chain(*f.entries, *g.entries)))
-    rank = {k: i for i, k in enumerate(names)}  # indices become their ranks
-    tf, tg = (
-        np.array([[rank[i] for i in key] for key in h.entries], np.int32)
-        .reshape(len(h.entries), h.order)
-        for h in (f, g)
-    )
-    cf, cg = (np.fromiter(h.entries.values(), float, len(h.entries)) for h in (f, g))
     inside = bisect.bisect_right(names, model.size)  # ranks of indices 1..N
     phi = np.full(len(names), np.nan)
     phi[:inside] = model.phi[[k - 1 for k in names[:inside]]]
-    names = np.array(names, dtype=object)
-    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
+    names, wanted = np.array(names, dtype=object), sorted(set(lead.tolist()))
     current = None
     for r, ell in terms:
         out_order = n + m - r - ell
@@ -398,34 +396,79 @@ def sym_offdiag_weighted_contracts(
             repeat[:, 1:] = both[:, 1:] == both[:, :-1]
             common = both[repeat].reshape(count, r)
             union = both[~repeat].reshape(count, n + m - r)
-            cf_pairs, cg_pairs = cf[rows_f], cg[rows_g]
-        if not count:
-            yield Kernel._built(out_order, {})
-            continue
-        if ell < r and common[:, -1].max() >= inside:
+            cf_pairs, cg_pairs, leads = cf[rows_f], cg[rows_g], lead[rows_f]
+        if ell < r and count and common[:, -1].max() >= inside:
             # The first pair meeting an index beyond N, at its first split.
             row = common[np.argmax(common[:, -1] >= inside)]
             model.check_index(names[row[max(ell, np.argmax(row >= inside))]])
         base = math.prod(map(math.factorial, (n - r, r - ell, m - r, ell)))
         base /= math.factorial(out_order)
-        keys, weights = [], []
+        # Rows in scan order, lead first: pair by pair, each pair's splits.
+        splits = list(itertools.combinations(range(r), ell))
+        keys = np.empty((count, len(splits), 1 + out_order), np.int32)
+        keys[:, :, 0] = leads[:, None]
+        weights = np.empty((count, len(splits)))
         with np.errstate(over="ignore", invalid="ignore"):
             prod = base * cf_pairs * cg_pairs
-            for summed in itertools.combinations(range(r), ell):
+            for s, summed in enumerate(splits):
                 gone = (union[:, :, None] == common[:, None, list(summed)]).any(2)
-                keys.append(union[~gone])
+                keys[:, s, 1:] = union[~gone].reshape(count, out_order)
                 w = prod
                 for k in sorted(set(range(r)).difference(summed)):
                     w = w * phi[common[:, k]]
-                weights.append(w)
-        # Rows in scan order: pair by pair, each pair's splits in turn.
-        keys = np.array(keys).reshape(len(keys), count, out_order).transpose(1, 0, 2)
-        keys = keys.reshape(count * len(weights), out_order)
-        weights = np.array(weights).T.reshape(-1)
+                weights[:, s] = w
+        keys, weights = keys.reshape(-1, 1 + out_order), weights.reshape(-1)
         firsts, sums = sums_by_key(keys, weights)
-        columns = [names[c].tolist() for c in keys[firsts].T]
+        columns = [names[c].tolist() for c in keys[firsts, 1:].T]
         tuples = zip(*columns) if out_order else [()] * len(sums)
-        yield Kernel._built(out_order, dict(zip(tuples, sums)))
+        # The pairs come lead by lead, so each lead's groups form one run.
+        ends = np.searchsorted(keys[firsts, 0], wanted, "right")
+        items, sizes = zip(tuples, sums), np.diff(ends, prepend=0).tolist()
+        yield [Kernel._built(out_order, dict(itertools.islice(items, z))) for z in sizes]
+
+
+def sym_offdiag_weighted_contracts(
+    model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
+):
+    """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
+    each (r, l) of terms in order, fed to ``_weighted_contracts`` from an
+    all-pairs scan under one lead.  An invalid (r, l) raises before any
+    kernel is formed; each kernel raises what its own computation meets when
+    it is reached."""
+    names, (f_rows, g_rows) = _ranked((f, g))
+    pairs = _pairs_by_shared_count(f_rows[0], g_rows[0], {r for r, _ in terms})
+    lead = np.zeros(max(1, len(f.entries)), np.int32)
+    args = names, f.order, g.order, terms, lead, *f_rows, *g_rows, pairs
+    yield from (kernels[0] for kernels in _weighted_contracts(model, *args))
+
+
+def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) -> dict:
+    """k -> [sym_offdiag_weighted_contract(model, f_k, f_k, r, l) for (r, l)
+    in terms] for each k = 1..N, ascending, whose slice f_k is nonzero, from
+    one emission under lead k.  Its pairs are the postings of k (the entries
+    of f holding k, in f's order) paired a-major, k dropped from both."""
+    if f.order < 1:
+        raise OrderMismatch("cannot slice a scalar kernel")
+    n = f.order - 1
+    names, [(tf, cf)] = _ranked((f,))
+    # Row (entry, index k of it) is the entry without k, led by k's rank.
+    lead = tf.reshape(-1)
+    drop = np.tile(~np.eye(f.order, dtype=bool), (len(tf), 1))
+    rows = np.repeat(tf, f.order, axis=0)[drop].reshape(len(lead), n)
+    order = np.argsort(lead, kind="stable")  # lead by lead, each in f's order
+    order = order[lead[order] < bisect.bisect_right(names, model.size)]
+    lead, rows, cf = lead[order], rows[order], np.repeat(cf, f.order)[order]
+    # Each lead's ordered pairs (a, b) of rows, a-major: row a meets the size
+    # rows of its lead, from the first one on.
+    size, first = np.bincount(lead)[lead], np.searchsorted(lead, lead)
+    a = np.repeat(np.arange(len(lead)), size)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size - first, size)
+    shared = (rows[a, :, None] == rows[b, None, :]).sum(axis=(1, 2))
+    pairs = {r: (a[shared == r], b[shared == r]) for r, _ in terms}
+    args = names, n, n, terms, lead, rows, cf, rows, cf, pairs
+    slices = sorted(set(lead.tolist()))
+    parts = zip(*_weighted_contracts(model, *args)) if terms else [()] * len(slices)
+    return {names[i]: list(p) for i, p in zip(slices, parts)}
 
 
 def sym_offdiag_weighted_contract(

@@ -28,7 +28,12 @@ from radstein.bounds import (
 )
 from radstein.chaos import ChaosExpansion, to_table
 from radstein.distance import tv_exact, w1_exact
-from radstein.errors import InvalidLambda, NonIntegerValue, OrderTooSmall
+from radstein.errors import (
+    IndexOutOfRange,
+    InvalidLambda,
+    NonIntegerValue,
+    OrderTooSmall,
+)
 from radstein.kernels import Kernel
 from radstein.model import (
     FunctionalTable,
@@ -572,25 +577,35 @@ class TestProductFormulaRoute:
         self.assert_same_report(got, want)
 
     def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
-        """One engine call per kernel pair, whose (r, l) terms, in order, are
-        the calls the separate loops make one at a time."""
+        """jm_bound makes one engine call for f and one batched call for all
+        of its slices; their (r, l) terms, in order and slice by slice, are
+        the calls the separate loops make one at a time.  multiply makes one
+        engine call per kernel pair."""
         from radstein import chaos
         from radstein.chaos import multiply
         from radstein.kernels import slice_kernel
 
         engine = chaos.sym_offdiag_weighted_contracts
+        batched = chaos.slice_weighted_contracts
         one_term = oracles.postings_sym_offdiag_weighted_contract
-        calls, oracle_calls = [], []
+        calls, batch_calls, oracle_calls = [], [], []
 
         def recorded(model, f, g, terms):
             calls.append([(f.order, g.order, r, ell) for r, ell in terms])
             return engine(model, f, g, terms)
+
+        def batch_recorded(model, f, terms):
+            batch = batched(model, f, terms)
+            n = f.order - 1
+            batch_calls.append({k: [(n, n, r, ell) for r, ell in terms] for k in batch})
+            return batch
 
         def oracle_recorded(model, f, g, r, ell):
             oracle_calls.append((f.order, g.order, r, ell))
             return one_term(model, f, g, r, ell)
 
         monkeypatch.setattr(chaos, "sym_offdiag_weighted_contracts", recorded)
+        monkeypatch.setattr(chaos, "slice_weighted_contracts", batch_recorded)
         monkeypatch.setattr(
             oracles, "postings_sym_offdiag_weighted_contract", oracle_recorded
         )
@@ -601,14 +616,17 @@ class TestProductFormulaRoute:
 
         jm_bound(model, f3, 1.0, 1.5, check_integer=False)
         oracles.grouped_jm_bound(model, f3, 1.0, 1.5)
-        # One call for f and one for each of its 7 slices, all nonzero here.
+        # One call for f with five (r, l) terms above order 0, and one
+        # batched call for its 7 slices, all nonzero here, five terms each.
         assert all(not slice_kernel(f3, k).is_zero() for k in range(1, 8))
-        assert len(calls) == 1 + 7
-        # Five (r, l) terms above order 0 in each.
-        assert [len(terms) for terms in calls] == [5] * 8
-        assert [t for terms in calls for t in terms] == oracle_calls
+        assert [len(terms) for terms in calls] == [5]
+        (batch,) = batch_calls
+        assert list(batch) == list(range(1, 8))
+        assert [len(terms) for terms in batch.values()] == [5] * 7
+        sliced = [t for terms in batch.values() for t in terms]
+        assert calls[0] + sliced == oracle_calls
         # No order-0 term is formed: n + m - r - l > 0 on every term.
-        assert all(n + m - r - ell > 0 for terms in calls for n, m, r, ell in terms)
+        assert all(n + m - r - ell > 0 for n, m, r, ell in calls[0] + sliced)
 
         calls.clear()
         oracle_calls.clear()
@@ -655,6 +673,124 @@ class TestProductFormulaRoute:
         assert {k: repr(v) for k, v in got.detail.items()} == {
             k: repr(v) for k, v in want.detail.items()
         }
+
+
+class TestSliceProductKernels:
+    """``slice_product_kernels``, all slices from one engine call, against
+    ``product_kernels`` called once per nonzero slice: the same slices, the
+    same kernels in key order and float.hex, and the same first error."""
+
+    MODERATE = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+    HUGE = st.sampled_from([1e200, -1e300, 1e155, 1e80, -1e77, 1e40])
+
+    @staticmethod
+    def outcomes(slices):
+        """(k, f_k, kernels) of each slice hexed, up to the first error,
+        which ends the list as (type, message)."""
+        out = []
+        try:
+            for k, fk, kernels in slices:
+                out.append(
+                    (k, TestProductFormulaRoute.hexed({fk.order: fk}))
+                    + (TestProductFormulaRoute.hexed(kernels),)
+                )
+        except (IndexOutOfRange, ValueError, OverflowError) as err:
+            out.append((type(err), str(err)))
+        return out
+
+    @staticmethod
+    def per_slice(model, f):
+        """The route the batch replaced: one product_kernels call per slice."""
+        from radstein.chaos import product_kernels
+        from radstein.kernels import slice_kernel
+
+        for k in range(1, model.size + 1):
+            fk = slice_kernel(f, k)
+            if not fk.is_zero():
+                yield k, fk, product_kernels(model, fk, fk)
+
+    @staticmethod
+    def draw_setup(data, coefficient):
+        size = data.draw(st.integers(1, 12), label="N")
+        p = data.draw(
+            st.lists(
+                st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                min_size=size,
+                max_size=size,
+            ),
+            label="p",
+        )
+        m = data.draw(st.integers(2, 4), label="m")
+        # Indices up to N + 2, so that some slices are empty and a kept
+        # index beyond N raises where the per-slice route raises.
+        extra = data.draw(st.sampled_from([0, 0, 0, 1, 2]), label="beyond N")
+        top = max(m, size + extra)
+        used = data.draw(
+            st.sets(st.integers(1, top), min_size=m, max_size=top), label="indices"
+        )
+        key = st.sets(st.sampled_from(sorted(used)), min_size=m, max_size=m)
+        entries = st.dictionaries(
+            key.map(lambda s: tuple(sorted(s))), coefficient, min_size=1, max_size=30
+        )
+        return build_model(p), Kernel(m, data.draw(entries, label="f"))
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_one_call_per_slice_bit_for_bit(self, data):
+        from unittest import mock
+
+        from radstein import chaos
+
+        # One kernel in four mixes in coefficients whose products overflow.
+        mixed = data.draw(st.sampled_from([False, False, False, True]), label="huge")
+        coefficient = st.one_of(self.MODERATE, self.HUGE) if mixed else self.MODERATE
+        model, f = self.draw_setup(data, coefficient)
+        with mock.patch.object(
+            chaos, "product_kernels", wraps=chaos.product_kernels
+        ) as spy:
+            got = self.outcomes(chaos.slice_product_kernels(model, f))
+        want = self.outcomes(self.per_slice(model, f))
+        assert got == want
+        if all(len(item) == 3 for item in got):
+            assert spy.call_count == 0  # every slice came from the batch
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_jm_bound_raises_as_the_per_slice_route(self, data):
+        """Overflowing kernels: the same report, or the same exception type
+        and message, as jm_bound over the per-slice route."""
+        from unittest import mock
+
+        from radstein import bounds
+
+        model, f = self.draw_setup(data, st.one_of(self.HUGE, st.just(1.0)))
+
+        def run():
+            try:
+                with np.errstate(over="ignore"):  # an inf ratio of norms
+                    report = jm_bound(model, f, 1.0, 1.5, check_integer=False)
+            except (IndexOutOfRange, ValueError, OverflowError) as err:
+                return type(err), str(err)
+            return [getattr(report, name).hex() for name in ("term_remainder", "total")]
+
+        got = run()
+        with mock.patch.object(bounds, "slice_product_kernels", self.per_slice):
+            assert run() == got
+
+    def test_first_error_is_the_per_slice_routes(self):
+        """Slice 3 overflows at its first term, at (1, 2), and slice 1 at its
+        second, at (3,): the batch meets slice 3's error first, and the
+        slices, redone one by one, raise slice 1's."""
+        from radstein.chaos import slice_product_kernels
+        from radstein.kernels import slice_weighted_contracts
+
+        model = build_model([0.3, 0.5, 0.3])
+        f = Kernel(2, {(1, 3): 1e200, (2, 3): -1e300})
+        with pytest.raises(ValueError, match=r"non-finite coefficient at \(1, 2\)"):
+            slice_weighted_contracts(model, f, [(0, 0), (1, 0)])
+        want = self.outcomes(self.per_slice(model, f))
+        assert want == [(ValueError, "non-finite coefficient at (3,)")]
+        assert self.outcomes(slice_product_kernels(model, f)) == want
 
 
 class TestSecondOrderBound:
