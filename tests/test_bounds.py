@@ -687,13 +687,10 @@ class TestSliceProductKernels:
     def outcomes(slices):
         """(k, f_k, kernels) of each slice hexed, up to the first error,
         which ends the list as (type, message)."""
-        out = []
+        hexed, out = TestProductFormulaRoute.hexed, []
         try:
             for k, fk, kernels in slices:
-                out.append(
-                    (k, TestProductFormulaRoute.hexed({fk.order: fk}))
-                    + (TestProductFormulaRoute.hexed(kernels),)
-                )
+                out.append((k, hexed({fk.order: fk}), hexed(kernels)))
         except (IndexOutOfRange, ValueError, OverflowError) as err:
             out.append((type(err), str(err)))
         return out
