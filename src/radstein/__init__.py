@@ -44,15 +44,10 @@ from .distance import (
 )
 from .kernels import (
     Kernel,
-    RawTensor,
-    contract,
     inner_product,
     norm,
     norm_sq,
     slice_kernel,
-    symmetrize,
-    to_kernel,
-    weighted_contract,
 )
 from .malliavin import (
     GradientField,

@@ -25,7 +25,7 @@ from .chaos import (
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
 from .kernels import Kernel, inner_product, kernel_add, norm_sq
-from .malliavin import flip_difference, pseudo_inverse_table
+from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
     FunctionalTable,
@@ -249,7 +249,9 @@ def jm_bound(
         pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
         pieces += [math.factorial(s) * norm_sq(kernel) for s, kernel in sliced.items()]
         pieces.append(math.factorial(m - 1) * norm_sq(special))
-        per_k.append(stable_sum(pieces) / (model.p[k - 1] * model.q[k - 1]))
+        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
+        if math.isinf(per_k[-1]):
+            raise OverflowError(f"the coordinate block of slice {k} overflows")
     t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
 
     t1 = sup_f * abs(lam - float(shift))
@@ -290,13 +292,6 @@ def _weighted_sums(a: np.ndarray, tables: np.ndarray) -> list:
     for i in range(0, len(tables), step):
         sums += stable_sums(a * tables[i : i + step])
     return sums
-
-
-def _gradient_into(out: np.ndarray, model: ProbabilityModel, values: np.ndarray, k: int):
-    """Write D_k of ``values`` over all outcomes into ``out``.  For an
-    integer-valued F no entry overflows: sqrt(p q) <= 1/2, so |D_k F| and
-    |D_l D_k F| stay below max F."""
-    out.reshape(-1, 2, 1 << (k - 1))[...] = flip_difference(model, values, k)[:, None, :]
 
 
 def second_order_bound(

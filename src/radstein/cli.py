@@ -336,6 +336,8 @@ def _parse_bound_spec(doc: dict) -> tuple:
     _resolve_lambda(policy, 1.0, 1.0, "$.lambda")
     orders = expansion.orders
     for method in requested:
+        if method == "bernoulli" and form != "bernoulli":
+            raise SpecParseError("bernoulli needs the bernoulli functional", "$.bounds")
         if method == "j1" and orders != [1]:
             raise SpecParseError("j1 needs a pure order-1 functional", "$.bounds")
         if method in ("j2", "jm") and (len(orders) != 1 or orders[0] < 2):

@@ -18,13 +18,13 @@ and the weighted contraction multiplies each entry by the product of the
 model's phi over the identified-but-unsummed slots.
 
 :class:`RawTensor` and the plain contractions built on it (:func:`contract`,
-:func:`weighted_contract`, :func:`symmetrize`, :func:`to_kernel`,
-:func:`kernel_as_raw`) are the reference path: they expand every permutation
-explicitly and serve as the definition that tests check against.  The bounds
-and the product formula use only :func:`sym_offdiag_weighted_contracts`
-(all nnz_f x nnz_g entry pairs, in numpy blocks of about ``_PAIR_BLOCK``)
-and :func:`slice_weighted_contracts` (each slice's pairs, from postings):
-one emission of the symmetrized off-diagonal kernels at every (r, l).
+:func:`weighted_contract`, :func:`to_kernel`, :func:`kernel_as_raw`) expand
+every permutation explicitly: they are the reference path that tests check
+against, outside the top-level API.  The bounds and the product formula use
+only :func:`sym_offdiag_weighted_contracts` (all nnz_f x nnz_g entry pairs,
+in numpy blocks of about ``_PAIR_BLOCK``) and :func:`slice_weighted_contracts`
+(each slice's pairs, from postings): one emission of the symmetrized
+off-diagonal kernels at every (r, l).
 Kernels that this module builds from valid kernels (the engine's output,
 ``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not re-parsed:
 only finiteness is checked and zeros are dropped.
@@ -153,9 +153,6 @@ class RawTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def value(self, key) -> float:
-        return self.entries.get(tuple(key), 0.0)
-
 
 def kernel_as_raw(f: Kernel) -> RawTensor:
     """Expand a kernel to its full tensor, one entry per rearrangement."""
@@ -266,7 +263,6 @@ def weighted_contract(
     """
     n, m = f.order, g.order
     if ell == r:
-        _check_contraction_indices(n, m, r, ell)
         return contract(f, g, r, r)
     if not (1 <= r <= min(n, m)) or not (0 <= ell <= r - 1):
         raise InvalidContractionIndices(
@@ -284,38 +280,6 @@ def weighted_contract(
             w *= model.phi[k - 1]
         entries[key] = w
     return RawTensor(raw.order, entries)
-
-
-def _orbit_size(key) -> int:
-    counts = {}
-    for i in key:
-        counts[i] = counts.get(i, 0) + 1
-    size = math.factorial(len(key))
-    for c in counts.values():
-        size //= math.factorial(c)
-    return size
-
-
-def symmetrize(t: RawTensor) -> RawTensor:
-    """Average over all argument permutations; a norm-nonincreasing projection.
-
-    Orbits whose stored values are all equal and complete pass through
-    unchanged, which makes the operation exact on already-symmetric input.
-    """
-    groups: dict[tuple, list] = {}
-    for key, value in t.entries.items():
-        groups.setdefault(tuple(sorted(key)), []).append(value)
-    entries = {}
-    for rep, values in groups.items():
-        size = _orbit_size(rep)
-        if len(values) == size and all(v == values[0] for v in values):
-            avg = values[0]
-        else:
-            avg = stable_sum(values) / size
-        if avg != 0.0:
-            for perm in set(itertools.permutations(rep)):
-                entries[perm] = avg
-    return RawTensor(t.order, entries)
 
 
 def to_kernel(t: RawTensor) -> Kernel:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import ChaosExpansion, _forward_transform, _inverse_transform
-from .chaos import mask_orders
+from .chaos import ChaosExpansion, _forward_transform, _inverse_transform, mask_orders
 from .errors import IndexOutOfRange, LengthMismatch, MalformedField
 from .kernels import Kernel, slice_kernel
 from .model import FunctionalTable, ProbabilityModel, expectation, stable_sum
@@ -30,11 +29,19 @@ def flip_difference(model: ProbabilityModel, values: np.ndarray, k: int) -> np.n
     return model.sigma[k - 1] * (pairs[:, 1] - pairs[:, 0])
 
 
+def _gradient_into(out: np.ndarray, model: ProbabilityModel, values: np.ndarray, k: int):
+    """Write D_k of ``values`` over all outcomes into ``out``.  For an
+    integer-valued F no entry overflows: sqrt(p q) <= 1/2, so |D_k F| and
+    |D_l D_k F| stay below max F."""
+    out.reshape(-1, 2, 1 << (k - 1))[...] = flip_difference(model, values, k)[:, None, :]
+
+
 def gradient_pathwise(model: ProbabilityModel, table: FunctionalTable, k: int) -> FunctionalTable:
     """D_k F = sqrt(p_k q_k) (F with omega_k = +1 minus F with omega_k = -1)."""
     model.check_index(k)
-    half = flip_difference(model, table.values, k)
-    return FunctionalTable(model, np.stack((half, half), axis=1).reshape(-1))
+    out = np.empty(table.values.shape)
+    _gradient_into(out, model, table.values, k)
+    return FunctionalTable(model, out)
 
 
 def gradient_chaos(expansion: ChaosExpansion, k: int) -> ChaosExpansion:

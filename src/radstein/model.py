@@ -303,10 +303,6 @@ class DistributionTable:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "pmf", dict(sorted(pmf.items())))
 
-    @property
-    def support(self) -> list:
-        return list(self.pmf)
-
     def mean(self) -> float:
         return stable_sum(k * v for k, v in self.pmf.items())
 

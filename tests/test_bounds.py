@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,14 @@ class TestFixedOrderBounds:
             b = jm_bound(padded, f, 1.0, lam, check_integer=False)
             assert a.total == pytest.approx(b.total, abs=1e-13)
 
+    def test_overflowing_slice_raises_without_a_warning(self):
+        model = build_model([0.3, 0.5, 0.3])
+        f = Kernel(2, {(1, 2): 1e77, (2, 3): 1e77})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="slice 1 overflows"):
+                jm_bound(model, f, 1.0, 1.5, check_integer=False)
+
     def test_order_three_runs_and_is_consistent(self):
         rng = random.Random(90)
         model = build_model(oracles.rand_model_p(rng, 6))
@@ -379,7 +388,6 @@ class TestReferencePathUnused:
         "RawTensor",
         "contract",
         "weighted_contract",
-        "symmetrize",
         "to_kernel",
         "kernel_as_raw",
     )

@@ -623,6 +623,21 @@ class TestValidationBeforeWork:
             "spec error at $.bounds: jm needs a single fixed order >= 2\n"
         )
 
+    def test_bernoulli_on_a_chaos_literal_exits_before_enumeration(
+        self, tmp_path, table_builds, capsys
+    ):
+        # F = 2 X_1 has EF = sum p, but the bernoulli bound is that of sum_k X_k.
+        table_builds.forbid = True
+        doc = {
+            "model": {"p": [0.1] + [0.01] * 10},
+            "functional": {"chaos": {"mean": 0.2, "kernels": [[[1], 0.6]]}},
+            "bounds": ["bernoulli", "j1"],
+        }
+        assert main(["bound", str(write_spec(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == (
+            "spec error at $.bounds: bernoulli needs the bernoulli functional\n"
+        )
+
     @pytest.mark.parametrize("method", ["j1", "j2", "jm"])
     def test_closed_form_row_builds_the_table_once(self, tmp_path, table_builds, method):
         # sum_k (X_k + 1)/2, and 1 + X_1 X_2 at p = 1/2: both integer-valued
@@ -776,42 +791,6 @@ class TestWorkLimits:
         capsys.readouterr()
         assert main([*argv, "--n-max", "19"]) == 2  # n = 13, 15, 17, 19
         assert capsys.readouterr().err == "the sweep has 4 rows, over the limit of 3\n"
-
-
-class TestVarianceLambda:
-    # N = 26, beyond the enumeration cap: two products of three Bernoulli
-    # indicators, whose per-order terms n! ||f_n||^2 a naive left-to-right
-    # sum rounds differently from the correctly rounded one.
-    P = [0.81, 0.732, 0.429, 0.283, 0.51, 0.414, 0.755, 0.323, 0.479, 0.575,
-         0.867, 0.504, 0.304, 0.73, 0.607, 0.275, 0.869, 0.935, 0.779, 0.862,
-         0.329, 0.707, 0.859, 0.666, 0.475, 0.141]
-    KERNELS = [
-        [[7], 0.1323012741696745], [[7, 18], 0.017441543041726727],
-        [[7, 18, 21], 0.0083028455729871], [[7, 21], 0.09447074544198278],
-        [[11], 0.21368079714355148], [[11, 14], 0.06497644575424313],
-        [[11, 14, 20], 0.008666038359890868], [[11, 20], 0.042748552109680864],
-        [[14], 0.3317948764815147], [[14, 20], 0.06637821814875795],
-        [[18], 0.0612357911716618], [[18, 21], 0.04372588908174316],
-        [[20], 0.21829064982473162], [[21], 0.3316788443474642],
-    ]
-
-    def test_beyond_cap_variance_is_the_exact_sum_of_order_terms(self, tmp_path):
-        doc = {
-            "model": {"p": self.P},
-            "functional": {"chaos": {"mean": 0.7778177449999999, "kernels": self.KERNELS}},
-            "bounds": ["bernoulli"],
-            "lambda": "variance",
-            "mc_samples": 10000,
-        }
-        code, text = run_cli(["bound", str(write_spec(tmp_path, doc))], tmp_path, "x")
-        assert code == 0
-        terms = []
-        for order in (1, 2, 3):
-            norm_sq = math.fsum(c * c for key, c in self.KERNELS if len(key) == order)
-            fact = math.factorial(order)
-            terms.append(fact * (fact * norm_sq))
-        assert terms[0] + terms[1] + terms[2] != math.fsum(terms)  # the case bites
-        assert json.loads(text)["rows"][0]["lambda"] == math.fsum(terms)
 
 
 class TestDuplicateEntries:

@@ -24,7 +24,6 @@ from radstein.kernels import (
     slice_kernel,
     sym_offdiag_weighted_contract,
     sym_offdiag_weighted_contracts,
-    symmetrize,
     to_kernel,
     weighted_contract,
 )
@@ -140,40 +139,6 @@ class TestWeightedContract:
             for r, ell in ((2, 0), (1, 2), (0, 1)):
                 with pytest.raises(InvalidContractionIndices):
                     fn(model, f, f, r, ell)
-
-
-class TestSymmetrize:
-    def test_fixed_point_on_symmetric_input(self):
-        f = Kernel(2, {(1, 2): 0.3, (1, 3): -0.2})
-        raw = kernel_as_raw(f)
-        assert symmetrize(raw).entries == raw.entries
-
-    def test_two_permutations(self):
-        t = RawTensor(2, {(1, 2): 1.0})
-        got = symmetrize(t)
-        assert got.entries == {(1, 2): 0.5, (2, 1): 0.5}
-
-    def test_projection(self):
-        rng = random.Random(5)
-        entries = {
-            tuple(rng.randint(1, 4) for _ in range(3)): rng.uniform(-1, 1)
-            for _ in range(10)
-        }
-        t = RawTensor(3, entries)
-        once = symmetrize(t)
-        twice = symmetrize(once)
-        assert tensors_close(once.entries, twice.entries, 1e-14)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30)
-    def test_norm_nonincreasing(self, seed):
-        rng = random.Random(seed)
-        entries = {
-            tuple(rng.randint(1, 5) for _ in range(2)): rng.uniform(-1, 1)
-            for _ in range(rng.randint(1, 12))
-        }
-        t = RawTensor(2, entries)
-        assert norm(symmetrize(t)) <= norm(t) + 1e-12
 
 
 class TestToKernel:
