@@ -13,11 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from radstein.bounds import bernoulli_bound, bernoulli_sum_table
 from radstein.distance import tv_exact
-from radstein.model import build_model, distribution
+from radstein.model import build_model, distribution, stable_sum
 
 
 def main():
@@ -33,7 +31,7 @@ def main():
         size = rng.randint(1, args.size_max)
         p = [rng.uniform(0.01, 0.6) for _ in range(size)]
         model = build_model(p)
-        lam = float(np.sum(model.p))
+        lam = stable_sum(model.p)
         dist = distribution(model, bernoulli_sum_table(model))
         exact = tv_exact(dist, lam).value
         bound = bernoulli_bound(p, lam)

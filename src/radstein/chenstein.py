@@ -149,10 +149,10 @@ class TargetSet:
 def poisson_set_prob(lam: float, target: TargetSet) -> float:
     """P(Po(lam) in A) with exact tail handling."""
     lam = _check_lambda(lam)
-    total = stable_sum(poisson_pmf(lam, k) for k in sorted(target.members))
+    terms = [poisson_pmf(lam, k) for k in sorted(target.members)]
     if target.tail_start is not None:
-        total += poisson_tail(lam, target.tail_start)
-    return min(1.0, total)
+        terms.append(poisson_tail(lam, target.tail_start))
+    return min(1.0, stable_sum(terms))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Subcommands: ``verify`` runs the seeded identity suites; ``bound`` evaluates
 requested bounds against exact distances for a JSON experiment spec, checked
 in full before any 2^N table is built; ``j2-rate`` sweeps the order-2 star
-example; ``bernoulli`` is ``bound`` on the Bernoulli-sum functional, given
-from the command line.  Both bound commands get their rows from one
-evaluator, and ``main`` alone writes the report and picks the exit code.
+example; ``bernoulli`` is ``bound`` on the Bernoulli-sum spec that its flags
+spell.  Both bound commands run one spec path, and ``main`` alone writes the
+report and picks the exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 identity-suite failure,
 4 domination violation (a bound fell below the exact distance).
@@ -143,7 +143,7 @@ def _resolve_lambda(policy, mean: float, var: float, location: str) -> float:
 def _bernoulli_expansion(model) -> ChaosExpansion:
     """sum_k (X_k + 1)/2 as its mean plus the order-1 kernel k -> sqrt(p_k q_k)."""
     kernel = Kernel(1, {(k,): model.sigma[k - 1] for k in range(1, model.size + 1)})
-    return ChaosExpansion(float(np.sum(model.p)), {1: kernel})
+    return ChaosExpansion(stable_sum(model.p), {1: kernel})
 
 
 def _j2_example_exact_tv(n: int, lam: float) -> float:
@@ -292,7 +292,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
 
     if form == "bernoulli":
         expansion = _bernoulli_expansion(model)
-        default_methods = ["bernoulli"]
+        default_methods, table_of = ["bernoulli"], bounds_mod.bernoulli_sum_table
     elif form == "chaos":
         if not isinstance(payload, dict):
             raise SpecParseError("chaos literal must be an object", "$.functional.chaos")
@@ -309,6 +309,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
                 "$.functional.chaos.kernels",
             )
         default_methods = ["main"]
+        table_of = functools.partial(to_table, expansion=expansion)
     else:
         raise SpecParseError(f"unknown functional form {form!r}", "$.functional")
 
@@ -325,7 +326,8 @@ def _parse_bound_spec(doc: dict) -> tuple:
                 f"methods {sorted(_ENUMERATION_METHODS)} need N <= {ENUMERATION_CAP}",
                 "$.bounds",
             )
-        if not mc_samples:
+        # Only sampling checks that a chaos literal is integer-valued.
+        if form == "chaos" and not mc_samples:
             raise SpecParseError(
                 f"N = {model.size} exceeds the enumeration cap; set mc_samples",
                 "$.mc_samples",
@@ -349,7 +351,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
         table = None
         if use_enumeration:
             try:
-                table = to_table(model, expansion)
+                table = table_of(model)
             except ValueError as err:
                 raise SpecParseError(str(err), f"$.functional.{form}") from err
             mean, var = expectation(model, table), variance(model, table)
@@ -398,6 +400,12 @@ def _cmd_bound(args) -> tuple:
         raise _Rejected(f"spec is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SpecParseError("spec document must be a JSON object", "$")
+    return _run_spec(args, doc)
+
+
+def _run_spec(args, doc: dict) -> tuple:
+    """``bound``'s report on ``doc``, its seed and sample count set from any
+    flags given, every check made before the rows are computed."""
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.mc_samples is not None:
@@ -454,28 +462,15 @@ def _cmd_j2_rate(args) -> tuple:
 
 
 def _cmd_bernoulli(args) -> tuple:
-    """``bound`` on the Bernoulli-sum functional, with its own flag checks,
-    its enumerated table built directly and lambda = sum p for ``mean``."""
-    if not 0 <= args.seed < SEED_LIMIT:
-        raise _Rejected(f"--seed must be an integer in [0, 2^128), got {args.seed}")
+    """``bound`` on the spec the flags spell: the Bernoulli sum of ``--p``
+    with its default ``bernoulli`` method; a numeric ``--lambda`` is a number."""
     try:
-        model = build_model(args.p)
-    except RadsteinError as err:
-        raise _Rejected(str(err)) from err
-    try:
-        lam = float(np.sum(model.p)) if args.lam == "mean" else float(args.lam)
+        lam = float(args.lam)
     except ValueError:
-        raise _Rejected(f"invalid lambda {args.lam!r}") from None
-    if lam <= 0:
-        raise _Rejected("lambda must be positive")
-    enumerable = model.size <= ENUMERATION_CAP
-    table = bounds_mod.bernoulli_sum_table(model) if enumerable else None
-    expansion, shrink = _bernoulli_expansion(model), args.inject_fault == "shrink-total"
-    rows = _bound_rows(
-        model, expansion, table, lam, ["bernoulli"], args.mc_samples, args.seed, shrink
-    )
-    payload = {"command": "bernoulli", "n_coordinates": model.size}
-    return payload, rows, _resolve_format(args), _domination(rows, "domination violation")
+        lam = args.lam
+    doc = {"model": {"p": args.p}, "functional": {"bernoulli": {}}, "lambda": lam}
+    payload, *report = _run_spec(args, doc)
+    return {"command": "bernoulli", "n_coordinates": payload["n_coordinates"]}, *report
 
 
 @functools.lru_cache(maxsize=None)

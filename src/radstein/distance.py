@@ -90,7 +90,7 @@ def tv_exact(dist: DistributionTable, lam: float) -> DistanceResult:
 def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
     """Exact Wasserstein-1 distance to Po(lam) on the integer lattice."""
     lam, k_max, fun, pois = _laws_on_range(dist.pmf, lam)
-    value = stable_sum(np.abs(np.cumsum(fun) - np.cumsum(pois)))
+    gaps = np.abs(np.cumsum(fun) - np.cumsum(pois))
     # Beyond k_max the functional's CDF is 1; add the remaining Poisson gaps.
     extra_terms = []
     k = k_max + 1
@@ -102,7 +102,8 @@ def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
         k += 1
     extra = stable_sum(extra_terms)
     return DistanceResult(
-        value=value + extra, tail_error=extra + poisson_tail(lam, k_max + 1),
+        value=stable_sum(np.concatenate((gaps, extra_terms))),
+        tail_error=extra + poisson_tail(lam, k_max + 1),
         method="exact",
     )
 

@@ -39,6 +39,19 @@ class TestPoissonUtilities:
             1.0, abs=1e-14
         )
 
+    def test_members_and_tail_are_summed_once(self):
+        rng = random.Random(11)
+        moved = 0
+        for _ in range(400):
+            lam = rng.uniform(0.1, 8.0)
+            tail = rng.randint(0, 15)
+            members = frozenset(rng.sample(range(15), rng.randint(1, 8)))
+            terms = [poisson_pmf(lam, k) for k in sorted(members) if k < tail]
+            want = math.fsum([*terms, poisson_tail(lam, tail)])
+            moved += math.fsum(terms) + poisson_tail(lam, tail) != want
+            assert poisson_set_prob(lam, TargetSet(members, tail)) == min(1.0, want)
+        assert moved > 0  # the case bites
+
     def test_tail_plus_head_is_one(self):
         for lam in (0.1, 1.0, 7.5):
             head = stable_sum(poisson_pmf(lam, k) for k in range(12))

@@ -52,24 +52,30 @@ def write_spec(tmp_path, doc, name="spec.json"):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Patch ``to_table`` at every module that binds it.  The returned record
-    lists the model size of each call; setting ``forbid`` makes a call raise."""
+    """Patch ``to_table`` and ``bernoulli_sum_table`` at every module that
+    binds them.  The returned record lists the model size of each call;
+    setting ``forbid`` makes a call raise."""
+    import radstein.bounds
     import radstein.chaos
 
-    original = radstein.chaos.to_table
     record = types.SimpleNamespace(sizes=[], forbid=False)
 
-    def patched(model, expansion):
-        record.sizes.append(model.size)
-        if record.forbid:
-            raise AssertionError("to_table called before the spec was validated")
-        return original(model, expansion)
+    def patch(original):
+        def patched(model, *args, **kwargs):
+            record.sizes.append(model.size)
+            if record.forbid:
+                raise AssertionError("table built before the spec was validated")
+            return original(model, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "radstein":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, patched)
+        return patched
+
+    for original in (radstein.chaos.to_table, radstein.bounds.bernoulli_sum_table):
+        patched = patch(original)
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "radstein":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, patched)
     return record
 
 
@@ -536,7 +542,36 @@ class TestBernoulliCommand:
     def test_seed_outside_philox_key_range_exits_two(self, seed, capsys):
         argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "20000"]
         assert main([*argv, "--seed", str(seed)]) == 2
-        assert "--seed must be an integer in [0, 2^128)" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"spec error at $.seed: seed must be an integer in [0, 2^128), got {seed}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--lambda", "nan"], "spec error at $.lambda: lambda must be a number, "),
+            (["--lambda", "inf"], "spec error at $.lambda: lambda must be a number, "),
+            (["--seed", "-1"], "spec error at $.seed: seed must be an integer "),
+            (["1.5"], "spec error at $.model.p: all probabilities must lie "),
+        ],
+    )
+    def test_bad_flag_exits_two_before_any_table(self, flags, line, table_builds, capsys):
+        table_builds.forbid = True
+        assert main(["bernoulli", "--p", *["0.2"] * 22, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(line)
+        assert captured.err.count("\n") == 1
+
+    def test_mean_is_the_correctly_rounded_sum_of_p(self, tmp_path):
+        # Beyond the enumeration cap and without Monte Carlo: no exact distance.
+        code, text = run_cli(["bernoulli", "--p", *["0.05"] * 30], tmp_path, "x")
+        assert code == 0
+        assert sum([0.05] * 30) != 1.5 == math.fsum([0.05] * 30)  # the case bites
+        row = json.loads(text)["rows"][0]
+        assert row["lambda"] == 1.5
+        assert row["term_mean_shift"] == 0.0
+        assert row["exact"] is None and row["dominates"] is None
 
     def test_parser_reuse_keeps_the_default_seed(self, capsys):
         argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "10000"]
@@ -706,28 +741,30 @@ class TestOverflowingExample:
 
 
 class TestSharedEvaluator:
+    @pytest.mark.parametrize("lam", [0.9, "mean", "variance"])
     @pytest.mark.parametrize(
-        "n,extra", [(10, []), (28, ["--mc-samples", "12000", "--seed", "6"])]
+        "n,extra",
+        [(10, []), (28, ["--mc-samples", "12000", "--seed", "6"]), (3, []), (30, [])],
     )
     def test_bernoulli_command_equals_bound_on_the_equivalent_spec(
-        self, tmp_path, n, extra
+        self, tmp_path, n, extra, lam
     ):
         p = [round(0.02 + 0.011 * k, 3) for k in range(n)]
         doc = {
             "model": {"p": p},
             "functional": {"bernoulli": {}},
             "bounds": ["bernoulli"],
-            "lambda": 0.9,
+            "lambda": lam,
         }
         spec = write_spec(tmp_path, doc)
         code, bound_text = run_cli(["bound", str(spec), *extra], tmp_path, "b")
         assert code == 0
-        argv = ["bernoulli", "--p", *map(repr, p), "--lambda", "0.9", *extra]
+        argv = ["bernoulli", "--p", *map(repr, p), "--lambda", str(lam), *extra]
         code, bern_text = run_cli(argv, tmp_path, "c")
         assert code == 0
         bound_rows = json.loads(bound_text)["rows"]
         assert bound_rows == json.loads(bern_text)["rows"]
-        assert bound_rows[0]["exact"] is not None
+        assert (bound_rows[0]["exact"] is None) == (n > 24 and not extra)
 
 
 class TestReportWrite:

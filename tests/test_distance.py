@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from radstein import distance
 from radstein.chaos import ChaosExpansion, evaluate_on_signs
-from radstein.chenstein import poisson_pmf, truncation_point
+from radstein.chenstein import (
+    poisson_pmf,
+    poisson_pmf_vector,
+    poisson_tail,
+    truncation_point,
+)
 from radstein.distance import (
     MAX_MC_SAMPLES,
     atom_law,
@@ -99,6 +104,28 @@ class TestW1Exact:
         lam = 1.0
         got = w1_exact(dist, lam)
         assert got.value >= abs(2.0 - lam) - 1e-12
+
+    def test_w1_sums_cdf_and_tail_gaps_once(self):
+        rng = random.Random(5)
+        moved = 0
+        for _ in range(400):
+            support = rng.sample(range(10), rng.randint(1, 6))
+            weights = [rng.random() for _ in support]
+            dist = DistributionTable(
+                {k: w / math.fsum(weights) for k, w in zip(support, weights)}
+            )
+            lam = rng.uniform(0.2, 6.0)
+            k_max = truncation_point(lam, max(support))
+            fun = np.zeros(k_max + 1)
+            fun[list(dist.pmf)] = list(dist.pmf.values())
+            pois = poisson_pmf_vector(lam, k_max)
+            gaps = np.abs(np.cumsum(fun) - np.cumsum(pois)).tolist()
+            tails = [poisson_tail(lam, k) for k in range(k_max + 1, k_max + 200)]
+            tails = tails[: next(i for i, t in enumerate(tails) if t < 1e-20)]
+            want = math.fsum(gaps + tails)
+            moved += math.fsum(gaps) + math.fsum(tails) != want
+            assert w1_exact(dist, lam).value == want
+        assert moved > 0  # the case bites
 
 
 class TestAtomLaw:
