@@ -24,7 +24,7 @@ from .chaos import (
 )
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
-from .kernels import Kernel, inner_product, kernel_add, norm_sq
+from .kernels import Kernel, _check_kernel_indices, inner_product, kernel_add, norm_sq
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
@@ -171,6 +171,7 @@ def j1_bound(
     lam = _check_lambda(lam)
     if f.order != 1:
         raise OrderTooSmall(f"expected an order-1 kernel, got order {f.order}")
+    _check_kernel_indices(model, f)
     if check_integer:
         integer_values(to_table(model, ChaosExpansion(float(shift), {1: f})))
     factors = stein_factors(lam)

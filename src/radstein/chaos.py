@@ -5,7 +5,8 @@ products of distinct standardized coordinates form an orthonormal basis of the
 2^N-dimensional outcome space, so every value table decomposes uniquely into a
 mean plus stochastic integrals of orders 1..N.  The transform in both
 directions runs as an N-stage butterfly over the outcome bitmask, one fixed
-deterministic pass per coordinate.
+deterministic pass per coordinate.  Every function here that takes a model
+and kernels raises IndexOutOfRange for an index beyond N before any work.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, RadsteinError
+from .errors import LengthMismatch
 from .kernels import (
     Kernel,
+    _check_kernel_indices,
     inner_product,
     kernel_add,
     slice_kernel,
@@ -63,12 +65,6 @@ class ChaosExpansion:
         return max((k.max_index() for k in self.kernels.values()), default=0)
 
 
-def _check_kernel_indices(model: ProbabilityModel, f: Kernel) -> None:
-    top = f.max_index()
-    if top > model.size:
-        raise IndexOutOfRange(f"kernel references index {top}, model has {model.size}")
-
-
 def _forward_transform(model: ProbabilityModel, values: np.ndarray) -> np.ndarray:
     """c[mask] = E[F * prod_{k in mask} Y_k] for every subset bitmask.
 
@@ -105,10 +101,6 @@ def _inverse_transform(model: ProbabilityModel, coeffs: np.ndarray) -> np.ndarra
 
 def to_table(model: ProbabilityModel, expansion: ChaosExpansion) -> FunctionalTable:
     """Evaluate an expansion on all 2^N outcomes."""
-    if expansion.max_order() > model.size:
-        raise IndexOutOfRange(
-            f"expansion holds order {expansion.max_order()} > N = {model.size}"
-        )
     coeffs = np.zeros(model.num_outcomes)
     coeffs[0] = expansion.mean
     for order, kernel in expansion.kernels.items():
@@ -201,19 +193,12 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
 def slice_product_kernels(model: ProbabilityModel, f: Kernel):
     """Iterator over (k, f_k, product_kernels(model, f_k, f_k)) for each
     k = 1..N, ascending, whose slice f_k = ``slice_kernel(f, k)`` is nonzero,
-    all from one engine call.  Should that raise, the slices are redone one
-    by one as iterated, so each error comes where the per-slice route's does."""
+    all from one engine call, which raises at once what it meets first (an
+    index beyond N before any work); each slice is grouped as it is reached."""
     n = f.order - 1
     terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
-    try:
-        batch = slice_weighted_contracts(model, f, terms)
-        for k in batch:  # each slice's parts go as its kernels are grouped
-            batch[k] = _grouped(n, n, terms, batch[k])[1]
-        return ((k, slice_kernel(f, k), batch.pop(k)) for k in list(batch))
-    except (ArithmeticError, ValueError, RadsteinError):
-        slices = ((k, slice_kernel(f, k)) for k in range(1, model.size + 1))
-        slices = ((k, fk) for k, fk in slices if not fk.is_zero())
-        return ((k, fk, product_kernels(model, fk, fk)) for k, fk in slices)
+    parts = slice_weighted_contracts(model, f, terms).items()
+    return ((k, slice_kernel(f, k), _grouped(n, n, terms, p)[1]) for k, p in parts)
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
@@ -222,8 +207,6 @@ def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     (n, n)) when the orders agree, all from one engine call."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    _check_kernel_indices(model, f)
-    _check_kernel_indices(model, g)
     return ChaosExpansion(*_product_formula(model, f, g, 0, True))
 
 
@@ -264,8 +247,7 @@ def evaluate_on_signs(
 
 def covariance(model: ProbabilityModel, f: Kernel, g: Kernel) -> float:
     """E[J_n(f) J_m(g)]: n! <f, g> when orders agree, 0 otherwise."""
-    _check_kernel_indices(model, f)
-    _check_kernel_indices(model, g)
+    _check_kernel_indices(model, f, g)
     if f.order != g.order:
         return 0.0
     return math.factorial(f.order) * inner_product(f, g)

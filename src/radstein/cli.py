@@ -52,7 +52,7 @@ EXIT_IDENTITY = 3
 EXIT_DOMINATION = 4
 
 _ENUMERATION_METHODS = {"main", "main_reduced", "second_order", "wasserstein"}
-_KERNEL_METHODS = {"j1", "j2", "jm", "bernoulli", "j2_example"}
+_KERNEL_METHODS = {"j1", "j2", "jm", "bernoulli"}
 _DOMINATION_SLACK = 1e-12
 # The most rows one j2-rate sweep may have; a longer one is refused at once.
 MAX_SWEEP_ROWS = 10**5
@@ -293,6 +293,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
     if form == "bernoulli":
         expansion = _bernoulli_expansion(model)
         default_methods, table_of = ["bernoulli"], bounds_mod.bernoulli_sum_table
+        moments = stable_sum(model.p), stable_sum(model.p * model.q)
     elif form == "chaos":
         if not isinstance(payload, dict):
             raise SpecParseError("chaos literal must be an object", "$.functional.chaos")
@@ -308,7 +309,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
                 f"kernel index {expansion.max_index()} exceeds model size {model.size}",
                 "$.functional.chaos.kernels",
             )
-        default_methods = ["main"]
+        default_methods, moments = ["main"], None
         table_of = functools.partial(to_table, expansion=expansion)
     else:
         raise SpecParseError(f"unknown functional form {form!r}", "$.functional")
@@ -316,7 +317,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
     requested = requested or default_methods
     known = _ENUMERATION_METHODS | _KERNEL_METHODS
     for method in requested:
-        if method not in known or method == "j2_example":
+        if method not in known:
             raise SpecParseError(f"unknown bound method {method!r}", "$.bounds")
 
     use_enumeration = model.size <= ENUMERATION_CAP
@@ -354,6 +355,9 @@ def _parse_bound_spec(doc: dict) -> tuple:
                 table = table_of(model)
             except ValueError as err:
                 raise SpecParseError(str(err), f"$.functional.{form}") from err
+        if moments:
+            mean, var = moments
+        elif table is not None:
             mean, var = expectation(model, table), variance(model, table)
         else:
             mean = expansion.mean

@@ -24,15 +24,15 @@ against, outside the top-level API.  The bounds and the product formula use
 only :func:`sym_offdiag_weighted_contracts` (all nnz_f x nnz_g entry pairs,
 in numpy blocks of about ``_PAIR_BLOCK``) and :func:`slice_weighted_contracts`
 (each slice's pairs, from postings): one emission of the symmetrized
-off-diagonal kernels at every (r, l).
-Kernels that this module builds from valid kernels (the engine's output,
-``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not re-parsed:
-only finiteness is checked and zeros are dropped.
+off-diagonal kernels at every (r, l).  Both reject a kernel index beyond N
+before any work (:func:`_check_kernel_indices`), so the engine reads phi
+at each index directly.  Kernels that this module builds from valid kernels
+(the engine's output, ``scaled``, :func:`kernel_add`, :func:`slice_kernel`)
+are not re-parsed: only finiteness is checked and zeros are dropped.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -211,6 +211,12 @@ def kernel_add(f: Kernel, g: Kernel) -> Kernel:
     return Kernel._built(f.order, acc)
 
 
+def _check_kernel_indices(model: ProbabilityModel, *kernels: Kernel) -> None:
+    top = max(f.max_index() for f in kernels)
+    if top > model.size:
+        raise IndexOutOfRange(f"kernel references index {top}, model has {model.size}")
+
+
 def _check_contraction_indices(n: int, m: int, r: int, ell: int) -> None:
     if not (0 <= r <= min(n, m)) or not (0 <= ell <= r):
         raise InvalidContractionIndices(
@@ -303,15 +309,10 @@ def to_kernel(t: RawTensor) -> Kernel:
 _PAIR_BLOCK = 1 << 15
 
 
-def _ranked(kernels) -> tuple:
-    """Their indices, ascending, and each one's (index rank rows, values)."""
-    names = sorted({i for h in kernels for key in h.entries for i in key})
-    rank = {k: i for i, k in enumerate(names)}  # indices become their ranks
-    rows = [[[rank[i] for i in key] for key in h.entries] for h in kernels]
-    return names, [
-        (np.array(r, np.int32).reshape(len(r), h.order), np.array([*h.entries.values()]))
-        for r, h in zip(rows, kernels)
-    ]
+def _rows(h: Kernel) -> tuple:
+    """h's entries as (0-based index rows, values), in h's order."""
+    rows = np.array([*h.entries], np.int32).reshape(len(h.entries), h.order) - 1
+    return rows, np.array([*h.entries.values()])
 
 
 def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
@@ -329,11 +330,11 @@ def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
     return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
 
 
-def _weighted_contracts(model, names, n, m, terms, lead, tf, cf, tg, cg, pairs):
+def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
     """Per (r, l) of terms in order (checked first), the kernel under each
-    lead, ascending, of the pairs ``pairs[r]`` of rows of tf and tg (index
-    ranks, order n and m, values cf and cg); lead is per tf row.  Each split
-    of a pair's r shared indices into l summed and r - l kept ones adds
+    lead, ascending, of the pairs ``pairs[r]`` of rows of tf and tg (0-based
+    indices, order n and m, values cf and cg); lead is per tf row.  Each
+    split of a pair's r shared indices into l summed and r - l kept ones adds
 
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
 
@@ -345,10 +346,7 @@ def _weighted_contracts(model, names, n, m, terms, lead, tf, cf, tg, cg, pairs):
     """
     for r, ell in terms:
         _check_contraction_indices(n, m, r, ell)
-    inside = bisect.bisect_right(names, model.size)  # ranks of indices 1..N
-    phi = np.full(len(names), np.nan)
-    phi[:inside] = model.phi[[k - 1 for k in names[:inside]]]
-    names, wanted = np.array(names, dtype=object), sorted(set(lead.tolist()))
+    wanted = sorted(set(lead.tolist()))
     current = None
     for r, ell in terms:
         out_order = n + m - r - ell
@@ -361,10 +359,6 @@ def _weighted_contracts(model, names, n, m, terms, lead, tf, cf, tg, cg, pairs):
             common = both[repeat].reshape(count, r)
             union = both[~repeat].reshape(count, n + m - r)
             cf_pairs, cg_pairs, leads = cf[rows_f], cg[rows_g], lead[rows_f]
-        if ell < r and count and common[:, -1].max() >= inside:
-            # The first pair meeting an index beyond N, at its first split.
-            row = common[np.argmax(common[:, -1] >= inside)]
-            model.check_index(names[row[max(ell, np.argmax(row >= inside))]])
         base = math.prod(map(math.factorial, (n - r, r - ell, m - r, ell)))
         base /= math.factorial(out_order)
         # Rows in scan order, lead first: pair by pair, each pair's splits.
@@ -379,12 +373,11 @@ def _weighted_contracts(model, names, n, m, terms, lead, tf, cf, tg, cg, pairs):
                 keys[:, s, 1:] = union[~gone].reshape(count, out_order)
                 w = prod
                 for k in sorted(set(range(r)).difference(summed)):
-                    w = w * phi[common[:, k]]
+                    w = w * model.phi[common[:, k]]
                 weights[:, s] = w
         keys, weights = keys.reshape(-1, 1 + out_order), weights.reshape(-1)
         firsts, sums = sums_by_key(keys, weights)
-        columns = [names[c].tolist() for c in keys[firsts, 1:].T]
-        tuples = zip(*columns) if out_order else [()] * len(sums)
+        tuples = map(tuple, (keys[firsts, 1:] + 1).tolist())
         # The pairs come lead by lead, so each lead's groups form one run.
         ends = np.searchsorted(keys[firsts, 0], wanted, "right")
         items, sizes = zip(tuples, sums), np.diff(ends, prepend=0).tolist()
@@ -396,31 +389,34 @@ def sym_offdiag_weighted_contracts(
 ):
     """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
     each (r, l) of terms in order, fed to ``_weighted_contracts`` from an
-    all-pairs scan under one lead.  An invalid (r, l) raises before any
-    kernel is formed; each kernel raises what its own computation meets when
-    it is reached."""
-    names, (f_rows, g_rows) = _ranked((f, g))
-    pairs = _pairs_by_shared_count(f_rows[0], g_rows[0], {r for r, _ in terms})
+    all-pairs scan under one lead.  An index beyond N raises at the call and
+    an invalid (r, l) before any kernel is formed; each kernel raises what
+    its own computation meets when it is reached."""
+    _check_kernel_indices(model, f, g)
+    (tf, cf), (tg, cg) = _rows(f), _rows(g)
+    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
     lead = np.zeros(max(1, len(f.entries)), np.int32)
-    args = names, f.order, g.order, terms, lead, *f_rows, *g_rows, pairs
-    yield from (kernels[0] for kernels in _weighted_contracts(model, *args))
+    args = f.order, g.order, terms, lead, tf, cf, tg, cg, pairs
+    return (kernels[0] for kernels in _weighted_contracts(model, *args))
 
 
 def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) -> dict:
     """k -> [sym_offdiag_weighted_contract(model, f_k, f_k, r, l) for (r, l)
     in terms] for each k = 1..N, ascending, whose slice f_k is nonzero, from
     one emission under lead k.  Its pairs are the postings of k (the entries
-    of f holding k, in f's order) paired a-major, k dropped from both."""
+    of f holding k, in f's order) paired a-major, k dropped from both.  An
+    index beyond N raises before any work; otherwise the first error in
+    (r, l)-then-k order raises."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
+    _check_kernel_indices(model, f)
     n = f.order - 1
-    names, [(tf, cf)] = _ranked((f,))
-    # Row (entry, index k of it) is the entry without k, led by k's rank.
+    tf, cf = _rows(f)
+    # Row (entry, index k of it) is the entry without k, led by k - 1.
     lead = tf.reshape(-1)
     drop = np.tile(~np.eye(f.order, dtype=bool), (len(tf), 1))
     rows = np.repeat(tf, f.order, axis=0)[drop].reshape(len(lead), n)
     order = np.argsort(lead, kind="stable")  # lead by lead, each in f's order
-    order = order[lead[order] < bisect.bisect_right(names, model.size)]
     lead, rows, cf = lead[order], rows[order], np.repeat(cf, f.order)[order]
     # Each lead's ordered pairs (a, b) of rows, a-major: row a meets the size
     # rows of its lead, from the first one on.
@@ -429,10 +425,10 @@ def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) ->
     b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size - first, size)
     shared = (rows[a, :, None] == rows[b, None, :]).sum(axis=(1, 2))
     pairs = {r: (a[shared == r], b[shared == r]) for r, _ in terms}
-    args = names, n, n, terms, lead, rows, cf, rows, cf, pairs
+    args = n, n, terms, lead, rows, cf, rows, cf, pairs
     slices = sorted(set(lead.tolist()))
     parts = zip(*_weighted_contracts(model, *args)) if terms else [()] * len(slices)
-    return {names[i]: list(p) for i, p in zip(slices, parts)}
+    return {i + 1: list(p) for i, p in zip(slices, parts)}
 
 
 def sym_offdiag_weighted_contract(

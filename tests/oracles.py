@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from radstein.bounds import BoundReport
-from radstein.chaos import _check_kernel_indices, decompose, to_table
+from radstein.chaos import decompose, to_table
 from radstein.chenstein import (
     _TERM_EPS,
     _check_lambda,
@@ -35,6 +35,7 @@ from radstein.errors import LengthMismatch, TooFewSamples, TooManySamples
 from radstein.kernels import (
     Kernel,
     _check_contraction_indices,
+    _check_kernel_indices,
     inner_product,
     kernel_add,
     norm_sq,

@@ -685,19 +685,20 @@ class TestProductFormulaRoute:
 
 class TestSliceProductKernels:
     """``slice_product_kernels``, all slices from one engine call, against
-    ``product_kernels`` called once per nonzero slice: the same slices, the
-    same kernels in key order and float.hex, and the same first error."""
+    ``product_kernels`` called once per nonzero slice: the same slices and
+    the same kernels in key order and float.hex.  An index beyond N raises
+    at the call; any other error has the per-slice route's type."""
 
     MODERATE = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
     HUGE = st.sampled_from([1e200, -1e300, 1e155, 1e80, -1e77, 1e40])
 
     @staticmethod
-    def outcomes(slices):
-        """(k, f_k, kernels) of each slice hexed, up to the first error,
-        which ends the list as (type, message)."""
+    def outcomes(route, model, f):
+        """(k, f_k, kernels) of each slice of route(model, f) hexed, up to
+        the first error, which ends the list as (type, message)."""
         hexed, out = TestProductFormulaRoute.hexed, []
         try:
-            for k, fk, kernels in slices:
+            for k, fk, kernels in route(model, f):
                 out.append((k, hexed({fk.order: fk}), hexed(kernels)))
         except (IndexOutOfRange, ValueError, OverflowError) as err:
             out.append((type(err), str(err)))
@@ -726,8 +727,8 @@ class TestSliceProductKernels:
             label="p",
         )
         m = data.draw(st.integers(2, 4), label="m")
-        # Indices up to N + 2, so that some slices are empty and a kept
-        # index beyond N raises where the per-slice route raises.
+        # Indices up to N + 2, so that some slices are empty and some
+        # kernels hold an index beyond N.
         extra = data.draw(st.sampled_from([0, 0, 0, 1, 2]), label="beyond N")
         top = max(m, size + extra)
         used = data.draw(
@@ -750,14 +751,24 @@ class TestSliceProductKernels:
         mixed = data.draw(st.sampled_from([False, False, False, True]), label="huge")
         coefficient = st.one_of(self.MODERATE, self.HUGE) if mixed else self.MODERATE
         model, f = self.draw_setup(data, coefficient)
+        if f.max_index() > model.size:
+            message = f"kernel references index {f.max_index()}, model has {model.size}"
+            with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+                chaos.slice_product_kernels(model, f)
+            return
         with mock.patch.object(
             chaos, "product_kernels", wraps=chaos.product_kernels
         ) as spy:
-            got = self.outcomes(chaos.slice_product_kernels(model, f))
-        want = self.outcomes(self.per_slice(model, f))
-        assert got == want
-        if all(len(item) == 3 for item in got):
-            assert spy.call_count == 0  # every slice came from the batch
+            got = self.outcomes(chaos.slice_product_kernels, model, f)
+        assert spy.call_count == 0  # every slice came from the batch
+        want = self.outcomes(self.per_slice, model, f)
+        if all(len(item) == 3 for item in want):
+            assert got == want
+        else:
+            # The batch raises the first error in (r, l)-then-k order, the
+            # per-slice route the first in k-then-(r, l) order.
+            assert got[:-1] == want[: len(got) - 1]
+            assert len(got[-1]) == 2 and got[-1][0] is want[-1][0]
 
     @given(st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -782,20 +793,82 @@ class TestSliceProductKernels:
         with mock.patch.object(bounds, "slice_product_kernels", self.per_slice):
             assert run() == got
 
-    def test_first_error_is_the_per_slice_routes(self):
+    def test_first_error_comes_in_term_then_slice_order(self):
         """Slice 3 overflows at its first term, at (1, 2), and slice 1 at its
-        second, at (3,): the batch meets slice 3's error first, and the
-        slices, redone one by one, raise slice 1's."""
+        second, at (3,): the batch raises slice 3's error at the call, where
+        the per-slice route raises slice 1's."""
         from radstein.chaos import slice_product_kernels
-        from radstein.kernels import slice_weighted_contracts
 
         model = build_model([0.3, 0.5, 0.3])
         f = Kernel(2, {(1, 3): 1e200, (2, 3): -1e300})
-        with pytest.raises(ValueError, match=r"non-finite coefficient at \(1, 2\)"):
-            slice_weighted_contracts(model, f, [(0, 0), (1, 0)])
-        want = self.outcomes(self.per_slice(model, f))
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 2\)$"):
+            slice_product_kernels(model, f)
+        want = self.outcomes(self.per_slice, model, f)
         assert want == [(ValueError, "non-finite coefficient at (3,)")]
-        assert self.outcomes(slice_product_kernels(model, f)) == want
+
+
+class TestIndexBeyondN:
+    """Every entry point that takes a model and a kernel rejects index N + 1
+    with one message before any engine work, the summed-only contraction
+    (no phi read) included."""
+
+    GOOD = Kernel(2, {(1, 2): 1.0, (2, 3): 0.5})
+    BAD = Kernel(2, {(1, 2): 1.0, (2, 4): 0.5})
+
+    @staticmethod
+    def entry_points():
+        from radstein import chaos, kernels
+
+        good, bad = TestIndexBeyondN.GOOD, TestIndexBeyondN.BAD
+        expansion = ChaosExpansion(1.0, {2: bad})
+        return {
+            "contracts": lambda m: kernels.sym_offdiag_weighted_contracts(
+                m, good, bad, [(1, 0)]
+            ),
+            "contracts_summed_only": lambda m: kernels.sym_offdiag_weighted_contracts(
+                m, bad, bad, [(2, 2), (1, 1)]
+            ),
+            "contract": lambda m: kernels.sym_offdiag_weighted_contract(
+                m, bad, good, 1, 1
+            ),
+            "slice_contracts": lambda m: kernels.slice_weighted_contracts(
+                m, bad, [(0, 0)]
+            ),
+            "product_kernels": lambda m: chaos.product_kernels(m, bad, bad, shift=1),
+            "slice_product_kernels": lambda m: chaos.slice_product_kernels(m, bad),
+            "multiply": lambda m: chaos.multiply(m, good, bad),
+            "covariance": lambda m: chaos.covariance(m, good, bad),
+            "to_table": lambda m: to_table(m, expansion),
+            "evaluate_on_signs": lambda m: chaos.evaluate_on_signs(
+                m, expansion, np.ones((2, 3))
+            ),
+            "j1_bound": lambda m: j1_bound(
+                m, Kernel(1, {(4,): 1.0}), 0.0, 1.0, check_integer=False
+            ),
+            "jm_bound": lambda m: jm_bound(m, bad, 0.0, 1.0, check_integer=False),
+            "j2_bound": lambda m: j2_bound(m, bad, 0.0, 1.0, check_integer=False),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "contracts", "contracts_summed_only", "contract", "slice_contracts",
+            "product_kernels", "slice_product_kernels", "multiply", "covariance",
+            "to_table", "evaluate_on_signs", "j1_bound", "jm_bound", "j2_bound",
+        ],
+    )
+    def test_raises_one_message_at_the_call(self, name):
+        from unittest import mock
+
+        from radstein import kernels
+
+        model = build_model([0.3, 0.6, 0.5])
+        call = self.entry_points()[name]
+        with mock.patch.object(kernels, "_rows", side_effect=AssertionError):
+            with pytest.raises(
+                IndexOutOfRange, match=r"^kernel references index 4, model has 3$"
+            ):
+                call(model)
 
 
 class TestSecondOrderBound:

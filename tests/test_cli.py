@@ -9,6 +9,7 @@ import pytest
 
 from radstein.cli import main
 from radstein.kernels import Kernel
+from radstein.model import build_model
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -572,6 +573,29 @@ class TestBernoulliCommand:
         assert row["lambda"] == 1.5
         assert row["term_mean_shift"] == 0.0
         assert row["exact"] is None and row["dominates"] is None
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ["0.3458302861451052", "0.48333638608922824", "0.047233024913748506",
+             "0.07957203516592601"],
+            [repr(0.03 + 0.007 * k) for k in range(30)],
+        ],
+        ids=["n4", "n30"],
+    )
+    @pytest.mark.parametrize(
+        "policy, term", [("mean", "term_mean_shift"), ("variance", "term_variance_like")]
+    )
+    def test_lambda_policies_are_the_sums_of_p_and_pq(self, p, policy, term, tmp_path):
+        # Over the table (N = 4) E F and Var F are one ulp off these sums,
+        # and so is the sum of sigma_k^2 beyond the cap (N = 30).
+        code, text = run_cli(["bernoulli", "--p", *p, "--lambda", policy], tmp_path, "x")
+        assert code == 0
+        model = build_model([float(x) for x in p])
+        sums = {"mean": model.p, "variance": model.p * model.q}
+        row = json.loads(text)["rows"][0]
+        assert row["lambda"] == math.fsum(sums[policy])
+        assert row[term] == 0.0
 
     def test_parser_reuse_keeps_the_default_seed(self, capsys):
         argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "10000"]

@@ -250,7 +250,8 @@ class TestFusedContraction:
 class TestMultiTermEngine:
     """``sym_offdiag_weighted_contracts`` against the postings-map engine it
     replaced, called once per (r, l): the same kernels in key order and
-    float.hex, and the same exception at the same term."""
+    float.hex, and the same exception at the same term.  A kernel index
+    beyond N raises at the call."""
 
     @staticmethod
     def outcomes(parts):
@@ -279,8 +280,7 @@ class TestMultiTermEngine:
             label="p",
         )
         model = build_model(p)
-        # Indices up to N + 2: a kept index beyond N must raise where the
-        # one-term engine raises, and contract to a kernel where it does.
+        # Indices up to N + 2: an index beyond N must raise at the call.
         top = size + data.draw(st.sampled_from([0, 0, 1, 2]), label="beyond N")
         coefficient = st.one_of(
             st.sampled_from([1.0, -1.0, 0.5]),
@@ -308,6 +308,12 @@ class TestMultiTermEngine:
         terms = data.draw(st.lists(term, min_size=1, max_size=8), label="terms")
         block = data.draw(st.sampled_from([1, 2, 7, 1 << 15]), label="pair block")
 
+        beyond = max(f.max_index(), g.max_index())
+        if beyond > size:
+            message = f"kernel references index {beyond}, model has {size}"
+            with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+                sym_offdiag_weighted_contracts(model, f, g, terms)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with mock.patch.object(kernels, "_PAIR_BLOCK", block):
@@ -349,13 +355,15 @@ class TestMultiTermEngine:
         assert got == want
         assert got[-1][0] is error
 
-    def test_kept_index_beyond_n_raises_at_its_term(self):
+    def test_index_beyond_n_raises_at_the_call(self):
+        # Index 3 is only ever summed at (1, 1), where no phi is read: the
+        # call still raises before any kernel is formed.
         model = build_model([0.3, 0.6])
         f = Kernel(2, {(1, 3): 1.0, (2, 3): 1.0})
-        parts = sym_offdiag_weighted_contracts(model, f, f, [(1, 1), (1, 0)])
-        assert next(parts).entries  # summed index 3: no phi is read
-        with pytest.raises(IndexOutOfRange, match="coordinate 3 outside 1..2"):
-            next(parts)
+        message = "^kernel references index 3, model has 2$"
+        for terms in ([(1, 1)], [(1, 1), (1, 0)]):
+            with pytest.raises(IndexOutOfRange, match=message):
+                sym_offdiag_weighted_contracts(model, f, f, terms)
 
     def test_invalid_term_raises_before_any_work(self):
         model = build_model([0.3, 0.6])
