@@ -218,7 +218,7 @@ def jm_bound(
     grouped kernels: those of f with itself at shift 1 (fluctuation block)
     and of each nonzero slice f(., k) with itself at shift 0 (coordinate
     block, every k from one engine call).  The fluctuation block raises
-    first (an index beyond N raises there), then the slices in ascending k.
+    first (an index beyond N raises there), then the slices' engine call.
 
     The remainder has two square-root blocks: the fluctuation of the gradient
     inner product around its mean, and the sqrt(Var F)-weighted block over

@@ -377,7 +377,8 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
                 weights[:, s] = w
         keys, weights = keys.reshape(-1, 1 + out_order), weights.reshape(-1)
         firsts, sums = sums_by_key(keys, weights)
-        tuples = map(tuple, (keys[firsts, 1:] + 1).tolist())
+        columns = (keys[firsts, 1:] + 1).T.tolist()
+        tuples = zip(*columns) if out_order else [()] * len(sums)
         # The pairs come lead by lead, so each lead's groups form one run.
         ends = np.searchsorted(keys[firsts, 0], wanted, "right")
         items, sizes = zip(tuples, sums), np.diff(ends, prepend=0).tolist()
