@@ -180,13 +180,16 @@ def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
     }
 
 
-def _bound_rows(model, expansion, table, lam, methods, mc_samples, seed, shrink) -> list:
+def _bound_rows(
+    model, expansion, table, sampled, lam, methods, mc_samples, seed, shrink
+) -> list:
     """One row per method, each against the exact distance of its kind: from
     the law of ``table`` when there is one (total variation only if a row
     needs it, Wasserstein-1 only for ``wasserstein``), else a Monte Carlo
-    total variation when ``mc_samples`` is set, else none.  The methods must
-    fit the functional; ``distribution`` has already held the table to the
-    integer rule, so the J_m bounds skip their own check."""
+    total variation of the ``sampled`` evaluator when ``mc_samples`` is set,
+    else none.  The methods must fit the functional; ``distribution`` has
+    already held the table to the integer rule, so the J_m bounds skip their
+    own check."""
     exact = {"tv": None, "w1": None}
     if table is not None:
         dist = distribution(model, table)
@@ -195,8 +198,7 @@ def _bound_rows(model, expansion, table, lam, methods, mc_samples, seed, shrink)
         if "wasserstein" in methods:
             exact["w1"] = w1_exact(dist, lam).value
     elif mc_samples:
-        values = functools.partial(evaluate_on_signs, model, expansion)
-        exact["tv"] = tv_monte_carlo(model, values, lam, int(mc_samples), seed).value
+        exact["tv"] = tv_monte_carlo(model, sampled, lam, mc_samples, seed).value
     rows = []
     streamed = {}
     for method in methods:
@@ -293,6 +295,8 @@ def _parse_bound_spec(doc: dict) -> tuple:
     if form == "bernoulli":
         expansion = _bernoulli_expansion(model)
         default_methods, table_of = ["bernoulli"], bounds_mod.bernoulli_sum_table
+        # Sampled rows are +-1, so the sum is each row's count of +1 entries.
+        sampled = lambda signs: np.count_nonzero(signs == 1, axis=1)
         moments = stable_sum(model.p), stable_sum(model.p * model.q)
     elif form == "chaos":
         if not isinstance(payload, dict):
@@ -311,6 +315,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
             )
         default_methods, moments = ["main"], None
         table_of = functools.partial(to_table, expansion=expansion)
+        sampled = functools.partial(evaluate_on_signs, model, expansion)
     else:
         raise SpecParseError(f"unknown functional form {form!r}", "$.functional")
 
@@ -364,7 +369,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
             var = stable_sum(covariance(model, k, k) for k in expansion.kernels.values())
         lam = _resolve_lambda(policy, mean, var, "$.lambda")
         return _bound_rows(
-            model, expansion, table, lam, requested, mc_samples, seed, shrink
+            model, expansion, table, sampled, lam, requested, mc_samples, seed, shrink
         )
 
     return {"functional": form, "n_coordinates": model.size, "seed": seed}, spec_rows

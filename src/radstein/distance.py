@@ -37,10 +37,8 @@ from .model import (
 MIN_MC_SAMPLES = 10_000
 MAX_MC_SAMPLES = 10**8  # about 90 s at 10^6 samples/s
 SEED_LIMIT = 2**128  # Philox keys are 128-bit
-# Sampled values are checked for integrality one chunk at a time; within a
-# chunk, outcomes are drawn and evaluated in blocks small enough to stay in
-# cache, ahead of the evaluator on up to four helper threads.
-_MC_CHUNK = 1 << 16
+# Outcomes are drawn, evaluated, checked and counted in blocks small enough to
+# stay in cache, drawn ahead of the evaluator on up to four helper threads.
 _BLOCK_BYTES = 1 << 20
 if hasattr(os, "sched_getaffinity"):
     _MC_THREADS = min(len(os.sched_getaffinity(0)), 4)
@@ -110,17 +108,8 @@ def w1_exact(dist: DistributionTable, lam: float) -> DistanceResult:
 
 def _block_rows(n: int) -> int:
     """Rows per sampled block at ``n`` coordinates: a multiple of 4 whose
-    uniforms take at most :data:`_BLOCK_BYTES`, and no more than a chunk."""
-    return min(_MC_CHUNK, max(4, _BLOCK_BYTES // (8 * n) // 4 * 4))
-
-
-def _blocks(samples: int, block: int):
-    """(first outcome, rows) of each block: chunks of 2^16 outcomes, each
-    cut into blocks of ``block`` rows and a shorter last one."""
-    for start in range(0, samples, _MC_CHUNK):
-        end = min(start + _MC_CHUNK, samples)
-        for first in range(start, end, block):
-            yield first, min(block, end - first)
+    uniforms take at most :data:`_BLOCK_BYTES`."""
+    return max(4, _BLOCK_BYTES // (8 * n) // 4 * 4)
 
 
 def _sample_signs(p: np.ndarray, seed: int, first: int, rows: int) -> np.ndarray:
@@ -151,14 +140,15 @@ def tv_monte_carlo(
     threads (one per CPU in the process's affinity, at most four) draw
     blocks of B rows ahead, B a multiple of 4 whose B*N uniforms fill at
     most 1 MiB.  The evaluator maps a (rows, N) int8 sign matrix to one value
-    per row; it is called on consecutive blocks of at most B rows, in order,
-    on the calling thread.  Values are checked for integrality one chunk of
-    2^16 outcomes at a time.
+    per row; it is called on consecutive blocks of B rows and a shorter last
+    one, in order, on the calling thread.  Each block's values are checked
+    for integrality and counted before the next block is evaluated.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     lam = _check_lambda(lam)
-    samples = int(samples)
+    if type(samples) is not int:
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < MIN_MC_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if samples > MAX_MC_SAMPLES:
@@ -166,28 +156,23 @@ def tv_monte_carlo(
     if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     counts = np.zeros(1, dtype=np.int64)
-    values = np.empty(min(_MC_CHUNK, samples))
+    block = _block_rows(model.size)
     with ThreadPoolExecutor(_MC_THREADS) as pool:
         jobs = (
-            (first, rows, pool.submit(_sample_signs, model.p, seed, first, rows))
-            for first, rows in _blocks(samples, _block_rows(model.size))
+            pool.submit(_sample_signs, model.p, seed, first, min(block, samples - first))
+            for first in range(0, samples, block)
         )
         # A few blocks in flight hide the sampling and bound the memory.
         pending = deque(itertools.islice(jobs, 2 * _MC_THREADS))
         while pending:
-            first, rows, job = pending.popleft()
+            signs = pending.popleft().result()
             pending.extend(itertools.islice(jobs, 1))
-            at, end = first % _MC_CHUNK, first + rows
-            block = np.asarray(evaluator(job.result()), dtype=float)
-            if block.shape != (rows,):
+            values = np.asarray(evaluator(signs), dtype=float)
+            if values.shape != (len(signs),):
                 raise LengthMismatch(
-                    f"evaluator returned shape {block.shape} for {rows} sign rows"
+                    f"evaluator returned shape {values.shape} for {len(signs)} sign rows"
                 )
-            values[at : at + rows] = block
-            if end % _MC_CHUNK and end < samples:
-                continue
-            chunk = values[: at + rows]
-            ints = rounded_integers(chunk, countable=True, sampled=True).astype(np.int64)
+            ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
             top = int(ints.max())
             if top >= counts.size:
                 _check_range(top, lam, top)

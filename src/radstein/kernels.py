@@ -212,7 +212,7 @@ def kernel_add(f: Kernel, g: Kernel) -> Kernel:
 
 
 def _check_kernel_indices(model: ProbabilityModel, *kernels: Kernel) -> None:
-    top = max(f.max_index() for f in kernels)
+    top = max((f.max_index() for f in kernels), default=0)
     if top > model.size:
         raise IndexOutOfRange(f"kernel references index {top}, model has {model.size}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chaos import ChaosExpansion, _forward_transform, _inverse_transform, mask_orders
 from .errors import IndexOutOfRange, LengthMismatch, MalformedField
-from .kernels import Kernel, slice_kernel
+from .kernels import Kernel, _check_kernel_indices, slice_kernel
 from .model import FunctionalTable, ProbabilityModel, expectation, stable_sum
 
 
@@ -108,11 +108,7 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
     for k, component in u.components.items():
         if not 1 <= int(k) <= model.size:
             raise MalformedField(f"component index {k} outside 1..{model.size}")
-        if component.max_index() > model.size:
-            raise MalformedField(
-                f"component {k} references coordinate {component.max_index()} "
-                f"beyond the model"
-            )
+        _check_kernel_indices(model, *component.kernels.values())
         if component.max_order() >= model.size:
             raise MalformedField(
                 f"component {k} holds order {component.max_order()}, so the "

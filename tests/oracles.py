@@ -583,10 +583,10 @@ def columnwise_evaluate_on_signs(model, expansion, signs):
 
 def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
     """Monte Carlo total variation from one Philox generator keyed by the
-    seed, drawn and evaluated in whole chunks of ``distance._MC_CHUNK``
-    outcomes (read at call time, so a test may shrink it)."""
+    seed, drawn, evaluated and counted in whole blocks of
+    ``distance._block_rows(model.size)`` outcomes (read at call time, so a
+    test may patch it)."""
     lam = _check_lambda(lam)
-    samples = int(samples)
     least, most = distance.MIN_MC_SAMPLES, distance.MAX_MC_SAMPLES
     if samples < least:
         raise TooFewSamples(f"need at least {least} samples, got {samples}")
@@ -596,8 +596,8 @@ def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
     counts = np.zeros(1, dtype=np.int64)
     done = 0
     while done < samples:
-        chunk = min(distance._MC_CHUNK, samples - done)
-        u = gen.random((chunk, model.size))
+        block = min(distance._block_rows(model.size), samples - done)
+        u = gen.random((block, model.size))
         signs = np.where(u < model.p, 1, -1).astype(np.int8)
         values = np.asarray(evaluator(signs), dtype=float)
         ints = rounded_integers(values, countable=True, sampled=True).astype(np.int64)
@@ -608,7 +608,7 @@ def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
                 [counts, np.zeros(top + 1 - counts.size, dtype=np.int64)]
             )
         counts += np.bincount(ints, minlength=counts.size)
-        done += chunk
+        done += block
     pmf = {k: c / samples for k, c in enumerate(counts) if c > 0}
     spread = stable_sum(p * (1.0 - p) for p in pmf.values())
     return replace(

@@ -817,7 +817,7 @@ class TestIndexBeyondN:
 
     @staticmethod
     def entry_points():
-        from radstein import chaos, kernels
+        from radstein import chaos, kernels, malliavin
 
         good, bad = TestIndexBeyondN.GOOD, TestIndexBeyondN.BAD
         expansion = ChaosExpansion(1.0, {2: bad})
@@ -847,6 +847,12 @@ class TestIndexBeyondN:
             ),
             "jm_bound": lambda m: jm_bound(m, bad, 0.0, 1.0, check_integer=False),
             "j2_bound": lambda m: j2_bound(m, bad, 0.0, 1.0, check_integer=False),
+            "divergence": lambda m: malliavin.divergence(
+                m,
+                malliavin.GradientField(
+                    {1: ChaosExpansion(0.0, {1: Kernel(1, {(4,): 1.0})})}
+                ),
+            ),
         }
 
     @pytest.mark.parametrize(
@@ -855,6 +861,7 @@ class TestIndexBeyondN:
             "contracts", "contracts_summed_only", "contract", "slice_contracts",
             "product_kernels", "slice_product_kernels", "multiply", "covariance",
             "to_table", "evaluate_on_signs", "j1_bound", "jm_bound", "j2_bound",
+            "divergence",
         ],
     )
     def test_raises_one_message_at_the_call(self, name):

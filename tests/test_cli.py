@@ -12,6 +12,7 @@ from radstein.kernels import Kernel
 from radstein.model import build_model
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
 def run_cli(args, tmp_path, name):
@@ -596,6 +597,25 @@ class TestBernoulliCommand:
         row = json.loads(text)["rows"][0]
         assert row["lambda"] == math.fsum(sums[policy])
         assert row[term] == 0.0
+
+    def test_sampled_sum_is_the_count_of_plus_ones(self, tmp_path):
+        # Beyond the cap the sampled Bernoulli sum never evaluates a chaos
+        # expansion, and its report is the golden one.
+        from unittest import mock
+
+        from radstein import chaos, cli
+
+        p = [repr(0.02 + 0.005 * k) for k in range(30)]
+        argv = ["bernoulli", "--p", *p, "--mc-samples", "20000", "--seed", "5"]
+        fail = mock.Mock(side_effect=AssertionError("evaluated the expansion"))
+        with mock.patch.object(cli, "evaluate_on_signs", fail), mock.patch.object(
+            chaos, "evaluate_on_signs", fail
+        ):
+            code, text = run_cli(argv, tmp_path, "x")
+        assert code == 0
+        golden = os.path.join(GOLDEN, "bernoulli_n30_mc.out")
+        with open(golden, encoding="utf-8") as handle:
+            assert text == handle.read()
 
     def test_parser_reuse_keeps_the_default_seed(self, capsys):
         argv = ["bernoulli", "--p", *["0.1"] * 25, "--mc-samples", "10000"]

@@ -332,7 +332,7 @@ def _faulty(evaluator, fault, width):
 
 class TestBlockStream:
     """The blocked, threaded sampler and the row-streaming evaluator against
-    the one-generator, whole-chunk oracle of ``tests/oracles.py``."""
+    the one-generator, whole-block oracle of ``tests/oracles.py``."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("block", [4, 12, None])
@@ -348,11 +348,7 @@ class TestBlockStream:
             for _ in range(rng.randint(1, 4))
         ]
         expansion = _all_plus_count(model, tuples)
-        chunk = rng.choice([1000, distance._MC_CHUNK])
-        if block is None and chunk == distance._MC_CHUNK and rng.random() < 0.5:
-            samples = rng.randint(65_537, 70_001)  # past the first chunk
-        else:
-            samples = rng.randint(10_000, 10_099)
+        samples = rng.randint(10_000, 10_099)
         seed = rng.choice([0, 2**128 - 1, rng.randrange(2**128)])
         fault = rng.choice([None, None, "raise", *_FAULTS])
         width = rng.randint(1, min(n, 6))
@@ -363,11 +359,11 @@ class TestBlockStream:
             return _outcome(lambda: estimate(model, values, lam, samples, seed))
 
         rows = distance._block_rows if block is None else (lambda n: block)
-        with mock.patch.object(distance, "_MC_CHUNK", chunk):
+        with mock.patch.object(distance, "_block_rows", rows):
             want = run(
                 oracles.sequential_tv_monte_carlo, oracles.columnwise_evaluate_on_signs
             )
-            with mock.patch.multiple(distance, _MC_THREADS=threads, _block_rows=rows):
+            with mock.patch.object(distance, "_MC_THREADS", threads):
                 got = run(tv_monte_carlo, evaluate_on_signs)
         assert got == want
 
@@ -444,6 +440,31 @@ class TestBlockStream:
         model = build_model([0.5, 0.5])
         with pytest.raises(LengthMismatch, match="evaluator returned shape "):
             tv_monte_carlo(model, values, 1.0, 10_000, seed=0)
+
+    @pytest.mark.parametrize("samples", [10_000.9, 12_000.0, "12000", True, None])
+    def test_samples_are_checked_before_the_first_sample(self, samples):
+        def never(signs):
+            raise AssertionError("sampled with a bad sample count")
+
+        model = build_model([0.5, 0.5])
+        message = f"samples must be an integer, got {samples!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tv_monte_carlo(model, never, 1.0, samples, seed=0)
+
+    def test_a_failing_block_stops_the_sampling(self):
+        from radstein.errors import NonIntegerValue
+
+        calls = []
+
+        def second_block_fails(signs):
+            calls.append(len(signs))
+            return np.full(len(signs), 0.5 if len(calls) == 2 else 1.0)
+
+        model = build_model([0.5] * 40)
+        assert 3 * distance._block_rows(40) < 20_000
+        with pytest.raises(NonIntegerValue, match=r"^sampled value 0\.5 is not "):
+            tv_monte_carlo(model, second_block_fails, 1.0, 20_000, seed=0)
+        assert len(calls) == 2
 
     def test_largest_seed_is_reported_as_given(self):
         model = build_model([0.3, 0.4])
