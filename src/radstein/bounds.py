@@ -305,7 +305,8 @@ def second_order_bound(
     m2(l, j, k) = E[(D_l D_j F)^2 (D_l D_k F)^2] are streamed over l: only
     the N - 1 tables (D_l D_j F)^2, j != l, of one l are held at a time
     (D_l D_l F = 0, so m2(l, l, k) and m2(l, j, l) are exact zeros, or NaN
-    where the other factor is infinite).  Memory: the N first-gradient tables
+    where the other factor is infinite).  m1 and each l's m2 are (N, N)
+    arrays, summed whole into the triple terms.  Memory: the N first-gradient tables
     D_k F, their squares until the first moments are summed, one l's N - 1
     tables, and batches of about 2^14 doubles: about 2N tables of 2^N
     doubles plus under 2 MiB (tracemalloc: 35 tables at N = 14 and 16).
@@ -323,12 +324,11 @@ def second_order_bound(
     for k in range(1, n + 1):
         _gradient_into(grads[k - 1], model, table.values, k)
     grad_sq = grads * grads
-    m1 = [[0.0] * n for _ in range(n)]
+    m1 = np.empty((n, n))
     per_k = []
     for j in range(n):
         weighted = w * grad_sq[j]
-        for k, s in enumerate(_weighted_sums(weighted, grad_sq[j:]), start=j):
-            m1[j][k] = m1[k][j] = s
+        m1[j, j:] = m1[j:, j] = _weighted_sums(weighted, grad_sq[j:])
         sigma = model.sigma[j]
         drift = sigma * (model.p[j] - model.q[j])
         quartic = stable_sum(weighted * (grads[j] + drift) ** 2)
@@ -337,30 +337,24 @@ def second_order_bound(
     t5 = diff_f * stable_sum(per_k)
     del grad_sq
 
-    triple_mixed = []
-    triple_scaled = []
+    mixed, scaled = [], []
     second_sq = np.empty((n - 1, model.num_outcomes))
     for el in range(n):
-        pq = model.p[el] * model.q[el]
         others = [j for j in range(n) if j != el]
         for row, j in zip(second_sq, others):
             # D_l D_j F for j < l and D_j D_l F for j > l: the two orders round apart.
             inner, outer = (j, el) if j < el else (el, j)
             _gradient_into(row, model, grads[inner], outer + 1)
         np.multiply(second_sq, second_sq, out=second_sq)
-        zero_term = [math.nan if x else 0.0 for x in np.isinf(second_sq).any(axis=1)]
-        m2 = [[0.0] * n for _ in range(n)]
-        for a, j in enumerate(others):
-            m2[j][el] = m2[el][j] = zero_term[a]
-            sums = _weighted_sums(w * second_sq[a], second_sq)
-            for k, s in zip(others, sums):
-                m2[j][k] = s
-        for j in range(n):
-            for k in range(n):
-                triple_mixed.append(math.sqrt(max(m1[j][k], 0.0) * max(m2[j][k], 0.0)))
-                triple_scaled.append(m2[j][k] / pq)
-    t3 = diff_f * math.sqrt(3.75 * stable_sum(triple_mixed))
-    t4 = diff_f * math.sqrt(0.75 * max(stable_sum(triple_scaled), 0.0))
+        m2 = np.zeros((n, n))
+        for row, j in zip(second_sq, others):
+            m2[j, others] = _weighted_sums(w * row, second_sq)
+        cross = np.where(np.isinf(second_sq).any(axis=1), np.nan, 0.0)
+        m2[others, el] = m2[el, others] = cross
+        mixed.append(np.sqrt(np.maximum(m1, 0.0) * np.maximum(m2, 0.0)))
+        scaled.append(m2 / (model.p[el] * model.q[el]))
+    t3 = diff_f * math.sqrt(3.75 * stable_sum(np.ravel(mixed)))
+    t4 = diff_f * math.sqrt(0.75 * max(stable_sum(np.ravel(scaled)), 0.0))
 
     t1 = sup_f * abs(lam - mean)
     t2 = diff_f * abs(lam - var)

@@ -41,9 +41,11 @@ _CACHED_TABLES = 8
 
 def _integer(value, name: str) -> int:
     try:
-        return operator.index(value)
+        if type(value) is not bool:  # True is no integer here, as in tv_monte_carlo
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_lambda(lam: float) -> float:

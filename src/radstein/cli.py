@@ -180,47 +180,6 @@ def _bound_row(report, exact_value, exact_kind: str, shrink: bool) -> dict:
     }
 
 
-def _bound_rows(
-    model, expansion, table, sampled, lam, methods, mc_samples, seed, shrink
-) -> list:
-    """One row per method, each against the exact distance of its kind: from
-    the law of ``table`` when there is one (total variation only if a row
-    needs it, Wasserstein-1 only for ``wasserstein``), else a Monte Carlo
-    total variation of the ``sampled`` evaluator when ``mc_samples`` is set,
-    else none.  The methods must fit the functional; ``distribution`` has
-    already held the table to the integer rule, so the J_m bounds skip their
-    own check."""
-    exact = {"tv": None, "w1": None}
-    if table is not None:
-        dist = distribution(model, table)
-        if any(m != "wasserstein" for m in methods):
-            exact["tv"] = tv_exact(dist, lam).value
-        if "wasserstein" in methods:
-            exact["w1"] = w1_exact(dist, lam).value
-    elif mc_samples:
-        exact["tv"] = tv_monte_carlo(model, sampled, lam, mc_samples, seed).value
-    rows = []
-    streamed = {}
-    for method in methods:
-        if method in bounds_mod.STREAMED_METHODS:
-            streamed = streamed or bounds_mod.enumeration_bounds(
-                model, table, lam, set(methods) & set(bounds_mod.STREAMED_METHODS)
-            )
-            report = streamed[method]
-        elif method == "second_order":
-            report = bounds_mod.second_order_bound(model, table, lam)
-        elif method == "bernoulli":
-            report = bounds_mod.bernoulli_bound(model.p, lam)
-        else:
-            order = expansion.orders[0]
-            report = getattr(bounds_mod, f"{method}_bound")(
-                model, expansion.kernel(order), expansion.mean, lam, check_integer=False
-            )
-        kind = "w1" if method == "wasserstein" else "tv"
-        rows.append(_bound_row(report, exact[kind], kind, shrink))
-    return rows
-
-
 def _parse_bound_spec(doc: dict) -> tuple:
     """Every check of a ``bound`` spec except its format, before any work.
     Returns the report header and a function of ``shrink`` that computes the
@@ -368,9 +327,38 @@ def _parse_bound_spec(doc: dict) -> tuple:
             mean = expansion.mean
             var = stable_sum(covariance(model, k, k) for k in expansion.kernels.values())
         lam = _resolve_lambda(policy, mean, var, "$.lambda")
-        return _bound_rows(
-            model, expansion, table, sampled, lam, requested, mc_samples, seed, shrink
-        )
+        # Each row meets the exact distance of its kind: from the table's law
+        # if there is one (TV only if a row needs it, W1 only for wasserstein),
+        # else a Monte Carlo TV if mc_samples is set, else none.  distribution
+        # held the table to the integer rule, so the J_m bounds skip theirs.
+        exact = {"tv": None, "w1": None}
+        if table is not None:
+            dist = distribution(model, table)
+            if any(m != "wasserstein" for m in requested):
+                exact["tv"] = tv_exact(dist, lam).value
+            if "wasserstein" in requested:
+                exact["w1"] = w1_exact(dist, lam).value
+        elif mc_samples:
+            exact["tv"] = tv_monte_carlo(model, sampled, lam, mc_samples, seed).value
+        rows, streamed = [], {}
+        for method in requested:
+            if method in bounds_mod.STREAMED_METHODS:
+                streamed = streamed or bounds_mod.enumeration_bounds(
+                    model, table, lam, set(requested) & set(bounds_mod.STREAMED_METHODS)
+                )
+                report = streamed[method]
+            elif method == "second_order":
+                report = bounds_mod.second_order_bound(model, table, lam)
+            elif method == "bernoulli":
+                report = bounds_mod.bernoulli_bound(model.p, lam)
+            else:
+                report = getattr(bounds_mod, f"{method}_bound")(
+                    model, expansion.kernel(orders[0]), expansion.mean, lam,
+                    check_integer=False,
+                )
+            kind = "w1" if method == "wasserstein" else "tv"
+            rows.append(_bound_row(report, exact[kind], kind, shrink))
+        return rows
 
     return {"functional": form, "n_coordinates": model.size, "seed": seed}, spec_rows
 

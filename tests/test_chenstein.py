@@ -75,6 +75,10 @@ class TestPoissonUtilities:
             TargetSet(frozenset({1}), 3.9)
         with pytest.raises(ValueError, match="4.0"):
             TargetSet(frozenset({np.float64(4.0)}))
+        with pytest.raises(ValueError, match="^target member must be an integer, got True$"):
+            TargetSet(frozenset({True}))
+        with pytest.raises(ValueError, match="^tail_start must be an integer, got True$"):
+            TargetSet(frozenset(), tail_start=True)
         target = TargetSet(frozenset({np.int64(2), 5}), np.int32(4))
         assert target.members == frozenset({2}) and target.tail_start == 4
         assert all(type(k) is int for k in target.members)
@@ -86,9 +90,9 @@ class TestSolve:
         with pytest.raises(EnumerationCapExceeded, match=message):
             solve(1.0, TargetSet(frozenset({1})), 2**40)
 
-    @pytest.mark.parametrize("k_max", [10.5, 10.0, "10"])
+    @pytest.mark.parametrize("k_max", [10.5, 10.0, "10", True])
     def test_non_integral_k_max_is_refused(self, k_max):
-        with pytest.raises(ValueError, match="k_max"):
+        with pytest.raises(ValueError, match=f"^k_max must be an integer, got {k_max!r}$"):
             solve(1.0, TargetSet(frozenset({1})), k_max)
 
     def test_solution_keeps_the_set_probability_it_was_solved_with(self):

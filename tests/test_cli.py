@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -448,6 +450,13 @@ class TestJ2Rate:
     def test_validation(self, tmp_path):
         assert main(["j2-rate", "--n-min", "1", "--n-max", "3"]) == 2
 
+    def test_rate_above_the_constant_exits_three(self, monkeypatch, capsys):
+        import radstein.bounds
+
+        monkeypatch.setattr(radstein.bounds, "J2_RATE_CONSTANT", 0.1)
+        assert main(["j2-rate", "--n-min", "2", "--n-max", "3"]) == 3
+        assert capsys.readouterr().err == "rate constant violated\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -574,6 +583,14 @@ class TestBernoulliCommand:
         assert row["lambda"] == 1.5
         assert row["term_mean_shift"] == 0.0
         assert row["exact"] is None and row["dominates"] is None
+
+    def test_csv_leaves_a_missing_distance_empty(self, tmp_path):
+        argv = ["bernoulli", "--p", *["0.05"] * 30, "--format", "csv"]
+        code, text = run_cli(argv, tmp_path, "x.csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(text))
+        assert row["exact_kind"] == "tv"
+        assert row["exact"] == "" and row["dominates"] == ""
 
     @pytest.mark.parametrize(
         "p",
@@ -716,6 +733,69 @@ class TestValidationBeforeWork:
         assert capsys.readouterr().err == (
             "spec error at $.bounds: bernoulli needs the bernoulli functional\n"
         )
+
+    MODEL = {"p": [0.2] * 16}
+
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            ([1], "$: spec document must be a JSON object"),
+            (
+                {"model": MODEL, "functional": {"poisson": {}}},
+                "$.functional: unknown functional form 'poisson'",
+            ),
+            (
+                {"model": MODEL, "functional": {"chaos": []}},
+                "$.functional.chaos: chaos literal must be an object",
+            ),
+            (
+                {"model": MODEL, "functional": {"chaos": {"kernels": {}}}},
+                "$.functional.chaos.kernels: kernels must be a list of "
+                "[tuple, coefficient]",
+            ),
+            (
+                {"model": MODEL, "functional": {"chaos": {"kernels": [[[1], 0.5, 2]]}}},
+                "$.functional.chaos.kernels[0]: expected a [tuple, coefficient] pair",
+            ),
+            (
+                {"model": MODEL, "functional": {"chaos": {"kernels": [[[], 0.5]]}}},
+                "$.functional.chaos.kernels[0]: index tuple must be a nonempty list",
+            ),
+            (
+                {"functional": {"j2_example": {"n": 5}}, "bounds": ["main"]},
+                "$.bounds: the j2_example functional supports only the j2_example "
+                "method",
+            ),
+            (
+                {
+                    "model": MODEL,
+                    "functional": {"chaos": {"kernels": [[[1, 2], 0.5]]}},
+                    "bounds": ["j1"],
+                },
+                "$.bounds: j1 needs a pure order-1 functional",
+            ),
+            (
+                {
+                    "model": MODEL,
+                    "functional": {"chaos": {"kernels": [[[1, 2, 3], 0.5]]}},
+                    "bounds": ["j2"],
+                },
+                "$.bounds: j2 needs an order-2 kernel",
+            ),
+        ],
+        ids=[
+            "not-an-object", "unknown-form", "chaos-not-an-object", "kernels-not-a-list",
+            "not-a-pair", "empty-tuple", "j2-example-method", "j1-order", "j2-order",
+        ],
+    )
+    def test_spec_error_exits_two_with_one_line(
+        self, tmp_path, table_builds, capsys, doc, line
+    ):
+        table_builds.forbid = True
+        assert main(["bound", str(write_spec(tmp_path, doc))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spec error at {line}\n"
 
     @pytest.mark.parametrize("method", ["j1", "j2", "jm"])
     def test_closed_form_row_builds_the_table_once(self, tmp_path, table_builds, method):
