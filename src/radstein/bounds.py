@@ -8,8 +8,9 @@ coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
 coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
 route ``verify`` checks too; the sparse ``Kernel`` route is the independent
 cross-check in the tests.  The closed-form J_m bounds take their grouped
-kernels from the product formula (:func:`radstein.chaos.product_kernels`),
-the code path that ``verify`` certifies.
+kernels from the product formula's grouping behind
+:func:`radstein.chaos.product_kernels` and ``multiply``, the code path that
+``verify`` certifies, as arrays up to their norms.
 """
 
 from __future__ import annotations
@@ -20,11 +21,27 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chaos import (
-    ChaosExpansion, mask_orders, product_kernels, slice_product_kernels, to_table
+    ChaosExpansion,
+    _product_formula,
+    _slice_formula,
+    mask_orders,
+    product_kernels,
+    slice_product_kernels,
+    to_table,
 )
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
-from .kernels import Kernel, _check_kernel_indices, inner_product, kernel_add, norm_sq
+from .kernels import (
+    Kernel,
+    _add_rows,
+    _check_finite,
+    _check_kernel_indices,
+    _norm_sq,
+    _runs_by_lead,
+    inner_product,
+    kernel_add,
+    norm_sq,
+)
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
@@ -215,10 +232,14 @@ def jm_bound(
     check_integer: bool = True,
 ) -> BoundReport:
     """Bound for F = shift + J_m(f) with m >= 2, via the product formula's
-    grouped kernels: those of f with itself at shift 1 (fluctuation block)
-    and of each nonzero slice f(., k) with itself at shift 0 (coordinate
-    block, every k from one engine call).  The fluctuation block raises
-    first (an index beyond N raises there), then the slices' engine call.
+    grouped kernels, kept as key rows and coefficients up to their squared
+    norms: those of f with itself at shift 1 (fluctuation block) and of each
+    nonzero slice f(., k) with itself at shift 0 (coordinate block, every k
+    from one engine call and one grouping, :func:`radstein.chaos._slice_formula`).
+    Each norm is norm_sq's correctly rounded sum over the same coefficients
+    in the same order.  The fluctuation block raises first (an index beyond
+    N raises there), then the slices' engine call and grouping, each in
+    (r, l)-then-k order, then each slice in turn.
 
     The remainder has two square-root blocks: the fluctuation of the gradient
     inner product around its mean, and the sqrt(Var F)-weighted block over
@@ -235,24 +256,31 @@ def jm_bound(
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     var = math.factorial(m) * inner_product(f, f)
 
-    grouped = product_kernels(model, f, f, shift=1)
-    fluct = stable_sum(
-        math.factorial(s) * norm_sq(kernel) for s, kernel in grouped.items()
-    )
+    grouped = _product_formula(model, f, f, 1, False)[1]
+    fluct = stable_sum(math.factorial(s) * _norm_sq(*rows) for s, rows in grouped.items())
     t3 = diff_f * math.sqrt(m * m * fluct)
 
+    keys, values, sliced, orders = _slice_formula(model, f)
+    leads = np.unique(keys[:, 0]).tolist()
+    slices = _runs_by_lead(keys, values, leads)
+    # The order-(m-1) group plus f(., k) (drift/m), added as kernel_add does.
+    drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
+    special = sliced.pop(m - 1, (keys[:0], values[:0]))
+    special = _runs_by_lead(*_add_rows(special, (keys, drifted)), leads)
+    runs = {s: _runs_by_lead(*rows, leads) for s, rows in sliced.items()}
     per_k = []
-    for k, fk, sliced in slice_product_kernels(model, f):
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        special = sliced.pop(m - 1, Kernel.zero(m - 1))
-        special = kernel_add(special, fk.scaled(drift / m))
-        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
-        pieces += [math.factorial(s) * norm_sq(kernel) for s, kernel in sliced.items()]
-        pieces.append(math.factorial(m - 1) * norm_sq(special))
-        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
+    for x in leads:
+        _check_finite(*special[x])
+        pieces = [(math.factorial(m - 1) * _norm_sq(*slices[x])) ** 2]
+        pieces += [
+            math.factorial(s) * _norm_sq(*runs[s][x])
+            for s in orders.get(x, ())
+            if s != m - 1
+        ]
+        pieces.append(math.factorial(m - 1) * _norm_sq(*special[x]))
+        per_k.append(stable_sum(pieces) / float(model.p[x] * model.q[x]))
         if math.isinf(per_k[-1]):
-            raise OverflowError(f"the coordinate block of slice {k} overflows")
+            raise OverflowError(f"the coordinate block of slice {x + 1} overflows")
     t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
 
     t1 = sup_f * abs(lam - float(shift))

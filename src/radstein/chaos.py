@@ -19,12 +19,14 @@ import numpy as np
 from .errors import LengthMismatch
 from .kernels import (
     Kernel,
+    _add_rows,
+    _check_finite,
     _check_kernel_indices,
+    _contract_rows,
+    _kernel,
+    _runs_by_lead,
+    _slice_contract_rows,
     inner_product,
-    kernel_add,
-    slice_kernel,
-    slice_weighted_contracts,
-    sym_offdiag_weighted_contracts,
 )
 from .model import FunctionalTable, ProbabilityModel
 
@@ -155,50 +157,81 @@ def product_kernels(
     kernels of J_n(f) J_m(g); at shift 1 with g = f of order m, those of
     sum_k (D_k J_m(f))^2 / m^2.  The order-0 term (n = m = r = l) is skipped.
     """
-    return _product_formula(model, f, g, shift, False)[1]
+    grouped = _product_formula(model, f, g, shift, False)[1]
+    return {order: _kernel(*rows) for order, rows in grouped.items()}
 
 
 def _product_formula(
     model: ProbabilityModel, f: Kernel, g: Kernel, shift: int, with_mean: bool
 ) -> tuple:
-    """(mean, kernels by order) of :func:`product_kernels`, every term from
+    """:func:`_grouped` of :func:`product_kernels`' terms, every term from
     one engine call; the order-0 term, the mean, is formed only with_mean."""
     n, m = f.order - shift, g.order - shift
     terms = [(r, ell) for r in range(min(n, m) + 1) for ell in range(r + 1)]
     terms = [(r, ell) for r, ell in terms if n + m - r - ell > 0 or with_mean]
     shifted = [(r + shift, ell + shift) for r, ell in terms]
-    parts = sym_offdiag_weighted_contracts(model, f, g, shifted)
-    return _grouped(n, m, terms, parts)
+    return _grouped(n, m, terms, _contract_rows(model, f, g, shifted))
 
 
 def _grouped(n: int, m: int, terms: list, parts) -> tuple:
-    """(mean, kernels by order) of the product formula's parts at terms."""
-    mean, grouped = 0.0, {}
-    for (r, ell), part in zip(terms, parts):
-        if part.is_zero():
+    """(mean, rows, orders) of the product formula's parts at terms, each a
+    (key rows, coefficients) pair of the engine: rows maps each order to its
+    key rows and coefficients, the parts of that order scaled by
+    r! C(n,r) C(m,r) C(r,l) and added in term order as ``scaled`` and
+    :func:`kernel_add` would (so they raise as those do, part by part); the
+    order-0 part is the mean.  orders maps each lead to its orders, in the
+    order its first nonzero part of each came (an order whose sum cancelled
+    stays)."""
+    mean, grouped, orders = 0.0, {}, {}
+    for (r, ell), (keys, values) in zip(terms, parts):
+        if not len(values):
             continue
         coefficient = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
         coefficient *= math.comb(r, ell)
-        order = part.order
+        order = keys.shape[1] - 1
         if order == 0:
-            mean = coefficient * part.entries[()]
+            mean = coefficient * float(values[0])
             continue
-        scaled = part.scaled(float(coefficient))
-        grouped[order] = (
-            kernel_add(grouped[order], scaled) if order in grouped else scaled
-        )
-    return mean, grouped
+        with np.errstate(over="ignore"):
+            scaled = float(coefficient) * values
+        _check_finite(keys, scaled)
+        if order in grouped:
+            grouped[order] = _add_rows(grouped[order], (keys, scaled))
+            _check_finite(*grouped[order])
+        else:
+            grouped[order] = keys, scaled
+        leads = keys[:, 0]
+        for x in leads[np.flatnonzero(np.diff(leads, prepend=-1))].tolist():
+            orders.setdefault(x, {}).setdefault(order, None)
+    return mean, grouped, orders
+
+
+def _slice_formula(model: ProbabilityModel, f: Kernel) -> tuple:
+    """(keys, values, rows, orders): f's slice rows (``_slice_contract_rows``)
+    and the :func:`_grouped` rows and orders of the product formula of every
+    nonzero slice with itself, slice k under lead k - 1, from one engine
+    call and one grouping over all slices."""
+    n = f.order - 1
+    terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
+    keys, values, parts = _slice_contract_rows(model, f, terms)
+    _, grouped, orders = _grouped(n, n, terms, parts)
+    return keys, values, grouped, orders
 
 
 def slice_product_kernels(model: ProbabilityModel, f: Kernel):
     """Iterator over (k, f_k, product_kernels(model, f_k, f_k)) for each
     k = 1..N, ascending, whose slice f_k = ``slice_kernel(f, k)`` is nonzero,
-    all from one engine call, which raises at once what it meets first (an
-    index beyond N before any work); each slice is grouped as it is reached."""
-    n = f.order - 1
-    terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
-    parts = slice_weighted_contracts(model, f, terms).items()
-    return ((k, slice_kernel(f, k), _grouped(n, n, terms, p)[1]) for k, p in parts)
+    all from :func:`_slice_formula`, which raises at the call what it meets
+    first: an index beyond N before any work, then the first error of the
+    engine and then of the grouping, each in (r, l)-then-k order."""
+    keys, values, grouped, orders = _slice_formula(model, f)
+    leads = np.unique(keys[:, 0]).tolist()
+    slices = _runs_by_lead(keys, values, leads)
+    runs = {s: _runs_by_lead(*rows, leads) for s, rows in grouped.items()}
+    return (
+        (x + 1, _kernel(*slices[x]), {s: _kernel(*runs[s][x]) for s in orders.get(x, ())})
+        for x in leads
+    )
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
@@ -207,7 +240,8 @@ def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     (n, n)) when the orders agree, all from one engine call."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    return ChaosExpansion(*_product_formula(model, f, g, 0, True))
+    mean, grouped, _ = _product_formula(model, f, g, 0, True)
+    return ChaosExpansion(mean, {s: _kernel(*rows) for s, rows in grouped.items()})
 
 
 def evaluate_on_signs(

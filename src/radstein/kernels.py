@@ -21,14 +21,22 @@ model's phi over the identified-but-unsummed slots.
 :func:`weighted_contract`, :func:`to_kernel`, :func:`kernel_as_raw`) expand
 every permutation explicitly: they are the reference path that tests check
 against, outside the top-level API.  The bounds and the product formula use
-only :func:`sym_offdiag_weighted_contracts` (all nnz_f x nnz_g entry pairs,
-in numpy blocks of about ``_PAIR_BLOCK``) and :func:`slice_weighted_contracts`
-(each slice's pairs, from postings): one emission of the symmetrized
-off-diagonal kernels at every (r, l).  Both reject a kernel index beyond N
-before any work (:func:`_check_kernel_indices`), so the engine reads phi
-at each index directly.  Kernels that this module builds from valid kernels
-(the engine's output, ``scaled``, :func:`kernel_add`, :func:`slice_kernel`)
-are not re-parsed: only finiteness is checked and zeros are dropped.
+one engine, ``_weighted_contracts``, fed by an all-pairs scan of f and g
+(``_contract_rows``) or by the pairs of every slice of f with itself at once
+(``_slice_contract_rows``).  Each entry pair's shared-index count is one
+entry of the product of two 0/1 incidence matrices, formed sparsely in
+integers (``np.bincount`` over postings, no BLAS call) for about
+``_PAIR_BLOCK`` pairs at a time on either side.  The engine
+emits, per (r, l), key rows (a lead, then the indices) and correctly
+rounded coefficients as arrays, which the product formula groups and the
+J_m bounds reduce to norms without building a :class:`Kernel`.
+:func:`sym_offdiag_weighted_contracts` and :func:`slice_weighted_contracts`
+build Kernels from them for public callers.  Both routes reject a kernel
+index beyond N before any work (:func:`_check_kernel_indices`), so the
+engine reads phi at each index directly.  Kernels that this module builds
+from valid kernels (the engine's output, ``scaled``, :func:`kernel_add`,
+:func:`slice_kernel`) are not re-parsed: only finiteness is checked and
+zeros are dropped.
 """
 
 from __future__ import annotations
@@ -44,7 +52,15 @@ from .errors import (
     InvalidContractionIndices,
     OrderMismatch,
 )
-from .model import ProbabilityModel, stable_sum, sums_by_key
+from .model import (
+    ProbabilityModel,
+    _key_runs,
+    _pair_sums,
+    _sums_by_key,
+    run_sums,
+    stable_sum,
+    sums_by_key,
+)
 
 
 def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
@@ -315,38 +331,141 @@ def _rows(h: Kernel) -> tuple:
     return rows, np.array([*h.entries.values()])
 
 
-def _pairs_by_shared_count(tf: np.ndarray, tg: np.ndarray, counts) -> dict:
-    """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, in
-    all-pairs scan order; each row of tf and tg holds one entry's indices.
-    Counts are formed for about ``_PAIR_BLOCK`` pairs at a time."""
-    step = max(1, _PAIR_BLOCK // max(1, len(tg)))
+def _kernel(keys: np.ndarray, values: np.ndarray) -> Kernel:
+    """The kernel of finite ``values`` at key rows (a lead, then 0-based
+    indices ascending), in row order, the lead dropped."""
+    order = keys.shape[1] - 1
+    tuples = zip(*(keys[:, 1:] + 1).T.tolist()) if order else [()] * len(values)
+    return Kernel._built(order, dict(zip(tuples, values.tolist())))
+
+
+def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
+    """Raise ``Kernel._built``'s ValueError at the first non-finite value,
+    named by its key row without the lead."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        key = tuple((keys[bad.argmax(), 1:] + 1).tolist())
+        raise ValueError(f"non-finite coefficient at {key}")
+
+
+def _add_rows(acc: tuple, part: tuple) -> tuple:
+    """:func:`kernel_add` on (key rows, values), the keys distinct within
+    each: acc's keys in their order, then part's new ones in theirs, each
+    value one IEEE sum; zero sums are dropped and non-finite ones kept."""
+    keys, values = (np.concatenate(pair) for pair in zip(acc, part))
+    order, edges = _key_runs(keys)
+    firsts = order[edges[:-1]]
+    emit = firsts.argsort()
+    sums = _pair_sums(values[order], edges[:-1][emit], edges[1:][emit])
+    kept = sums != 0.0
+    return keys[firsts[emit][kept]], sums[kept]
+
+
+def _runs_by_lead(keys: np.ndarray, values: np.ndarray, leads: list) -> dict:
+    """lead -> its (key rows, values), in their order, for every lead of
+    ``leads`` (ascending, holding every lead of keys)."""
+    order = np.argsort(keys[:, 0], kind="stable")
+    keys, values = keys[order], values[order]
+    ends = np.searchsorted(keys[:, 0], leads, "right").tolist()
+    return {x: (keys[a:b], values[a:b]) for x, a, b in zip(leads, [0, *ends], ends)}
+
+
+def _norm_sq(keys: np.ndarray, values: np.ndarray) -> float:
+    """:func:`norm_sq` of ``_kernel(keys, values)``, without building it:
+    the same correctly rounded sum (``run_sums``) of the squares."""
+    with np.errstate(over="ignore"):
+        squares = values * values
+    return math.factorial(keys.shape[1] - 1) * run_sums(squares, [0], [len(squares)])[0]
+
+
+def _shared_counts(rows_f: np.ndarray, rows_g: np.ndarray) -> np.ndarray:
+    """How many indices each row of rows_f shares with each row of rows_g:
+    the product A_f A_g^T of their 0/1 incidence matrices, formed sparsely
+    and exactly in integers: each index of each f row meets the g rows that
+    hold it (its postings), and ``np.bincount`` counts the meetings of each
+    pair.  No BLAS call is made, so no BLAS thread is woken."""
+    width_f, width_g = rows_f.shape[1], rows_g.shape[1]
+    if not (width_f and width_g):
+        return np.zeros((len(rows_f), len(rows_g)), np.intp)
+    index = rows_g.ravel()
+    postings = np.argsort(index, kind="stable")
+    index = index[postings]
+    lo = np.searchsorted(index, rows_f.ravel(), "left")
+    size = np.searchsorted(index, rows_f.ravel(), "right") - lo
+    # The t-th meeting of an index of f (from 0) is with its posting lo + t.
+    first = np.repeat(lo - np.cumsum(size) + size, size)
+    g_row = postings[np.arange(len(first)) + first] // width_g
+    f_row = np.repeat(np.arange(size.size) // width_f, size)
+    counts = np.bincount(f_row * len(rows_g) + g_row, minlength=len(rows_f) * len(rows_g))
+    return counts.reshape(len(rows_f), len(rows_g))
+
+
+def _lead_blocks(lead: np.ndarray) -> list:
+    """(lo, hi, c0, c1): rows lo..hi paired with rows c0..c1, covering every
+    pair of rows under one lead (``lead`` ascending) once, about
+    ``_PAIR_BLOCK`` pairs at a time: runs of whole leads of at most
+    sqrt(_PAIR_BLOCK) rows among themselves, and a longer lead's rows in
+    steps, each with all of its lead."""
+    side = math.isqrt(_PAIR_BLOCK)
+    bounds = [0, *(np.flatnonzero(np.diff(lead)) + 1).tolist(), len(lead)]
+    blocks, c0 = [], 0
+    for s, e in zip(bounds, bounds[1:]):
+        if e - s > side:
+            if c0 < s:
+                blocks.append((c0, s, c0, s))
+            step = max(1, _PAIR_BLOCK // (e - s))
+            blocks += [(lo, min(lo + step, e), s, e) for lo in range(s, e, step)]
+            c0 = e
+        elif e - c0 > side:
+            blocks.append((c0, s, c0, s))
+            c0 = s
+    if c0 < len(lead):
+        blocks.append((c0, len(lead), c0, len(lead)))
+    return blocks
+
+
+def _pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
+    """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, f
+    row by f row, each in g's order; each row of tf and tg holds one entry's
+    indices.  With ``lead`` (ascending, one per row of tf, which is then tg
+    too) only pairs of rows under one lead are formed (:func:`_lead_blocks`);
+    otherwise all pairs, about ``_PAIR_BLOCK`` at a time."""
+    if lead is None:
+        step = max(1, _PAIR_BLOCK // max(1, len(tg)))
+        blocks = [(lo, lo + step, 0, len(tg)) for lo in range(0, len(tf), step)]
+    else:
+        blocks = _lead_blocks(lead)
     found = {r: [(np.empty(0, np.intp),) * 2] for r in counts}
-    for lo in range(0, len(tf), step):
-        same = tf[lo : lo + step, None, :, None] == tg[None, :, None, :]
-        shared = same.sum(axis=(2, 3))
+    for lo, hi, c0, c1 in blocks:
+        shared = _shared_counts(tf[lo:hi], tg[c0:c1])
+        if lead is not None:
+            shared[lead[lo:hi, None] != lead[None, c0:c1]] = -1
         for r, pairs in found.items():
             i, j = np.nonzero(shared == r)
-            pairs.append((i + lo, j))
+            pairs.append((i + lo, j + c0))
     return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
 
 
 def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
-    """Per (r, l) of terms in order (checked first), the kernel under each
-    lead, ascending, of the pairs ``pairs[r]`` of rows of tf and tg (0-based
-    indices, order n and m, values cf and cg); lead is per tf row.  Each
-    split of a pair's r shared indices into l summed and r - l kept ones adds
+    """Per (r, l) of terms in order (checked first), the key rows and
+    coefficients of the kernel under each lead, ascending, of the pairs
+    ``pairs[r]`` of rows of tf and tg (0-based indices, order n and m,
+    values cf and cg); lead is per tf row.  A key row is the lead, then the
+    indices ascending.  Each split of a pair's r shared indices into l summed
+    and r - l kept ones adds
 
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
 
     (multiplied left to right, phi in ascending index order) at the tuple
     U = (T_f union T_g) minus the summed indices.  Each coefficient is the
-    correctly rounded sum of its contributions (``model.sums_by_key``, the
-    lead as first key column), keyed and summed in order of first
-    contribution, pair by pair, each pair's splits in turn.
+    correctly rounded sum of its contributions (``model.sums_by_key``), keyed
+    and summed in order of first contribution, pair by pair, each pair's
+    splits in turn.  Zero coefficients are dropped; a non-finite one raises
+    as ``Kernel._built`` does.  The pairs come lead by lead, so each lead's
+    rows form one run.
     """
     for r, ell in terms:
         _check_contraction_indices(n, m, r, ell)
-    wanted = sorted(set(lead.tolist()))
     current = None
     for r, ell in terms:
         out_order = n + m - r - ell
@@ -376,38 +495,44 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
                     w = w * model.phi[common[:, k]]
                 weights[:, s] = w
         keys, weights = keys.reshape(-1, 1 + out_order), weights.reshape(-1)
-        firsts, sums = sums_by_key(keys, weights)
-        columns = (keys[firsts, 1:] + 1).T.tolist()
-        tuples = zip(*columns) if out_order else [()] * len(sums)
-        # The pairs come lead by lead, so each lead's groups form one run.
-        ends = np.searchsorted(keys[firsts, 0], wanted, "right")
-        items, sizes = zip(tuples, sums), np.diff(ends, prepend=0).tolist()
-        yield [Kernel._built(out_order, dict(itertools.islice(items, z))) for z in sizes]
+        firsts, sums = _sums_by_key(keys, weights)
+        keys = keys[firsts]
+        _check_finite(keys, sums)
+        kept = sums != 0.0
+        yield keys[kept], sums[kept]
+
+
+def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list):
+    """Iterator over the key rows and coefficients (``_weighted_contracts``,
+    lead 0) of ``to_kernel(weighted_contract(model, f, g, r, l))`` at each
+    (r, l) of terms in order, from an all-pairs scan.  An index beyond N
+    raises at the call and an invalid (r, l) before any term is formed;
+    each term raises what its own computation meets when it is reached."""
+    _check_kernel_indices(model, f, g)
+    (tf, cf), (tg, cg) = _rows(f), _rows(g)
+    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
+    lead = np.zeros(len(tf), np.int32)
+    return _weighted_contracts(model, f.order, g.order, terms, lead, tf, cf, tg, cg, pairs)
 
 
 def sym_offdiag_weighted_contracts(
     model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
 ):
     """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
-    each (r, l) of terms in order, fed to ``_weighted_contracts`` from an
-    all-pairs scan under one lead.  An index beyond N raises at the call and
-    an invalid (r, l) before any kernel is formed; each kernel raises what
-    its own computation meets when it is reached."""
-    _check_kernel_indices(model, f, g)
-    (tf, cf), (tg, cg) = _rows(f), _rows(g)
-    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
-    lead = np.zeros(max(1, len(f.entries)), np.int32)
-    args = f.order, g.order, terms, lead, tf, cf, tg, cg, pairs
-    return (kernels[0] for kernels in _weighted_contracts(model, *args))
+    each (r, l) of terms in order: the kernels of :func:`_contract_rows`,
+    which raise as it does."""
+    return (_kernel(*part) for part in _contract_rows(model, f, g, terms))
 
 
-def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) -> dict:
-    """k -> [sym_offdiag_weighted_contract(model, f_k, f_k, r, l) for (r, l)
-    in terms] for each k = 1..N, ascending, whose slice f_k is nonzero, from
-    one emission under lead k.  Its pairs are the postings of k (the entries
-    of f holding k, in f's order) paired a-major, k dropped from both.  An
-    index beyond N raises before any work; otherwise the first error in
-    (r, l)-then-k order raises."""
+def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tuple:
+    """(keys, values, parts): f's slices as key rows and values, each entry
+    once per index k it holds, without k, led by k - 1 (lead by lead,
+    ascending, each lead in f's order), and the key rows and coefficients
+    (``_weighted_contracts``) of each (r, l) of terms in order for all slices
+    at once, slice k's under lead k - 1.  Each lead's pairs are its rows
+    paired row by row, each with its lead's rows in order.  An index beyond
+    N raises before any work; otherwise the first error in (r, l)-then-k
+    order."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
     _check_kernel_indices(model, f)
@@ -419,17 +544,23 @@ def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) ->
     rows = np.repeat(tf, f.order, axis=0)[drop].reshape(len(lead), n)
     order = np.argsort(lead, kind="stable")  # lead by lead, each in f's order
     lead, rows, cf = lead[order], rows[order], np.repeat(cf, f.order)[order]
-    # Each lead's ordered pairs (a, b) of rows, a-major: row a meets the size
-    # rows of its lead, from the first one on.
-    size, first = np.bincount(lead)[lead], np.searchsorted(lead, lead)
-    a = np.repeat(np.arange(len(lead)), size)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size - first, size)
-    shared = (rows[a, :, None] == rows[b, None, :]).sum(axis=(1, 2))
-    pairs = {r: (a[shared == r], b[shared == r]) for r, _ in terms}
+    pairs = _pairs_by_shared_count(rows, rows, {r for r, _ in terms}, lead)
     args = n, n, terms, lead, rows, cf, rows, cf, pairs
-    slices = sorted(set(lead.tolist()))
-    parts = zip(*_weighted_contracts(model, *args)) if terms else [()] * len(slices)
-    return {i + 1: list(p) for i, p in zip(slices, parts)}
+    parts = list(_weighted_contracts(model, *args))
+    return np.column_stack((lead, rows)), cf, parts
+
+
+def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) -> dict:
+    """k -> [sym_offdiag_weighted_contract(model, f_k, f_k, r, l) for (r, l)
+    in terms] for each k = 1..N, ascending, whose slice f_k is nonzero: the
+    kernels of :func:`_slice_contract_rows`, which raise as it does."""
+    keys, _, parts = _slice_contract_rows(model, f, terms)
+    leads = np.unique(keys[:, 0]).tolist()
+    out = {x + 1: [] for x in leads}
+    for part in parts:
+        for x, run in _runs_by_lead(*part, leads).items():
+            out[x + 1].append(_kernel(*run))
+    return out
 
 
 def sym_offdiag_weighted_contract(

@@ -12,7 +12,9 @@ terms.  Arrays are summed exactly per (row, binary exponent) with
 bins add up exactly to the row's sum, and one ``math.fsum`` over them rounds
 it once.  ``math.fsum`` runs on the values themselves for short input (rows
 or runs below 512 values, or fewer than 2048 values in all), non-finite input
-and input with an exponent outside +-990.
+and input with an exponent outside +-990.  A key of one or two values whose
+IEEE sum is finite and nonzero takes that sum, which is the correctly
+rounded one.
 """
 
 from __future__ import annotations
@@ -143,22 +145,54 @@ def run_sums(values: np.ndarray, starts, stops) -> list:
     ]
 
 
+def _key_runs(keys: np.ndarray) -> tuple:
+    """(order, edges) of ``keys`` (1-D, or 2-D rows): ``order`` sorts them
+    stably, so each run of equal keys keeps its input order, and ``edges``
+    holds where each run starts in that order, then the end."""
+    rows = keys if keys.ndim == 2 else keys[:, None]
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    new = np.ones(len(rows) + 1, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:-1])
+    del ordered  # at 2^N keys, gone before the caller sorts its values
+    return order, new.nonzero()[0]
+
+
+def _pair_sums(values: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """values[start] + values[start + 1] per run of two, values[start] + 0.0
+    per run of one, each one IEEE addition (meaningless for longer runs)."""
+    second = np.zeros(len(starts))
+    pair = stops - starts == 2
+    second[pair] = values[starts[pair] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values[starts] + second
+
+
+def _sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """:func:`sums_by_key` with the sums as a float64 array.  A group of one
+    or two values whose IEEE sum is finite and nonzero takes that sum, which
+    is then ``math.fsum``'s correctly rounded one; zero sums (fsum's sign
+    rule), non-finite ones and longer groups go to :func:`run_sums`, in
+    group order, so the first group that fails raises."""
+    order, edges = _key_runs(keys)
+    firsts = order[edges[:-1]]
+    emit = firsts.argsort()
+    starts, stops = edges[:-1][emit], edges[1:][emit]
+    ordered = values[order]
+    sums = _pair_sums(ordered, starts, stops)
+    slow = ((stops - starts > 2) | ~np.isfinite(sums) | (sums == 0.0)).nonzero()[0]
+    if len(slow):
+        sums[slow] = run_sums(ordered, starts[slow].tolist(), stops[slow].tolist())
+    return firsts[emit], sums
+
+
 def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     """Correctly rounded sum of the float64 ``values`` of each key: ``keys``
     is 1-D (floats, 0.0 and -0.0 being one key, or tuples) or 2-D int rows.
     Returns each group's first position, ascending, and the groups' sums in
     that order, summed in that order: an error comes from the first that fails."""
-    rows = keys if keys.ndim == 2 else keys[:, None]
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ordered = rows[order]  # a stable sort keeps each group in input order
-    new = np.ones(len(rows) + 1, dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:-1])
-    del ordered  # at 2^N keys, gone before the sorted values are made
-    edges = new.nonzero()[0]  # where each run of equal keys starts, then its end
-    firsts = order[edges[:-1]]
-    emit = firsts.argsort()
-    starts, stops = edges[:-1][emit].tolist(), edges[1:][emit].tolist()
-    return firsts[emit], run_sums(values[order], starts, stops)
+    firsts, sums = _sums_by_key(keys, values)
+    return firsts, sums.tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -320,6 +320,36 @@ def grouped_jm_bound(model, f, shift, lam):
     )
 
 
+def kernel_route_jm_terms(model, f, lam):
+    """(term_fluctuation, term_coordinate_block) of ``jm_bound`` as it was
+    computed on ``Kernel`` objects: the grouped kernels of
+    ``product_kernels`` and ``slice_product_kernels``, each slice's special
+    kernel from ``kernel_add`` and ``scaled``, and each norm from ``norm_sq``,
+    raising what that route meets, in its order."""
+    from radstein.chaos import product_kernels, slice_product_kernels
+    from radstein.chenstein import stein_factors
+
+    m = f.order
+    diff_f = stein_factors(lam).diff_bound
+    var = math.factorial(m) * inner_product(f, f)
+    grouped = product_kernels(model, f, f, shift=1)
+    fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
+    per_k = []
+    for k, fk, sliced in slice_product_kernels(model, f):
+        sigma = model.sigma[k - 1]
+        drift = sigma * (model.p[k - 1] - model.q[k - 1])
+        special = sliced.pop(m - 1, Kernel.zero(m - 1))
+        special = kernel_add(special, fk.scaled(drift / m))
+        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
+        pieces += [math.factorial(s) * norm_sq(kernel) for s, kernel in sliced.items()]
+        pieces.append(math.factorial(m - 1) * norm_sq(special))
+        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
+        if math.isinf(per_k[-1]):
+            raise OverflowError(f"the coordinate block of slice {k} overflows")
+    t3 = diff_f * math.sqrt(m * m * fluct)
+    return t3, diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
+
+
 def explicit_j2_bound(p, f, shift, lam):
     """Order-2 total-variation bound for shift + J_2(f) in its explicit form,
     with coefficients 4, 8 (fluctuation block) and 8, 16, 8 (coordinate

@@ -593,8 +593,8 @@ class TestProductFormulaRoute:
         from radstein.chaos import multiply
         from radstein.kernels import slice_kernel
 
-        engine = chaos.sym_offdiag_weighted_contracts
-        batched = chaos.slice_weighted_contracts
+        engine = chaos._contract_rows
+        batched = chaos._slice_contract_rows
         one_term = oracles.postings_sym_offdiag_weighted_contract
         calls, batch_calls, oracle_calls = [], [], []
 
@@ -605,15 +605,16 @@ class TestProductFormulaRoute:
         def batch_recorded(model, f, terms):
             batch = batched(model, f, terms)
             n = f.order - 1
-            batch_calls.append({k: [(n, n, r, ell) for r, ell in terms] for k in batch})
+            slices = sorted(set(batch[0][:, 0].tolist()))  # the leads, k - 1
+            batch_calls.append({x + 1: [(n, n, r, ell) for r, ell in terms] for x in slices})
             return batch
 
         def oracle_recorded(model, f, g, r, ell):
             oracle_calls.append((f.order, g.order, r, ell))
             return one_term(model, f, g, r, ell)
 
-        monkeypatch.setattr(chaos, "sym_offdiag_weighted_contracts", recorded)
-        monkeypatch.setattr(chaos, "slice_weighted_contracts", batch_recorded)
+        monkeypatch.setattr(chaos, "_contract_rows", recorded)
+        monkeypatch.setattr(chaos, "_slice_contract_rows", batch_recorded)
         monkeypatch.setattr(
             oracles, "postings_sym_offdiag_weighted_contract", oracle_recorded
         )
@@ -805,6 +806,39 @@ class TestSliceProductKernels:
             slice_product_kernels(model, f)
         want = self.outcomes(self.per_slice, model, f)
         assert want == [(ValueError, "non-finite coefficient at (3,)")]
+
+
+class TestArrayRoute:
+    """``jm_bound`` keeps the grouped kernels as key rows and coefficients up
+    to their norms; the same blocks computed on ``Kernel`` objects (through
+    ``slice_product_kernels``, ``kernel_add`` and ``norm_sq``) give the same
+    terms in float.hex, or the same exception type and message."""
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_equals_the_kernel_route(self, data):
+        setup = TestSliceProductKernels.draw_setup
+        huge = data.draw(st.booleans(), label="huge")
+        coefficient = (
+            st.one_of(TestSliceProductKernels.HUGE, st.just(1.0))
+            if huge
+            else TestSliceProductKernels.MODERATE
+        )
+        model, f = setup(data, coefficient)
+        lam = data.draw(st.floats(0.1, 20.0), label="lambda")
+
+        def run(route):
+            try:
+                with np.errstate(over="ignore"):  # an inf ratio of norms
+                    return [t.hex() for t in route()]
+            except (IndexOutOfRange, ValueError, OverflowError) as err:
+                return type(err), str(err)
+
+        def terms():
+            detail = jm_bound(model, f, 1.0, lam, check_integer=False).detail
+            return detail["term_fluctuation"], detail["term_coordinate_block"]
+
+        assert run(terms) == run(lambda: oracles.kernel_route_jm_terms(model, f, lam))
 
 
 class TestIndexBeyondN:

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from radstein.kernels import (
     norm,
     norm_sq,
     slice_kernel,
+    slice_weighted_contracts,
     sym_offdiag_weighted_contract,
     sym_offdiag_weighted_contracts,
     to_kernel,
@@ -371,6 +374,73 @@ class TestMultiTermEngine:
         parts = sym_offdiag_weighted_contracts(model, f, f, [(1, 1), (2, 0)])
         with pytest.raises(InvalidContractionIndices):
             next(parts)
+
+
+class TestSlicePairBlocks:
+    """The slice side forms its same-lead pairs in blocks of about
+    ``_PAIR_BLOCK`` pairs (``kernels._lead_blocks``): every block size gives
+    each slice the kernels of one engine call on that slice alone."""
+
+    @given(st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_every_block_size_equals_one_call_per_slice(self, data):
+        size = data.draw(st.integers(2, 10), label="N")
+        p = data.draw(
+            st.lists(st.floats(0.05, 0.95), min_size=size, max_size=size), label="p"
+        )
+        model = build_model(p)
+        m = data.draw(st.integers(2, min(4, size)), label="m")
+        key = st.frozensets(st.integers(1, size), min_size=m, max_size=m)
+        f = Kernel(
+            m,
+            data.draw(
+                st.dictionaries(
+                    key.map(lambda s: tuple(sorted(s))),
+                    st.floats(-2.0, 2.0),
+                    min_size=1,
+                    max_size=40,
+                ),
+                label="f",
+            ),
+        )
+        terms = [(r, ell) for r in range(m) for ell in range(r + 1)]
+        block = data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="pair block")
+        with mock.patch.object(kernels, "_PAIR_BLOCK", block):
+            got = slice_weighted_contracts(model, f, terms)
+        for k, parts in got.items():
+            fk = slice_kernel(f, k)
+            want = sym_offdiag_weighted_contracts(model, fk, fk, terms)
+            assert [
+                (part.order, [(t, v.hex()) for t, v in part.entries.items()])
+                for part in parts
+            ] == [
+                (part.order, [(t, v.hex()) for t, v in part.entries.items()])
+                for part in want
+            ]
+        assert list(got) == [k for k in range(1, size + 1) if not slice_kernel(f, k).is_zero()]
+
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        block=st.sampled_from([1, 2, 7, 30, 100, 1 << 15]),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_blocks_cover_each_same_lead_pair_once(self, sizes, block):
+        lead = np.repeat(np.arange(len(sizes)), sizes)
+        with mock.patch.object(kernels, "_PAIR_BLOCK", block):
+            blocks = kernels._lead_blocks(lead)
+        seen = Counter()
+        for lo, hi, c0, c1 in blocks:
+            # About _PAIR_BLOCK pairs, or one row against its whole lead.
+            assert (hi - lo) * (c1 - c0) <= max(block, max(sizes))
+            for a in range(lo, hi):
+                seen.update((a, b) for b in range(c0, c1) if lead[a] == lead[b])
+        want = Counter(
+            (a, b)
+            for a in range(len(lead))
+            for b in range(len(lead))
+            if lead[a] == lead[b]
+        )
+        assert seen == want
 
 
 class TestEngineBuiltKernels:

@@ -537,6 +537,35 @@ class TestGroupedSums:
             want = err
         assert hexed(got) == hexed(want)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_short_groups_equal_fsum_per_key(self, data):
+        """Groups of 1-4 values under 2-D int keys: a group of one or two
+        takes one IEEE addition when its sum is finite and nonzero, and that
+        is fsum's sum in bits; sums of +-0.0, overflowing pairs, infinities
+        and NaN go to fsum, so the first group it rejects raises its error."""
+        special = st.sampled_from(
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308,
+             5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+        )
+        value = st.one_of(st.floats(allow_nan=False), special, st.floats(-4.0, 4.0))
+        group = st.one_of(
+            st.lists(value, min_size=1, max_size=4),
+            st.floats(allow_nan=False, allow_infinity=False).map(lambda x: [x, -x]),
+            st.sampled_from([[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0]]),
+        )
+        groups = data.draw(st.lists(group, min_size=1, max_size=8), label="groups")
+        labels = [g for g, members in enumerate(groups) for _ in members]
+        shuffle = data.draw(st.permutations(range(len(labels))), label="order")
+        keys = np.array([[g % 3, g // 3 - 1] for g in labels])[shuffle]
+        values = np.array([v for members in groups for v in members])[shuffle]
+        try:
+            firsts, sums = sums_by_key(keys, values)
+            got = list(zip(map(as_key, keys[firsts].tolist()), sums))
+        except (ValueError, OverflowError) as err:
+            got = err
+        assert hexed(got) == hexed(fsum_groups(keys, values))
+
     def test_signed_zero_keys_merge_under_the_first(self):
         keys = np.array([-0.0, 1.0, 0.0, 1.0])
         firsts, sums = sums_by_key(keys, np.array([0.1, 0.2, 0.3, 0.4]))
