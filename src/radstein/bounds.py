@@ -238,8 +238,9 @@ def jm_bound(
     from one engine call and one grouping, :func:`radstein.chaos._slice_formula`).
     Each norm is norm_sq's correctly rounded sum over the same coefficients
     in the same order.  The fluctuation block raises first (an index beyond
-    N raises there), then the slices' engine call and grouping, each in
-    (r, l)-then-k order, then each slice in turn.
+    N raises there), then the slices' engine call and grouping, as
+    :func:`radstein.chaos.slice_product_kernels` does, then each slice in
+    turn.
 
     The remainder has two square-root blocks: the fluctuation of the gradient
     inner product around its mean, and the sqrt(Var F)-weighted block over

@@ -178,8 +178,8 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
     (key rows, coefficients) pair of the engine: rows maps each order to its
     key rows and coefficients, the parts of that order scaled by
     r! C(n,r) C(m,r) C(r,l) and added in term order as ``scaled`` and
-    :func:`kernel_add` would (so they raise as those do, part by part); the
-    order-0 part is the mean.  orders maps each lead to its orders, in the
+    :func:`kernel_add` would (so they raise as those do, part by part and,
+    within a part, lead by lead); the order-0 part is the mean.  orders maps each lead to its orders, in the
     order its first nonzero part of each came (an order whose sum cancelled
     stays)."""
     mean, grouped, orders = 0.0, {}, {}
@@ -194,11 +194,15 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
             continue
         with np.errstate(over="ignore"):
             scaled = float(coefficient) * values
-        _check_finite(keys, scaled)
         if order in grouped:
             grouped[order] = _add_rows(grouped[order], (keys, scaled))
-            _check_finite(*grouped[order])
+            if not np.isfinite(grouped[order][1]).all():
+                # A non-finite scaled value stays so in its sum.  Lead by
+                # lead, the scaled part's error comes before the sums', as
+                # each slice's ``scaled`` and then ``kernel_add`` raise.
+                _check_finite(*map(np.concatenate, zip((keys, scaled), grouped[order])))
         else:
+            _check_finite(keys, scaled)
             grouped[order] = keys, scaled
         leads = keys[:, 0]
         for x in leads[np.flatnonzero(np.diff(leads, prepend=-1))].tolist():
@@ -222,8 +226,8 @@ def slice_product_kernels(model: ProbabilityModel, f: Kernel):
     """Iterator over (k, f_k, product_kernels(model, f_k, f_k)) for each
     k = 1..N, ascending, whose slice f_k = ``slice_kernel(f, k)`` is nonzero,
     all from :func:`_slice_formula`, which raises at the call what it meets
-    first: an index beyond N before any work, then the first error of the
-    engine and then of the grouping, each in (r, l)-then-k order."""
+    first: an index beyond N before any work, then the engine's first error
+    (``_slice_contract_rows``), then the grouping's in (r, l)-then-k order."""
     keys, values, grouped, orders = _slice_formula(model, f)
     leads = np.unique(keys[:, 0]).tolist()
     slices = _runs_by_lead(keys, values, leads)

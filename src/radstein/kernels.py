@@ -341,10 +341,12 @@ def _kernel(keys: np.ndarray, values: np.ndarray) -> Kernel:
 
 def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
     """Raise ``Kernel._built``'s ValueError at the first non-finite value,
-    named by its key row without the lead."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        key = tuple((keys[bad.argmax(), 1:] + 1).tolist())
+    lead by lead and each lead's rows in their order (as each lead's kernel
+    would be built in turn), named by its key row without the lead."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        row = bad[np.argmin(keys[bad, 0])]  # argmin: the first of the least lead
+        key = tuple((keys[row, 1:] + 1).tolist())
         raise ValueError(f"non-finite coefficient at {key}")
 
 
@@ -531,8 +533,9 @@ def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tup
     (``_weighted_contracts``) of each (r, l) of terms in order for all slices
     at once, slice k's under lead k - 1.  Each lead's pairs are its rows
     paired row by row, each with its lead's rows in order.  An index beyond
-    N raises before any work; otherwise the first error in (r, l)-then-k
-    order."""
+    N raises before any work; otherwise the first error in (r, l) order:
+    within a term, the first slice's ``math.fsum`` error, else the first
+    slice's non-finite sum."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
     _check_kernel_indices(model, f)

@@ -320,14 +320,17 @@ def grouped_jm_bound(model, f, shift, lam):
     )
 
 
-def kernel_route_jm_terms(model, f, lam):
+def kernel_route_jm_terms(model, f, lam, slices=None):
     """(term_fluctuation, term_coordinate_block) of ``jm_bound`` as it was
     computed on ``Kernel`` objects: the grouped kernels of
-    ``product_kernels`` and ``slice_product_kernels``, each slice's special
-    kernel from ``kernel_add`` and ``scaled``, and each norm from ``norm_sq``,
-    raising what that route meets, in its order."""
+    ``product_kernels`` and of the slice route (``slice_product_kernels``
+    by default, or ``slices``, which yields the same (k, f_k, kernels)),
+    each slice's special kernel from ``kernel_add`` and ``scaled``, and each
+    norm from ``norm_sq``, raising what that route meets, in its order."""
     from radstein.chaos import product_kernels, slice_product_kernels
     from radstein.chenstein import stein_factors
+
+    slices = slices or slice_product_kernels
 
     m = f.order
     diff_f = stein_factors(lam).diff_bound
@@ -335,7 +338,7 @@ def kernel_route_jm_terms(model, f, lam):
     grouped = product_kernels(model, f, f, shift=1)
     fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
     per_k = []
-    for k, fk, sliced in slice_product_kernels(model, f):
+    for k, fk, sliced in slices(model, f):
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
         special = sliced.pop(m - 1, Kernel.zero(m - 1))

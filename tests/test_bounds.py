@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -692,6 +693,9 @@ class TestSliceProductKernels:
 
     MODERATE = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
     HUGE = st.sampled_from([1e200, -1e300, 1e155, 1e80, -1e77, 1e40])
+    # Products near the largest double, so that the engine's sums stay finite
+    # and the grouping's scaling and adding overflow.
+    NEAR_MAX_ROOT = st.sampled_from([1e153, -7e153, 1.2e154, 3e152, 1.0, -1e150])
 
     @staticmethod
     def outcomes(route, model, f):
@@ -717,7 +721,50 @@ class TestSliceProductKernels:
                 yield k, fk, product_kernels(model, fk, fk)
 
     @staticmethod
-    def draw_setup(data, coefficient):
+    def term_then_slice_error(model, f):
+        """The error slice_product_kernels must raise, found on Kernels: each
+        nonzero slice's engine part at each (r, l), one call each, then its
+        ``scaled`` and ``kernel_add`` in term order.  The engine's first error
+        in (r, l) order (within a term, the first slice's whose sum fails in
+        ``math.fsum``, else the first slice's with a non-finite sum), else
+        the grouping's first in (r, l)-then-k order, as (type, message); None
+        when neither raises."""
+        from radstein.kernels import kernel_add, slice_kernel, sym_offdiag_weighted_contracts
+
+        n = f.order - 1
+        terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
+        slices = [(k, slice_kernel(f, k)) for k in range(1, model.size + 1)]
+        slices = [(k, fk) for k, fk in slices if not fk.is_zero()]
+        found, parts = {}, {}
+        for k, fk in slices:
+            for t, term in enumerate(terms):
+                try:
+                    parts[k, t] = list(sym_offdiag_weighted_contracts(model, fk, fk, [term]))[0]
+                except (ValueError, OverflowError) as err:
+                    summed = str(err).startswith("non-finite coefficient")
+                    found[t, summed, k] = type(err), str(err)
+                    break
+        if found:
+            return found[min(found)]
+        for k, _ in slices:
+            grouped = {}
+            for t, (r, ell) in enumerate(terms):
+                part = parts[k, t]
+                if part.is_zero():
+                    continue
+                try:
+                    part = part.scaled(
+                        math.factorial(r) * math.comb(n, r) ** 2 * math.comb(r, ell)
+                    )
+                    s = part.order
+                    grouped[s] = kernel_add(grouped[s], part) if s in grouped else part
+                except ValueError as err:
+                    found[t, k] = type(err), str(err)
+                    break
+        return found[min(found)] if found else None
+
+    @staticmethod
+    def draw_setup(data, coefficient, orders=(2, 4)):
         size = data.draw(st.integers(1, 12), label="N")
         p = data.draw(
             st.lists(
@@ -727,7 +774,7 @@ class TestSliceProductKernels:
             ),
             label="p",
         )
-        m = data.draw(st.integers(2, 4), label="m")
+        m = data.draw(st.integers(*orders), label="m")
         # Indices up to N + 2, so that some slices are empty and some
         # kernels hold an index beyond N.
         extra = data.draw(st.sampled_from([0, 0, 0, 1, 2]), label="beyond N")
@@ -774,25 +821,81 @@ class TestSliceProductKernels:
     @given(st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_jm_bound_raises_as_the_per_slice_route(self, data):
-        """Overflowing kernels: the same report, or the same exception type
-        and message, as jm_bound over the per-slice route."""
-        from unittest import mock
-
-        from radstein import bounds
-
+        """Overflowing kernels: the same remainder terms, or the same
+        exception type and message, as jm_bound's Kernel route
+        (``oracles.kernel_route_jm_terms``) over the per-slice route."""
         model, f = self.draw_setup(data, st.one_of(self.HUGE, st.just(1.0)))
 
-        def run():
+        def run(route):
             try:
                 with np.errstate(over="ignore"):  # an inf ratio of norms
-                    report = jm_bound(model, f, 1.0, 1.5, check_integer=False)
+                    t3, t4 = route()
             except (IndexOutOfRange, ValueError, OverflowError) as err:
                 return type(err), str(err)
-            return [getattr(report, name).hex() for name in ("term_remainder", "total")]
+            return [t.hex() for t in (t3, t4, math.fsum((t3, t4)))]
 
-        got = run()
-        with mock.patch.object(bounds, "slice_product_kernels", self.per_slice):
-            assert run() == got
+        def terms():
+            report = jm_bound(model, f, 1.0, 1.5, check_integer=False)
+            assert report.term_remainder == math.fsum(
+                (report.detail["term_fluctuation"], report.detail["term_coordinate_block"])
+            )
+            return report.detail["term_fluctuation"], report.detail["term_coordinate_block"]
+
+        want = run(lambda: oracles.kernel_route_jm_terms(model, f, 1.5, self.per_slice))
+        assert run(terms) == want
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_raises_the_first_error_in_term_then_slice_order(self, data):
+        """Orders 4 and 5 with huge coefficients, so that one order of a
+        slice gathers three parts or more: the batch raises the engine's, else
+        the grouping's, first error in (r, l)-then-k order."""
+        from radstein.chaos import slice_product_kernels
+
+        near = data.draw(st.booleans(), label="near the largest double")
+        coefficient = self.NEAR_MAX_ROOT if near else st.one_of(self.HUGE, st.just(1.0))
+        model, f = self.draw_setup(data, coefficient, (4, 5))
+        if f.max_index() > model.size:
+            return
+        try:
+            slice_product_kernels(model, f)
+            got = None
+        except (ValueError, OverflowError) as err:
+            got = type(err), str(err)
+        assert got == self.term_then_slice_error(model, f)
+
+    def test_grouping_errors_of_one_term_come_slice_by_slice(self):
+        """Order 5, at (r, l) = (4, 2): slice 2's scaled part overflows, and
+        so does slice 1's sum of it with the (3, 3) part; slice 1's error
+        comes first, as each slice's ``scaled`` and ``kernel_add`` raise in
+        turn."""
+        from radstein.chaos import slice_product_kernels
+
+        model = build_model([0.3, 0.5, 0.3, 0.5, 0.1, 0.5])
+        f = Kernel(
+            5, {(1, 2, 3, 4, 6): 1e153, (1, 2, 3, 4, 5): 3e152, (1, 2, 4, 5, 6): 3e152}
+        )
+        message = "non-finite coefficient at (3, 5)"
+        assert self.term_then_slice_error(model, f) == (ValueError, message)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            slice_product_kernels(model, f)
+
+    def test_grouping_checks_accumulated_rows_lead_by_lead(self):
+        """Three order-1 parts: the second appends key (3,) of lead 0 after
+        lead 1's rows, and the third overflows both lead 1's (2,) and lead
+        0's (3,); lead 0's error comes first."""
+        from radstein.chaos import _grouped
+
+        def part(rows, values):
+            return np.array(rows, dtype=np.intp), np.array(values)
+
+        parts = [
+            part([[0, 0], [1, 1]], [1.0, 1e308]),
+            part([[0, 2]], [1e308]),
+            part([[1, 1], [0, 2]], [1e308, 1e308]),
+        ]
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(3,\)$"):
+            _grouped(1, 1, [(0, 0)] * 3, parts)
 
     def test_first_error_comes_in_term_then_slice_order(self):
         """Slice 3 overflows at its first term, at (1, 2), and slice 1 at its
