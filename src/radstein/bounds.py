@@ -98,48 +98,42 @@ def enumeration_bounds(
 ) -> dict:
     """The bounds named in ``methods`` (a subset of :data:`STREAMED_METHODS`)
     from one pass over k = 1..N, as method -> report.  The pass keeps E[F],
-    <DF, -DL^{-1}(F - EF)>, the signed remainder summed over k and the reduced
-    remainder's per-k sums: O(2^N) memory.  D_k F and -D_k L^{-1}(F - EF) do
-    not depend on omega_k, so each is formed on half the outcomes.
-    Wasserstein's remainder is half of main's: halving is exact in binary
-    floating point unless a per-outcome term is subnormal."""
+    <DF, -DL^{-1}(F - EF)> and the signed remainder summed over k: O(2^N)
+    memory.  D_k F and -D_k L^{-1}(F - EF) do not depend on omega_k, so each
+    is formed on half the outcomes, and integrating X_k out of the remainder
+    is exact: ``main_reduced`` reports main's remainder.  Wasserstein's
+    remainder is half of main's: halving is exact in binary floating point
+    unless a per-outcome term is subnormal."""
     lam = _check_lambda(lam)
     if not set(methods) <= set(STREAMED_METHODS):
         raise ValueError(f"{list(methods)} are not all enumeration bounds")
     integer_values(table)
     mean = expectation(model, table)
-    w = model.outcome_weights
-    signed_needed = "main" in methods or "wasserstein" in methods
     inverse = pseudo_inverse_table(model, table).values
     inner = np.zeros(model.num_outcomes)
     signed = np.zeros(model.num_outcomes)
-    per_k = []
     for k in range(1, model.size + 1):
         sigma, halves = model.sigma[k - 1], (-1, 2, 1 << (k - 1))
         dk = flip_difference(model, table.values, k)
-        gk = -flip_difference(model, inverse, k)
-        inner.reshape(halves)[...] += (dk * gk)[:, None]
-        if signed_needed:
-            scaled, signed_k = (1.0 / sigma) * dk, signed.reshape(halves)
-            signed_k[:, 0] += scaled * (dk - sigma) * np.abs(gk)
-            signed_k[:, 1] += scaled * (dk + sigma) * np.abs(gk)
-        if "main_reduced" in methods:
-            drift = sigma * (model.p[k - 1] - model.q[k - 1])
-            weighted = w.reshape(halves) * dk[:, None] * (dk + drift)[:, None]
-            weighted *= np.abs(gk)[:, None]
-            per_k.append((1.0 / sigma) * stable_sum(weighted.ravel()))
-    gap = stable_sum(w * np.abs(lam - inner))
-    remainder = stable_sum(w * signed) if signed_needed else 0.0
-    reduced = stable_sum(per_k)
+        dl = flip_difference(model, inverse, k)
+        inner.reshape(halves)[...] -= (dk * dl)[:, None]
+        abs_dl = np.abs(dl, out=dl)
+        scaled, signed_k = (1.0 / sigma) * dk, signed.reshape(halves)
+        for half, shift in ((0, -sigma), (1, sigma)):
+            term = dk + shift
+            term *= scaled
+            signed_k[:, half] += np.multiply(term, abs_dl, out=term)
+    # Weighted in place: the pass's last half tables are still alive here.
+    np.abs(np.subtract(lam, inner, out=inner), out=inner)
+    gap = stable_sum(np.multiply(model.outcome_weights, inner, out=inner))
+    remainder = stable_sum(np.multiply(model.outcome_weights, signed, out=signed))
     factors = stein_factors(lam)
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     c2 = min(1.0, 8.0 / (3.0 * math.sqrt(2.0 * math.e * lam)))
     c3 = min(4.0 / 3.0, 2.0 / lam)
-    terms = {
-        "main": (sup_f * abs(lam - mean), diff_f * gap, diff_f * remainder),
-        "main_reduced": (sup_f * abs(lam - mean), diff_f * gap, diff_f * reduced),
-        "wasserstein": (abs(lam - mean), c2 * gap, c3 * (0.5 * remainder)),
-    }
+    main = (sup_f * abs(lam - mean), diff_f * gap, diff_f * remainder)
+    wasserstein = (abs(lam - mean), c2 * gap, c3 * (0.5 * remainder))
+    terms = {"main": main, "main_reduced": main, "wasserstein": wasserstein}
     return {m: _report(lam, *terms[m], m) for m in STREAMED_METHODS if m in methods}
 
 
@@ -157,7 +151,9 @@ def main_bound_reduced(
     model: ProbabilityModel, table: FunctionalTable, lam: float
 ) -> BoundReport:
     """Same bound with the sign variable integrated out of the third term:
-    sqrt(pq) X is replaced by its mean sqrt(pq)(p - q) coordinatewise."""
+    sqrt(pq) X is replaced by its mean sqrt(pq)(p - q) coordinatewise.  D_k F
+    and D_k L^{-1}F do not depend on omega_k, so that step is exact and the
+    report is :func:`main_bound`'s under this method name."""
     return enumeration_bounds(model, table, lam, ("main_reduced",))["main_reduced"]
 
 

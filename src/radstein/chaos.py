@@ -267,18 +267,21 @@ def evaluate_on_signs(
             f"sign matrix entries must be +1 or -1, got {signs[row, col].item()!r} "
             f"at row {row}, column {col}"
         )
-    # One contiguous row of Y values per coordinate, so each factor streams.
-    y = np.where(
-        np.ascontiguousarray(signs.T) == 1, model.y_plus[:, None], model.y_minus[:, None]
-    )
+    for kernel in expansion.kernels.values():
+        _check_kernel_indices(model, kernel)
+    # One contiguous row of Y values per coordinate a kernel uses, so each
+    # factor streams.
+    used = sorted({i for f in expansion.kernels.values() for key in f.entries for i in key})
+    cols = np.array(used, dtype=np.intp) - 1
+    plus = np.ascontiguousarray(signs.T[cols]) == 1
+    y = dict(zip(used, np.where(plus, model.y_plus[cols, None], model.y_minus[cols, None])))
     out = np.full(signs.shape[0], expansion.mean)
     for order, kernel in expansion.kernels.items():
-        _check_kernel_indices(model, kernel)
         scale = math.factorial(order)
         for (i1, *rest), coeff in kernel.entries.items():
-            prod = (scale * coeff) * y[i1 - 1]
+            prod = (scale * coeff) * y[i1]
             for i in rest:
-                prod *= y[i - 1]
+                prod *= y[i]
             out += prod
     return out
 

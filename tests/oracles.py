@@ -489,7 +489,10 @@ def dict_minus_gradient_pseudo_inverse(model, table):
 def dict_route_bound(model, table, lam, method):
     """Terms (mean shift, variance-like, remainder) of the enumeration bound
     ``method`` ("main", "main_reduced" or "wasserstein"), one method per call,
-    each gradient a full table and -D L^{-1} from the kernel route."""
+    each gradient a full table and -D L^{-1} from the kernel route.
+    "main_reduced" sums the remainder per k with X_k integrated out, the
+    other order of main's sum: the package reports main's remainder for it,
+    and this order is the independent cross-check."""
     w = model.outcome_weights
     idx = np.arange(model.num_outcomes)
     grads = [

@@ -96,9 +96,39 @@ class TestMainBound:
         lam = expectation(model, table)
         a = main_bound(model, table, lam)
         b = main_bound_reduced(model, table, lam)
-        assert a.term_mean_shift == pytest.approx(b.term_mean_shift, abs=1e-14)
-        assert a.term_variance_like == pytest.approx(b.term_variance_like, abs=1e-12)
-        assert a.term_remainder == pytest.approx(b.term_remainder, abs=1e-12)
+        assert report_bits(a) == report_bits(b)
+        assert (a.method, b.method) == ("main", "main_reduced")
+
+    def test_reduced_report_is_the_main_report(self):
+        # D_k F and D_k L^{-1}F do not depend on omega_k, so integrating X_k
+        # out of the remainder is exact: one remainder under two names, down
+        # to the bits, with no drift (p = 1/2), with an ignored coordinate and
+        # where the remainder overflows.
+        rng = random.Random(22)
+        cases = []
+        for size in range(1, 9):
+            p = oracles.rand_model_p(rng, size, 0.02, 0.98)
+            for probs in ([0.5] * size, p, [rng.choice([0.5, x]) for x in p]):
+                model = build_model(probs)
+                values = oracles.rand_integer_table(rng, model.num_outcomes)
+                ignored = 1 << rng.randrange(size)
+                cases.append((model, values))
+                cases.append((model, values[np.arange(model.num_outcomes) & ~ignored]))
+                cases.append((model, 1e150 * values))
+        overflowed = 0
+        for model, values in cases:
+            table = FunctionalTable(model, values)
+            for lam in (expectation(model, table) or 1.0, rng.uniform(0.05, 8.0)):
+                with np.errstate(over="ignore"):
+                    a = main_bound(model, table, lam)
+                    b = main_bound_reduced(model, table, lam)
+                assert report_bits(a) == report_bits(b)
+                assert {k: float(v).hex() for k, v in a.detail.items()} == {
+                    k: float(v).hex() for k, v in b.detail.items()
+                }
+                assert (a.method, b.method) == ("main", "main_reduced")
+                overflowed += math.isinf(b.term_remainder)
+        assert overflowed >= 10
 
     def test_rejects_non_integer(self):
         model = build_model([0.5, 0.5])
@@ -180,6 +210,11 @@ def report_bits(report):
     )
 
 
+def ulps_apart(a, b):
+    """Doubles between two finite floats of the same sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
 class TestEnumerationBounds:
     def test_reproduces_per_method_kernel_route_reports(self):
         rng = random.Random(77)
@@ -200,7 +235,10 @@ class TestEnumerationBounds:
             reports = enumeration_bounds(model, table, lam, STREAMED_METHODS)
             assert list(reports) == list(STREAMED_METHODS)
             for method, report in reports.items():
-                terms = oracles.dict_route_bound(model, table, lam, method)
+                # main_reduced reports main's remainder: integrating X_k out
+                # of it is exact, so the per-k sums are one cross-check.
+                route = "main" if method == "main_reduced" else method
+                terms = oracles.dict_route_bound(model, table, lam, route)
                 want = BoundReport(lam, *terms, math.fsum(terms), method)
                 assert report.method == method
                 assert report_bits(report) == report_bits(want), (i, method)
@@ -213,6 +251,8 @@ class TestEnumerationBounds:
             assert report_bits(wasserstein_bound(model, table, lam)) == report_bits(
                 reports["wasserstein"]
             )
+            per_k = oracles.dict_route_bound(model, table, lam, "main_reduced")[2]
+            assert ulps_apart(reports["main_reduced"].term_remainder, per_k) <= 4, i
 
     def test_rejects_other_methods(self):
         model = build_model([0.5])

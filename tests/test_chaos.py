@@ -107,6 +107,35 @@ class TestEvaluateAndTables:
             evaluate_on_signs(model, expansion, signs), table.values, atol=1e-12
         )
 
+    def test_sparse_expansion_builds_rows_only_for_its_coordinates(self):
+        import tracemalloc
+
+        rng = random.Random(40)
+        model = build_model(oracles.rand_model_p(rng, 40))
+        used = [3, 11, 17, 29, 40]
+        expansion = ChaosExpansion(
+            0.7,
+            {
+                1: Kernel(1, {(i,): rng.uniform(-2.0, 2.0) for i in used}),
+                2: Kernel(2, {(3, 29): 0.4, (11, 40): -1.3, (17, 29): 0.9}),
+                3: Kernel(3, {(3, 17, 40): 2.1}),
+            },
+        )
+        rows = 20_000
+        signs = np.where(np.random.default_rng(4).random((rows, 40)) < 0.5, 1, -1)
+        signs = signs.astype(np.int8)
+        want = oracles.columnwise_evaluate_on_signs(model, expansion, signs)
+        tracemalloc.start()
+        try:
+            got = evaluate_on_signs(model, expansion, signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # The +-1 check over all 40 int8 columns takes about 10 rows of
+        # doubles; a Y table over all 40 coordinates would take 40 more.
+        assert peak <= 24 * 8 * rows
+
 
     @pytest.mark.parametrize(
         "signs,first",
