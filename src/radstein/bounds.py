@@ -8,9 +8,9 @@ coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
 coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
 route ``verify`` checks too; the sparse ``Kernel`` route is the independent
 cross-check in the tests.  The closed-form J_m bounds take their grouped
-kernels from the product formula's grouping behind
-:func:`radstein.chaos.product_kernels` and ``multiply``, the code path that
-``verify`` certifies, as arrays up to their norms.
+kernels from the product formula's grouping behind ``multiply``, the code
+path that ``verify`` certifies, as arrays up to their norms
+(:func:`_jm_blocks`), which :func:`j2_example_machinery` reads too.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .chaos import (
     _product_formula,
     _slice_formula,
     mask_orders,
-    product_kernels,
-    slice_product_kernels,
     to_table,
 )
 from .chenstein import _check_lambda, stein_factors
@@ -39,8 +37,6 @@ from .kernels import (
     _norm_sq,
     _runs_by_lead,
     inner_product,
-    kernel_add,
-    norm_sq,
 )
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
@@ -220,6 +216,32 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
     return _report(lam, t1, t2, t3, "bernoulli")
 
 
+def _jm_blocks(model: ProbabilityModel, f: Kernel):
+    """Squared norms (as norm_sq rounds them) of the J_m bound's blocks for
+    f of order m >= 2, from the product formula's grouped key rows: first
+    {s: norm} of f's order-s groups at shift 1, then (k, norm of f_k,
+    {s: norm}) for each nonzero slice f_k = f(., k), k ascending, of its
+    groups with itself, order m - 1 plus f_k (1/m) sqrt(pq)(p - q) (0.0 for
+    an order the slice lacks), all slices from one ``_slice_formula`` call.
+    Formed as consumed, so errors come as on Kernels: f's block (an index
+    beyond N raises there), the slices' engine and grouping, then each
+    slice's drifted sum."""
+    m = f.order
+    grouped = _product_formula(model, f, f, 1, False)[1]
+    yield {s: _norm_sq(*rows) for s, rows in grouped.items()}
+    keys, values, sliced = _slice_formula(model, f)
+    leads = np.unique(keys[:, 0]).tolist()
+    drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
+    special = sliced.get(m - 1, (keys[:0], values[:0]))
+    sliced[m - 1] = _add_rows(special, (keys, drifted))
+    slices = _runs_by_lead(keys, values, leads)
+    runs = {s: _runs_by_lead(*rows, leads) for s, rows in sliced.items()}
+    for x in leads:
+        _check_finite(*runs[m - 1][x])
+        fk = _norm_sq(*slices[x])
+        yield x + 1, fk, {s: _norm_sq(*run[x]) for s, run in runs.items()}
+
+
 def jm_bound(
     model: ProbabilityModel,
     f: Kernel,
@@ -227,21 +249,11 @@ def jm_bound(
     lam: float,
     check_integer: bool = True,
 ) -> BoundReport:
-    """Bound for F = shift + J_m(f) with m >= 2, via the product formula's
-    grouped kernels, kept as key rows and coefficients up to their squared
-    norms: those of f with itself at shift 1 (fluctuation block) and of each
-    nonzero slice f(., k) with itself at shift 0 (coordinate block, every k
-    from one engine call and one grouping, :func:`radstein.chaos._slice_formula`).
-    Each norm is norm_sq's correctly rounded sum over the same coefficients
-    in the same order.  The fluctuation block raises first (an index beyond
-    N raises there), then the slices' engine call and grouping, as
-    :func:`radstein.chaos.slice_product_kernels` does, then each slice in
-    turn.
-
-    The remainder has two square-root blocks: the fluctuation of the gradient
-    inner product around its mean, and the sqrt(Var F)-weighted block over
-    coordinates, whose order-(m-1) group carries the extra drift summand
-    (1/m) sqrt(pq)(p - q) f(., k).
+    """Bound for F = shift + J_m(f) with m >= 2 from the squared norms of
+    :func:`_jm_blocks`.  The remainder has two square-root blocks: the
+    fluctuation of the gradient inner product around its mean, and the
+    sqrt(Var F)-weighted block over coordinates, whose order-(m-1) group
+    carries the extra drift summand (1/m) sqrt(pq)(p - q) f(., k).
     """
     lam = _check_lambda(lam)
     m = f.order
@@ -253,31 +265,17 @@ def jm_bound(
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     var = math.factorial(m) * inner_product(f, f)
 
-    grouped = _product_formula(model, f, f, 1, False)[1]
-    fluct = stable_sum(math.factorial(s) * _norm_sq(*rows) for s, rows in grouped.items())
+    blocks = _jm_blocks(model, f)
+    fluct = stable_sum(math.factorial(s) * v for s, v in next(blocks).items())
     t3 = diff_f * math.sqrt(m * m * fluct)
 
-    keys, values, sliced, orders = _slice_formula(model, f)
-    leads = np.unique(keys[:, 0]).tolist()
-    slices = _runs_by_lead(keys, values, leads)
-    # The order-(m-1) group plus f(., k) (drift/m), added as kernel_add does.
-    drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
-    special = sliced.pop(m - 1, (keys[:0], values[:0]))
-    special = _runs_by_lead(*_add_rows(special, (keys, drifted)), leads)
-    runs = {s: _runs_by_lead(*rows, leads) for s, rows in sliced.items()}
     per_k = []
-    for x in leads:
-        _check_finite(*special[x])
-        pieces = [(math.factorial(m - 1) * _norm_sq(*slices[x])) ** 2]
-        pieces += [
-            math.factorial(s) * _norm_sq(*runs[s][x])
-            for s in orders.get(x, ())
-            if s != m - 1
-        ]
-        pieces.append(math.factorial(m - 1) * _norm_sq(*special[x]))
-        per_k.append(stable_sum(pieces) / float(model.p[x] * model.q[x]))
+    for k, fk, norms in blocks:
+        pieces = [(math.factorial(m - 1) * fk) ** 2]
+        pieces += [math.factorial(s) * v for s, v in norms.items()]
+        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
         if math.isinf(per_k[-1]):
-            raise OverflowError(f"the coordinate block of slice {x + 1} overflows")
+            raise OverflowError(f"the coordinate block of slice {k} overflows")
     t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
 
     t1 = sup_f * abs(lam - float(shift))
@@ -454,21 +452,20 @@ def j2_example(n: int) -> J2Example:
 
 
 def j2_example_machinery(n: int) -> J2Example:
-    """The same record recomputed through the product formula: A3 and A4
-    from f's groups at shift 1, A6 and A7 from those of each slice f(., k);
-    must match the closed forms to 1e-12 relative."""
+    """The same record recomputed from :func:`jm_bound`'s own blocks
+    (:func:`_jm_blocks`): A3 and A4 from the order-1 and order-2 groups of f
+    at shift 1, A5, A6 and A7 from each slice's squared norm, order-2 group
+    and drifted order-1 group; must match the closed forms to 1e-12
+    relative."""
     model, f = j2_example_kernel(n)
     lam = 2.0 * inner_product(f, f)
-    grouped = product_kernels(model, f, f, shift=1)
-    a3 = norm_sq(grouped.get(1, Kernel.zero(1)))
-    a4 = norm_sq(grouped.get(2, Kernel.zero(2)))
+    blocks = _jm_blocks(model, f)
+    fluct = next(blocks)
+    a3, a4 = fluct.get(1, 0.0), fluct.get(2, 0.0)
     parts = []
-    for k, fk, sliced in slice_product_kernels(model, f):  # no slice is zero
+    for k, fk, norms in blocks:  # no slice is zero
         pq = model.p[k - 1] * model.q[k - 1]
-        drift = model.sigma[k - 1] * (model.p[k - 1] - model.q[k - 1])
-        tensor = sliced.get(2, Kernel.zero(2))
-        mixed = kernel_add(sliced.get(1, Kernel.zero(1)), fk.scaled(0.5 * drift))
-        squares = (norm_sq(fk) ** 2, norm_sq(tensor), norm_sq(mixed))
+        squares = (fk ** 2, norms.get(2, 0.0), norms[1])
         parts.append([x / pq for x in squares])
     a5, a6, a7 = (stable_sum(column) for column in zip(*parts))
     return _j2_example_record(n, lam, abs(lam - 0.0), a3, a4, a5, a6, a7)

@@ -24,7 +24,6 @@ from .kernels import (
     _check_kernel_indices,
     _contract_rows,
     _kernel,
-    _runs_by_lead,
     _slice_contract_rows,
     inner_product,
 )
@@ -145,27 +144,16 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     )
 
 
-def product_kernels(
-    model: ProbabilityModel, f: Kernel, g: Kernel, shift: int = 0
-) -> dict:
-    """Kernels above order 0 of the product formula, grouped by order.
-
-    With n = order(f) - shift and m = order(g) - shift, sums
-    r! C(n,r) C(m,r) C(r,l) times the symmetrized off-diagonal weighted
-    contraction of f with g at (r + shift, l + shift) over r = 0..min(n,m),
-    l = 0..r in that order, at order n + m - r - l.  At shift 0 these are the
-    kernels of J_n(f) J_m(g); at shift 1 with g = f of order m, those of
-    sum_k (D_k J_m(f))^2 / m^2.  The order-0 term (n = m = r = l) is skipped.
-    """
-    grouped = _product_formula(model, f, g, shift, False)[1]
-    return {order: _kernel(*rows) for order, rows in grouped.items()}
-
-
 def _product_formula(
     model: ProbabilityModel, f: Kernel, g: Kernel, shift: int, with_mean: bool
 ) -> tuple:
-    """:func:`_grouped` of :func:`product_kernels`' terms, every term from
-    one engine call; the order-0 term, the mean, is formed only with_mean."""
+    """(mean, rows) of :func:`_grouped`: the product formula's kernels by
+    order, from one engine call.  With n = order(f) - shift and
+    m = order(g) - shift, the symmetrized off-diagonal weighted contractions
+    of f with g at (r + shift, l + shift), r = 0..min(n,m), l = 0..r: at
+    shift 0 the kernels of J_n(f) J_m(g), at shift 1 with g = f of order m
+    those of sum_k (D_k J_m(f))^2 / m^2.  The order-0 term is formed only
+    with_mean."""
     n, m = f.order - shift, g.order - shift
     terms = [(r, ell) for r in range(min(n, m) + 1) for ell in range(r + 1)]
     terms = [(r, ell) for r, ell in terms if n + m - r - ell > 0 or with_mean]
@@ -174,15 +162,13 @@ def _product_formula(
 
 
 def _grouped(n: int, m: int, terms: list, parts) -> tuple:
-    """(mean, rows, orders) of the product formula's parts at terms, each a
+    """(mean, rows) of the product formula's parts at terms, each a
     (key rows, coefficients) pair of the engine: rows maps each order to its
     key rows and coefficients, the parts of that order scaled by
     r! C(n,r) C(m,r) C(r,l) and added in term order as ``scaled`` and
     :func:`kernel_add` would (so they raise as those do, part by part and,
-    within a part, lead by lead); the order-0 part is the mean.  orders maps each lead to its orders, in the
-    order its first nonzero part of each came (an order whose sum cancelled
-    stays)."""
-    mean, grouped, orders = 0.0, {}, {}
+    within a part, lead by lead); the order-0 part is the mean."""
+    mean, grouped = 0.0, {}
     for (r, ell), (keys, values) in zip(terms, parts):
         if not len(values):
             continue
@@ -204,47 +190,27 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
         else:
             _check_finite(keys, scaled)
             grouped[order] = keys, scaled
-        leads = keys[:, 0]
-        for x in leads[np.flatnonzero(np.diff(leads, prepend=-1))].tolist():
-            orders.setdefault(x, {}).setdefault(order, None)
-    return mean, grouped, orders
+    return mean, grouped
 
 
 def _slice_formula(model: ProbabilityModel, f: Kernel) -> tuple:
-    """(keys, values, rows, orders): f's slice rows (``_slice_contract_rows``)
-    and the :func:`_grouped` rows and orders of the product formula of every
-    nonzero slice with itself, slice k under lead k - 1, from one engine
-    call and one grouping over all slices."""
+    """(keys, values, rows): f's slice rows (``_slice_contract_rows``) and
+    the :func:`_grouped` rows of the product formula of every nonzero slice
+    with itself, slice k under lead k - 1, from one engine call and one
+    grouping over all slices, which raise in (r, l)-then-k order."""
     n = f.order - 1
     terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
     keys, values, parts = _slice_contract_rows(model, f, terms)
-    _, grouped, orders = _grouped(n, n, terms, parts)
-    return keys, values, grouped, orders
-
-
-def slice_product_kernels(model: ProbabilityModel, f: Kernel):
-    """Iterator over (k, f_k, product_kernels(model, f_k, f_k)) for each
-    k = 1..N, ascending, whose slice f_k = ``slice_kernel(f, k)`` is nonzero,
-    all from :func:`_slice_formula`, which raises at the call what it meets
-    first: an index beyond N before any work, then the engine's first error
-    (``_slice_contract_rows``), then the grouping's in (r, l)-then-k order."""
-    keys, values, grouped, orders = _slice_formula(model, f)
-    leads = np.unique(keys[:, 0]).tolist()
-    slices = _runs_by_lead(keys, values, leads)
-    runs = {s: _runs_by_lead(*rows, leads) for s, rows in grouped.items()}
-    return (
-        (x + 1, _kernel(*slices[x]), {s: _kernel(*runs[s][x]) for s in orders.get(x, ())})
-        for x in leads
-    )
+    return keys, values, _grouped(n, n, terms, parts)[1]
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
-    """Chaos expansion of the pointwise product J_n(f) * J_m(g): the kernels
-    of :func:`product_kernels` plus the mean n! (f contracted with g at
+    """Chaos expansion of the pointwise product J_n(f) * J_m(g): the product
+    formula's kernels above order 0 plus the mean n! (f contracted with g at
     (n, n)) when the orders agree, all from one engine call."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    mean, grouped, _ = _product_formula(model, f, g, 0, True)
+    mean, grouped = _product_formula(model, f, g, 0, True)
     return ChaosExpansion(mean, {s: _kernel(*rows) for s, rows in grouped.items()})
 
 

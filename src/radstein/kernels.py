@@ -18,31 +18,26 @@ and the weighted contraction multiplies each entry by the product of the
 model's phi over the identified-but-unsummed slots.
 
 :class:`RawTensor` and the plain contractions built on it (:func:`contract`,
-:func:`weighted_contract`, :func:`to_kernel`, :func:`kernel_as_raw`) expand
-every permutation explicitly: they are the reference path that tests check
-against, outside the top-level API.  The bounds and the product formula use
-one engine, ``_weighted_contracts``, fed by an all-pairs scan of f and g
-(``_contract_rows``) or by the pairs of every slice of f with itself at once
-(``_slice_contract_rows``).  Each entry pair's shared-index count is one
-entry of the product of two 0/1 incidence matrices, formed sparsely in
-integers (``np.bincount`` over postings, no BLAS call) for about
-``_PAIR_BLOCK`` pairs at a time on either side.  The engine
-emits, per (r, l), key rows (a lead, then the indices) and correctly
-rounded coefficients as arrays, which the product formula groups and the
-J_m bounds reduce to norms without building a :class:`Kernel`.
-:func:`sym_offdiag_weighted_contracts` and :func:`slice_weighted_contracts`
-build Kernels from them for public callers.  Both routes reject a kernel
-index beyond N before any work (:func:`_check_kernel_indices`), so the
-engine reads phi at each index directly.  Kernels that this module builds
-from valid kernels (the engine's output, ``scaled``, :func:`kernel_add`,
-:func:`slice_kernel`) are not re-parsed: only finiteness is checked and
-zeros are dropped.
+:func:`weighted_contract`) expand every permutation explicitly: they are the
+reference path that tests check against, outside the top-level API.  The
+bounds and the product formula use one engine, ``_weighted_contracts``, fed
+by an all-pairs scan of f and g (``_contract_rows``) or by the pairs of every
+slice of f with itself at once (``_slice_contract_rows``).  It emits, per
+(r, l), key rows (a lead, then the indices) and correctly rounded
+coefficients as arrays, which the product formula groups and the J_m bounds
+reduce to norms; :func:`sym_offdiag_weighted_contract` builds the Kernel of
+one (r, l).  Both entry points reject a kernel index beyond N before any
+work (:func:`_check_kernel_indices`), so the engine reads phi at each index
+directly.  Kernels that this module builds from valid kernels (the engine's
+output, ``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not
+re-parsed: only finiteness is checked and zeros are dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +58,21 @@ from .model import (
 )
 
 
+def _indices(key) -> tuple:
+    """key's indices by ``operator.index``, a bool refused, as ``chenstein._integer``."""
+    key = tuple(key)
+    try:
+        if bool not in map(type, key):
+            return tuple(map(operator.index, key))
+    except TypeError:
+        pass
+    raise ValueError(f"tuple {key} holds an index that is not an integer")
+
+
 def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
     clean = {}
     for key, value in entries.items():
-        key = tuple(int(i) for i in key)
+        key = _indices(key)
         value = float(value)
         if len(key) != order:
             raise ValueError(f"tuple {key} has length {len(key)}, expected {order}")
@@ -125,7 +131,7 @@ class Kernel:
         (OverflowError if the sum leaves the float range)."""
         keys, values = [], []
         for key, value in pairs:
-            key = tuple(sorted(int(i) for i in key))
+            key = tuple(sorted(_indices(key)))
             if len(set(key)) != len(key):
                 raise ValueError(f"tuple {key} repeats an index")
             keys.append(key)
@@ -168,15 +174,6 @@ class RawTensor:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-
-def kernel_as_raw(f: Kernel) -> RawTensor:
-    """Expand a kernel to its full tensor, one entry per rearrangement."""
-    entries = {}
-    for key, value in f.entries.items():
-        for perm in itertools.permutations(key):
-            entries[perm] = value
-    return RawTensor(f.order, entries)
 
 
 def norm_sq(t) -> float:
@@ -302,23 +299,6 @@ def weighted_contract(
             w *= model.phi[k - 1]
         entries[key] = w
     return RawTensor(raw.order, entries)
-
-
-def to_kernel(t: RawTensor) -> Kernel:
-    """Symmetrize, drop diagonal positions, store increasing tuples."""
-    groups: dict[tuple, list] = {}
-    for key, value in t.entries.items():
-        if len(set(key)) != len(key):
-            continue
-        groups.setdefault(tuple(sorted(key)), []).append(value)
-    size = math.factorial(t.order)
-    entries = {}
-    for rep, values in groups.items():
-        if len(values) == size and all(v == values[0] for v in values):
-            entries[rep] = values[0]
-        else:
-            entries[rep] = stable_sum(values) / size
-    return Kernel(t.order, entries)
 
 
 # Entry pairs of f and g whose shared-index counts are formed at once.
@@ -506,8 +486,9 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
 
 def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list):
     """Iterator over the key rows and coefficients (``_weighted_contracts``,
-    lead 0) of ``to_kernel(weighted_contract(model, f, g, r, l))`` at each
-    (r, l) of terms in order, from an all-pairs scan.  An index beyond N
+    lead 0) of the symmetrized off-diagonal part of
+    ``weighted_contract(model, f, g, r, l)`` at each (r, l) of terms in
+    order, from an all-pairs scan.  An index beyond N
     raises at the call and an invalid (r, l) before any term is formed;
     each term raises what its own computation meets when it is reached."""
     _check_kernel_indices(model, f, g)
@@ -515,15 +496,6 @@ def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list):
     pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
     lead = np.zeros(len(tf), np.int32)
     return _weighted_contracts(model, f.order, g.order, terms, lead, tf, cf, tg, cg, pairs)
-
-
-def sym_offdiag_weighted_contracts(
-    model: ProbabilityModel, f: Kernel, g: Kernel, terms: list
-):
-    """Iterator over ``to_kernel(weighted_contract(model, f, g, r, l))`` at
-    each (r, l) of terms in order: the kernels of :func:`_contract_rows`,
-    which raise as it does."""
-    return (_kernel(*part) for part in _contract_rows(model, f, g, terms))
 
 
 def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tuple:
@@ -553,22 +525,10 @@ def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tup
     return np.column_stack((lead, rows)), cf, parts
 
 
-def slice_weighted_contracts(model: ProbabilityModel, f: Kernel, terms: list) -> dict:
-    """k -> [sym_offdiag_weighted_contract(model, f_k, f_k, r, l) for (r, l)
-    in terms] for each k = 1..N, ascending, whose slice f_k is nonzero: the
-    kernels of :func:`_slice_contract_rows`, which raise as it does."""
-    keys, _, parts = _slice_contract_rows(model, f, terms)
-    leads = np.unique(keys[:, 0]).tolist()
-    out = {x + 1: [] for x in leads}
-    for part in parts:
-        for x, run in _runs_by_lead(*part, leads).items():
-            out[x + 1].append(_kernel(*run))
-    return out
-
-
 def sym_offdiag_weighted_contract(
     model: ProbabilityModel, f: Kernel, g: Kernel, r: int, ell: int
 ) -> Kernel:
-    """Kernel form of the weighted contraction at one (r, l): the one-term
-    call of :func:`sym_offdiag_weighted_contracts`."""
-    return next(sym_offdiag_weighted_contracts(model, f, g, [(r, ell)]))
+    """The symmetrized off-diagonal part of ``weighted_contract(model, f, g,
+    r, l)`` as a Kernel: :func:`_contract_rows` at the one term (r, l),
+    which raises as it does."""
+    return _kernel(*next(_contract_rows(model, f, g, [(r, ell)])))

@@ -9,7 +9,8 @@ ran it one (r, l) at a time, the sparse-kernel computation of
 -D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
 second-order bound that holds every D_j D_l F table and sums each moment
 with its own ``math.fsum``, the product formula's (r, l) loop written out
-separately for ``multiply`` and for the J_m bound's grouped kernels, the
+separately for ``multiply`` and for the J_m bound's grouped kernels (f's and
+each slice's in turn), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
 solution built term by term from the ratio recurrences for each k.
@@ -34,6 +35,7 @@ from radstein import distance
 from radstein.errors import LengthMismatch, TooFewSamples, TooManySamples
 from radstein.kernels import (
     Kernel,
+    RawTensor,
     _check_contraction_indices,
     _check_kernel_indices,
     inner_product,
@@ -103,6 +105,33 @@ def full_function(kernel):
         for perm in set(itertools.permutations(key)):
             out[perm] = value
     return out
+
+
+def kernel_as_raw(f):
+    """Expand a kernel to its full RawTensor, one entry per rearrangement."""
+    entries = {}
+    for key, value in f.entries.items():
+        for perm in itertools.permutations(key):
+            entries[perm] = value
+    return RawTensor(f.order, entries)
+
+
+def to_kernel(t):
+    """Symmetrize a RawTensor, drop diagonal positions, store increasing
+    tuples."""
+    groups = {}
+    for key, value in t.entries.items():
+        if len(set(key)) != len(key):
+            continue
+        groups.setdefault(tuple(sorted(key)), []).append(value)
+    size = math.factorial(t.order)
+    entries = {}
+    for rep, values in groups.items():
+        if len(values) == size and all(v == values[0] for v in values):
+            entries[rep] = values[0]
+        else:
+            entries[rep] = stable_sum(values) / size
+    return Kernel(t.order, entries)
 
 
 def brute_contract(f, g, r, ell, support):
@@ -185,7 +214,7 @@ def _pairs_sharing(f, g, r):
 
 
 def postings_sym_offdiag_weighted_contract(model, f, g, r, ell):
-    """The one-call-per-(r, l) engine that ``sym_offdiag_weighted_contracts``
+    """The one-call-per-(r, l) engine that ``kernels._contract_rows``
     replaced: a postings map rebuilt on each call, and each split's weight
     and key formed in pure Python.  It raises InvalidContractionIndices
     first, IndexOutOfRange at the first kept index beyond N, then what
@@ -320,25 +349,27 @@ def grouped_jm_bound(model, f, shift, lam):
     )
 
 
-def kernel_route_jm_terms(model, f, lam, slices=None):
-    """(term_fluctuation, term_coordinate_block) of ``jm_bound`` as it was
-    computed on ``Kernel`` objects: the grouped kernels of
-    ``product_kernels`` and of the slice route (``slice_product_kernels``
-    by default, or ``slices``, which yields the same (k, f_k, kernels)),
-    each slice's special kernel from ``kernel_add`` and ``scaled``, and each
-    norm from ``norm_sq``, raising what that route meets, in its order."""
-    from radstein.chaos import product_kernels, slice_product_kernels
+def kernel_route_jm_terms(model, f, lam):
+    """(term_fluctuation, term_coordinate_block) of ``jm_bound`` computed on
+    ``Kernel`` objects and no engine code of the package: the index check
+    first, then every group from :func:`grouped_kernels` (f's, then each
+    nonzero slice's in turn, k ascending), each slice's special kernel from
+    ``kernel_add`` and ``scaled``, and each norm from ``norm_sq``, raising
+    what that route meets, in its order."""
     from radstein.chenstein import stein_factors
 
-    slices = slices or slice_product_kernels
-
+    _check_kernel_indices(model, f)
     m = f.order
     diff_f = stein_factors(lam).diff_bound
     var = math.factorial(m) * inner_product(f, f)
-    grouped = product_kernels(model, f, f, shift=1)
+    grouped = grouped_kernels(model, f, m)
     fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
     per_k = []
-    for k, fk, sliced in slices(model, f):
+    for k in range(1, model.size + 1):
+        fk = slice_kernel(f, k)
+        if fk.is_zero():
+            continue
+        sliced = grouped_kernels(model, fk, m)
         sigma = model.sigma[k - 1]
         drift = sigma * (model.p[k - 1] - model.q[k - 1])
         special = sliced.pop(m - 1, Kernel.zero(m - 1))

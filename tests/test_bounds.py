@@ -28,6 +28,7 @@ from radstein.bounds import (
     second_order_bound,
     wasserstein_bound,
 )
+from radstein import chaos
 from radstein.chaos import ChaosExpansion, to_table
 from radstein.distance import tv_exact, w1_exact
 from radstein.errors import (
@@ -36,7 +37,7 @@ from radstein.errors import (
     NonIntegerValue,
     OrderTooSmall,
 )
-from radstein.kernels import Kernel
+from radstein.kernels import Kernel, _kernel, _runs_by_lead
 from radstein.model import (
     FunctionalTable,
     build_model,
@@ -45,6 +46,27 @@ from radstein.model import (
 )
 
 import oracles
+
+
+def formula_kernels(model, f, g, shift=0):
+    """The product formula's kernels above order 0
+    (``chaos._product_formula``) as Kernels, by order."""
+    grouped = chaos._product_formula(model, f, g, shift, False)[1]
+    return {s: _kernel(*rows) for s, rows in grouped.items()}
+
+
+def slice_formula_kernels(model, f):
+    """[(k, f_k, {order: kernel})] of each nonzero slice f_k, k ascending,
+    from the one engine call and grouping of ``chaos._slice_formula``; a
+    slice lacking an order holds an empty kernel there."""
+    keys, values, grouped = chaos._slice_formula(model, f)
+    leads = np.unique(keys[:, 0]).tolist()
+    slices = _runs_by_lead(keys, values, leads)
+    runs = {s: _runs_by_lead(*rows, leads) for s, rows in grouped.items()}
+    return [
+        (x + 1, _kernel(*slices[x]), {s: _kernel(*run[x]) for s, run in runs.items()})
+        for x in leads
+    ]
 
 
 def sup_factor(lam):
@@ -429,8 +451,6 @@ class TestReferencePathUnused:
         "RawTensor",
         "contract",
         "weighted_contract",
-        "to_kernel",
-        "kernel_as_raw",
     )
 
     def test_production_never_calls_the_reference_path(self, monkeypatch, tmp_path):
@@ -492,7 +512,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
     def test_fluctuation_kernels_match_decomposition(self, m, seed):
-        from radstein.chaos import decompose, product_kernels
+        from radstein.chaos import decompose
         from radstein.kernels import inner_product
         from radstein.malliavin import gradient_pathwise
 
@@ -508,7 +528,7 @@ class TestFixedOrderGrouping:
         assert observed.mean == pytest.approx(
             math.factorial(m) * inner_product(f, f), abs=1e-10
         )
-        grouped = product_kernels(model, f, f, shift=1)
+        grouped = formula_kernels(model, f, f, shift=1)
         orders = {s for s, k in grouped.items() if not k.is_zero()}
         for s in orders | set(observed.kernels):
             expected = grouped.get(s, Kernel.zero(s)).scaled(float(m))
@@ -520,7 +540,7 @@ class TestFixedOrderGrouping:
 
     @pytest.mark.parametrize("m,seed", [(2, 4), (3, 5)])
     def test_slice_kernels_match_decomposition(self, m, seed):
-        from radstein.chaos import decompose, product_kernels
+        from radstein.chaos import decompose
         from radstein.kernels import kernel_add, norm_sq, slice_kernel
         from radstein.malliavin import gradient_pathwise
 
@@ -542,7 +562,7 @@ class TestFixedOrderGrouping:
             assert observed.mean == pytest.approx(
                 math.factorial(m - 1) * norm_sq(fk), abs=1e-10
             )
-            grouped = product_kernels(model, fk, fk)
+            grouped = formula_kernels(model, fk, fk)
             special = grouped.get(m - 1, Kernel.zero(m - 1))
             special = kernel_add(special, fk.scaled(drift / m))
             grouped = {**grouped, m - 1: special}
@@ -556,9 +576,9 @@ class TestFixedOrderGrouping:
 
 
 class TestProductFormulaRoute:
-    """``product_kernels`` behind ``multiply`` and ``jm_bound`` against the
-    separate (r, l) loops they replaced, kept in ``oracles``: same kernels,
-    same reports, the same (r, l) terms formed."""
+    """The product formula (``chaos._product_formula``) behind ``multiply``
+    and ``jm_bound`` against the separate (r, l) loops they replaced, kept in
+    ``oracles``: same kernels, same reports, the same (r, l) terms formed."""
 
     @staticmethod
     def hexed(kernels):
@@ -570,7 +590,7 @@ class TestProductFormulaRoute:
     @given(st.data())
     @settings(max_examples=120, derandomize=True, deadline=None)
     def test_equals_separate_loops_bit_for_bit(self, data):
-        from radstein.chaos import multiply, product_kernels
+        from radstein.chaos import multiply
         from radstein.kernels import slice_kernel
 
         size = data.draw(st.integers(2, 9), label="N")
@@ -599,18 +619,18 @@ class TestProductFormulaRoute:
         g_order = data.draw(st.integers(1, min(3, size)), label="order of g")
         g = f if data.draw(st.booleans(), label="g is f") else draw_kernel(g_order, "g")
 
-        assert self.hexed(product_kernels(model, f, f, shift=1)) == self.hexed(
+        assert self.hexed(formula_kernels(model, f, f, shift=1)) == self.hexed(
             oracles.grouped_kernels(model, f, m)
         )
         for k in range(1, size + 1):
             fk = slice_kernel(f, k)
             if not fk.is_zero():
-                assert self.hexed(product_kernels(model, fk, fk)) == self.hexed(
+                assert self.hexed(formula_kernels(model, fk, fk)) == self.hexed(
                     oracles.grouped_kernels(model, fk, m)
                 )
 
         mean, kernels = oracles.loop_multiply(model, f, g)
-        grouped = product_kernels(model, f, g)
+        grouped = formula_kernels(model, f, g)
         assert self.hexed(
             {o: k for o, k in grouped.items() if not k.is_zero()}
         ) == self.hexed(kernels)
@@ -726,10 +746,11 @@ class TestProductFormulaRoute:
 
 
 class TestSliceProductKernels:
-    """``slice_product_kernels``, all slices from one engine call, against
-    ``product_kernels`` called once per nonzero slice: the same slices and
-    the same kernels in key order and float.hex.  An index beyond N raises
-    at the call; any other error has the per-slice route's type."""
+    """The slices' product formula (``chaos._slice_formula``), all slices
+    from one engine call, against ``chaos._product_formula`` called once per
+    nonzero slice: the same slices and the same nonzero kernels in key order
+    and float.hex.  An index beyond N raises at the call; any other error has
+    the per-slice route's type."""
 
     MODERATE = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
     HUGE = st.sampled_from([1e200, -1e300, 1e155, 1e80, -1e77, 1e40])
@@ -739,11 +760,13 @@ class TestSliceProductKernels:
 
     @staticmethod
     def outcomes(route, model, f):
-        """(k, f_k, kernels) of each slice of route(model, f) hexed, up to
-        the first error, which ends the list as (type, message)."""
+        """(k, f_k, nonzero kernels by order) of each slice of
+        route(model, f) hexed, up to the first error, which ends the list as
+        (type, message)."""
         hexed, out = TestProductFormulaRoute.hexed, []
         try:
             for k, fk, kernels in route(model, f):
+                kernels = {s: h for s, h in sorted(kernels.items()) if not h.is_zero()}
                 out.append((k, hexed({fk.order: fk}), hexed(kernels)))
         except (IndexOutOfRange, ValueError, OverflowError) as err:
             out.append((type(err), str(err)))
@@ -751,25 +774,24 @@ class TestSliceProductKernels:
 
     @staticmethod
     def per_slice(model, f):
-        """The route the batch replaced: one product_kernels call per slice."""
-        from radstein.chaos import product_kernels
+        """The route the batch replaced: one product formula call per slice."""
         from radstein.kernels import slice_kernel
 
         for k in range(1, model.size + 1):
             fk = slice_kernel(f, k)
             if not fk.is_zero():
-                yield k, fk, product_kernels(model, fk, fk)
+                yield k, fk, formula_kernels(model, fk, fk)
 
     @staticmethod
     def term_then_slice_error(model, f):
-        """The error slice_product_kernels must raise, found on Kernels: each
+        """The error chaos._slice_formula must raise, found on Kernels: each
         nonzero slice's engine part at each (r, l), one call each, then its
         ``scaled`` and ``kernel_add`` in term order.  The engine's first error
         in (r, l) order (within a term, the first slice's whose sum fails in
         ``math.fsum``, else the first slice's with a non-finite sum), else
         the grouping's first in (r, l)-then-k order, as (type, message); None
         when neither raises."""
-        from radstein.kernels import kernel_add, slice_kernel, sym_offdiag_weighted_contracts
+        from radstein.kernels import kernel_add, slice_kernel, sym_offdiag_weighted_contract
 
         n = f.order - 1
         terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
@@ -779,7 +801,7 @@ class TestSliceProductKernels:
         for k, fk in slices:
             for t, term in enumerate(terms):
                 try:
-                    parts[k, t] = list(sym_offdiag_weighted_contracts(model, fk, fk, [term]))[0]
+                    parts[k, t] = sym_offdiag_weighted_contract(model, fk, fk, *term)
                 except (ValueError, OverflowError) as err:
                     summed = str(err).startswith("non-finite coefficient")
                     found[t, summed, k] = type(err), str(err)
@@ -831,10 +853,6 @@ class TestSliceProductKernels:
     @given(st.data())
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_equals_one_call_per_slice_bit_for_bit(self, data):
-        from unittest import mock
-
-        from radstein import chaos
-
         # One kernel in four mixes in coefficients whose products overflow.
         mixed = data.draw(st.sampled_from([False, False, False, True]), label="huge")
         coefficient = st.one_of(self.MODERATE, self.HUGE) if mixed else self.MODERATE
@@ -842,13 +860,9 @@ class TestSliceProductKernels:
         if f.max_index() > model.size:
             message = f"kernel references index {f.max_index()}, model has {model.size}"
             with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
-                chaos.slice_product_kernels(model, f)
+                chaos._slice_formula(model, f)
             return
-        with mock.patch.object(
-            chaos, "product_kernels", wraps=chaos.product_kernels
-        ) as spy:
-            got = self.outcomes(chaos.slice_product_kernels, model, f)
-        assert spy.call_count == 0  # every slice came from the batch
+        got = self.outcomes(slice_formula_kernels, model, f)
         want = self.outcomes(self.per_slice, model, f)
         if all(len(item) == 3 for item in want):
             assert got == want
@@ -863,7 +877,7 @@ class TestSliceProductKernels:
     def test_jm_bound_raises_as_the_per_slice_route(self, data):
         """Overflowing kernels: the same remainder terms, or the same
         exception type and message, as jm_bound's Kernel route
-        (``oracles.kernel_route_jm_terms``) over the per-slice route."""
+        (``oracles.kernel_route_jm_terms``), slice by slice."""
         model, f = self.draw_setup(data, st.one_of(self.HUGE, st.just(1.0)))
 
         def run(route):
@@ -881,7 +895,7 @@ class TestSliceProductKernels:
             )
             return report.detail["term_fluctuation"], report.detail["term_coordinate_block"]
 
-        want = run(lambda: oracles.kernel_route_jm_terms(model, f, 1.5, self.per_slice))
+        want = run(lambda: oracles.kernel_route_jm_terms(model, f, 1.5))
         assert run(terms) == want
 
     @given(st.data())
@@ -890,15 +904,13 @@ class TestSliceProductKernels:
         """Orders 4 and 5 with huge coefficients, so that one order of a
         slice gathers three parts or more: the batch raises the engine's, else
         the grouping's, first error in (r, l)-then-k order."""
-        from radstein.chaos import slice_product_kernels
-
         near = data.draw(st.booleans(), label="near the largest double")
         coefficient = self.NEAR_MAX_ROOT if near else st.one_of(self.HUGE, st.just(1.0))
         model, f = self.draw_setup(data, coefficient, (4, 5))
         if f.max_index() > model.size:
             return
         try:
-            slice_product_kernels(model, f)
+            chaos._slice_formula(model, f)
             got = None
         except (ValueError, OverflowError) as err:
             got = type(err), str(err)
@@ -909,8 +921,6 @@ class TestSliceProductKernels:
         so does slice 1's sum of it with the (3, 3) part; slice 1's error
         comes first, as each slice's ``scaled`` and ``kernel_add`` raise in
         turn."""
-        from radstein.chaos import slice_product_kernels
-
         model = build_model([0.3, 0.5, 0.3, 0.5, 0.1, 0.5])
         f = Kernel(
             5, {(1, 2, 3, 4, 6): 1e153, (1, 2, 3, 4, 5): 3e152, (1, 2, 4, 5, 6): 3e152}
@@ -918,13 +928,12 @@ class TestSliceProductKernels:
         message = "non-finite coefficient at (3, 5)"
         assert self.term_then_slice_error(model, f) == (ValueError, message)
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            slice_product_kernels(model, f)
+            chaos._slice_formula(model, f)
 
     def test_grouping_checks_accumulated_rows_lead_by_lead(self):
         """Three order-1 parts: the second appends key (3,) of lead 0 after
         lead 1's rows, and the third overflows both lead 1's (2,) and lead
         0's (3,); lead 0's error comes first."""
-        from radstein.chaos import _grouped
 
         def part(rows, values):
             return np.array(rows, dtype=np.intp), np.array(values)
@@ -935,27 +944,26 @@ class TestSliceProductKernels:
             part([[1, 1], [0, 2]], [1e308, 1e308]),
         ]
         with pytest.raises(ValueError, match=r"^non-finite coefficient at \(3,\)$"):
-            _grouped(1, 1, [(0, 0)] * 3, parts)
+            chaos._grouped(1, 1, [(0, 0)] * 3, parts)
 
     def test_first_error_comes_in_term_then_slice_order(self):
         """Slice 3 overflows at its first term, at (1, 2), and slice 1 at its
         second, at (3,): the batch raises slice 3's error at the call, where
         the per-slice route raises slice 1's."""
-        from radstein.chaos import slice_product_kernels
-
         model = build_model([0.3, 0.5, 0.3])
         f = Kernel(2, {(1, 3): 1e200, (2, 3): -1e300})
         with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 2\)$"):
-            slice_product_kernels(model, f)
+            chaos._slice_formula(model, f)
         want = self.outcomes(self.per_slice, model, f)
         assert want == [(ValueError, "non-finite coefficient at (3,)")]
 
 
 class TestArrayRoute:
     """``jm_bound`` keeps the grouped kernels as key rows and coefficients up
-    to their norms; the same blocks computed on ``Kernel`` objects (through
-    ``slice_product_kernels``, ``kernel_add`` and ``norm_sq``) give the same
-    terms in float.hex, or the same exception type and message."""
+    to their norms; the same blocks computed on ``Kernel`` objects with no
+    engine code of the package (``oracles.kernel_route_jm_terms``: the
+    postings oracle slice by slice, ``kernel_add`` and ``norm_sq``) give the
+    same terms in float.hex, or the same exception type and message."""
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -994,25 +1002,23 @@ class TestIndexBeyondN:
 
     @staticmethod
     def entry_points():
-        from radstein import chaos, kernels, malliavin
+        from radstein import kernels, malliavin
 
         good, bad = TestIndexBeyondN.GOOD, TestIndexBeyondN.BAD
         expansion = ChaosExpansion(1.0, {2: bad})
+        # "contracts" to "slice_product_kernels" name the private engine and
+        # product formula entries behind the bounds and multiply.
         return {
-            "contracts": lambda m: kernels.sym_offdiag_weighted_contracts(
-                m, good, bad, [(1, 0)]
-            ),
-            "contracts_summed_only": lambda m: kernels.sym_offdiag_weighted_contracts(
+            "contracts": lambda m: kernels._contract_rows(m, good, bad, [(1, 0)]),
+            "contracts_summed_only": lambda m: kernels._contract_rows(
                 m, bad, bad, [(2, 2), (1, 1)]
             ),
             "contract": lambda m: kernels.sym_offdiag_weighted_contract(
                 m, bad, good, 1, 1
             ),
-            "slice_contracts": lambda m: kernels.slice_weighted_contracts(
-                m, bad, [(0, 0)]
-            ),
-            "product_kernels": lambda m: chaos.product_kernels(m, bad, bad, shift=1),
-            "slice_product_kernels": lambda m: chaos.slice_product_kernels(m, bad),
+            "slice_contracts": lambda m: kernels._slice_contract_rows(m, bad, [(0, 0)]),
+            "product_kernels": lambda m: chaos._product_formula(m, bad, bad, 1, False),
+            "slice_product_kernels": lambda m: chaos._slice_formula(m, bad),
             "multiply": lambda m: chaos.multiply(m, good, bad),
             "covariance": lambda m: chaos.covariance(m, good, bad),
             "to_table": lambda m: to_table(m, expansion),
@@ -1165,6 +1171,23 @@ class TestJ2Example:
         for name in ("lam", "a1", "a2", "a3", "a4", "a5", "a6", "total"):
             a, b = getattr(closed, name), getattr(machinery, name)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-30)
+
+    def test_machinery_shares_the_jm_bound_blocks(self):
+        """A3 and A4 are the squared norms behind jm_bound's fluctuation
+        term, bit for bit; A5, A6 and A7 behind its coordinate block, summed
+        in another order."""
+        from radstein.chenstein import stein_factors
+
+        for n in range(2, 13):
+            model, f = j2_example_kernel(n)
+            record = j2_example_machinery(n)
+            detail = jm_bound(model, f, 0.0, record.lam, check_integer=False).detail
+            diff_f = stein_factors(record.lam).diff_bound
+            fluct = diff_f * math.sqrt(4 * math.fsum((record.a3, 2 * record.a4)))
+            assert detail["term_fluctuation"].hex() == fluct.hex(), n
+            coordinate = math.fsum((record.a5, 2 * record.a6, record.a7))
+            coordinate = diff_f * math.sqrt(record.lam) * math.sqrt(8 * coordinate)
+            assert detail["term_coordinate_block"] == pytest.approx(coordinate, rel=1e-12)
 
     def test_rate_constant_on_sample(self):
         for n in (2, 10, 100, 1000, 10_000):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 import warnings
 from unittest import mock
@@ -20,25 +21,40 @@ from radstein.kernels import (
     contract,
     inner_product,
     kernel_add,
-    kernel_as_raw,
     norm,
     norm_sq,
     slice_kernel,
-    slice_weighted_contracts,
     sym_offdiag_weighted_contract,
-    sym_offdiag_weighted_contracts,
-    to_kernel,
     weighted_contract,
 )
 from radstein.model import build_model
 
 import oracles
+from oracles import kernel_as_raw, to_kernel
 
 
 def star_kernel(n):
     """Order-2 kernel with value (n-1)/(2 n^2) on every pair {1, j}."""
     value = (n - 1) / (2.0 * n * n)
     return Kernel(2, {(1, j): value for j in range(2, n + 1)})
+
+
+def contracts(model, f, g, terms):
+    """The Kernel of each (r, l) of terms from one engine call
+    (``kernels._contract_rows``), which raises at the call as it does."""
+    return (kernels._kernel(*part) for part in kernels._contract_rows(model, f, g, terms))
+
+
+def slice_contracts(model, f, terms):
+    """k -> the Kernel of each (r, l) of terms for each nonzero slice f_k,
+    k ascending, all from one engine call (``kernels._slice_contract_rows``)."""
+    keys, _, parts = kernels._slice_contract_rows(model, f, terms)
+    leads = np.unique(keys[:, 0]).tolist()
+    out = {x + 1: [] for x in leads}
+    for part in parts:
+        for x, run in kernels._runs_by_lead(*part, leads).items():
+            out[x + 1].append(kernels._kernel(*run))
+    return out
 
 
 def tensors_close(a, b, tol=1e-13):
@@ -50,6 +66,24 @@ class TestKernelBasics:
     def test_rejects_unsorted_tuple(self):
         with pytest.raises(ValueError):
             Kernel(2, {(2, 1): 1.0})
+
+    @pytest.mark.parametrize(
+        "order, key", [(1, (1.5,)), (2, (1, 2.9)), (1, (True,)), (2, (True, 2))]
+    )
+    def test_rejects_an_index_that_is_not_an_integer(self, order, key):
+        message = rf"^tuple {re.escape(str(key))} holds an index that is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            Kernel(order, {key: 1.0})
+        with pytest.raises(ValueError, match=message):
+            Kernel.from_pairs(order, [(key, 1.0)])
+        with pytest.raises(ValueError, match=message):
+            RawTensor(order, {key: 1.0})
+
+    def test_accepts_numpy_integer_indices(self):
+        f = Kernel(2, {(1, np.int64(2)): 1.0})
+        assert list(f.entries) == [(1, 2)] and type(next(iter(f.entries))[1]) is int
+        g = Kernel.from_pairs(2, [((np.int64(2), 1), 1.0)])
+        assert list(g.entries) == [(1, 2)]
 
     def test_prunes_zeros(self):
         assert Kernel(2, {(1, 2): 0.0}).is_zero()
@@ -251,8 +285,8 @@ class TestFusedContraction:
 
 
 class TestMultiTermEngine:
-    """``sym_offdiag_weighted_contracts`` against the postings-map engine it
-    replaced, called once per (r, l): the same kernels in key order and
+    """The engine over several (r, l) terms (``kernels._contract_rows``)
+    against the postings-map engine it replaced, called once per (r, l): the same kernels in key order and
     float.hex, and the same exception at the same term.  A kernel index
     beyond N raises at the call."""
 
@@ -315,13 +349,13 @@ class TestMultiTermEngine:
         if beyond > size:
             message = f"kernel references index {beyond}, model has {size}"
             with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
-                sym_offdiag_weighted_contracts(model, f, g, terms)
+                contracts(model, f, g, terms)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with mock.patch.object(kernels, "_PAIR_BLOCK", block):
                 got = self.outcomes(
-                    sym_offdiag_weighted_contracts(model, f, g, terms)
+                    contracts(model, f, g, terms)
                 )
         want = self.outcomes(
             oracles.postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
@@ -335,7 +369,7 @@ class TestMultiTermEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
-                list(sym_offdiag_weighted_contracts(model, f, f, [(1, 0)]))
+                list(contracts(model, f, f, [(1, 0)]))
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
@@ -350,7 +384,7 @@ class TestMultiTermEngine:
         c = abs(second)
         f = Kernel(2, {(1, 2): c, (1, 3): second})
         g = Kernel(2, {(1, 3): c, (1, 2): c})
-        got = self.outcomes(sym_offdiag_weighted_contracts(model, f, g, [(1, 1)]))
+        got = self.outcomes(contracts(model, f, g, [(1, 1)]))
         want = self.outcomes(
             oracles.postings_sym_offdiag_weighted_contract(model, f, g, 1, 1)
             for _ in range(1)
@@ -366,20 +400,21 @@ class TestMultiTermEngine:
         message = "^kernel references index 3, model has 2$"
         for terms in ([(1, 1)], [(1, 1), (1, 0)]):
             with pytest.raises(IndexOutOfRange, match=message):
-                sym_offdiag_weighted_contracts(model, f, f, terms)
+                contracts(model, f, f, terms)
 
     def test_invalid_term_raises_before_any_work(self):
         model = build_model([0.3, 0.6])
         f = Kernel(1, {(1,): 1.0})
-        parts = sym_offdiag_weighted_contracts(model, f, f, [(1, 1), (2, 0)])
+        parts = contracts(model, f, f, [(1, 1), (2, 0)])
         with pytest.raises(InvalidContractionIndices):
             next(parts)
 
 
 class TestSlicePairBlocks:
-    """The slice side forms its same-lead pairs in blocks of about
-    ``_PAIR_BLOCK`` pairs (``kernels._lead_blocks``): every block size gives
-    each slice the kernels of one engine call on that slice alone."""
+    """The slice side (``kernels._slice_contract_rows``) forms its same-lead
+    pairs in blocks of about ``_PAIR_BLOCK`` pairs (``kernels._lead_blocks``):
+    every block size gives each slice the kernels of one engine call on that
+    slice alone."""
 
     @given(st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -406,10 +441,10 @@ class TestSlicePairBlocks:
         terms = [(r, ell) for r in range(m) for ell in range(r + 1)]
         block = data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="pair block")
         with mock.patch.object(kernels, "_PAIR_BLOCK", block):
-            got = slice_weighted_contracts(model, f, terms)
+            got = slice_contracts(model, f, terms)
         for k, parts in got.items():
             fk = slice_kernel(f, k)
-            want = sym_offdiag_weighted_contracts(model, fk, fk, terms)
+            want = contracts(model, fk, fk, terms)
             assert [
                 (part.order, [(t, v.hex()) for t, v in part.entries.items()])
                 for part in parts
