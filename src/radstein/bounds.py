@@ -89,11 +89,9 @@ def _report(lam, t1, t2, t3, method, detail=None) -> BoundReport:
 STREAMED_METHODS = ("main", "main_reduced", "wasserstein")
 
 
-def enumeration_bounds(
-    model: ProbabilityModel, table: FunctionalTable, lam: float, methods
-) -> dict:
-    """The bounds named in ``methods`` (a subset of :data:`STREAMED_METHODS`)
-    from one pass over k = 1..N, as method -> report.  The pass keeps E[F],
+def enumeration_bounds(model: ProbabilityModel, table: FunctionalTable, lam: float) -> dict:
+    """The bounds of :data:`STREAMED_METHODS` from one pass over k = 1..N, as
+    method -> report, in that order.  The pass keeps E[F],
     <DF, -DL^{-1}(F - EF)> and the signed remainder summed over k: O(2^N)
     memory.  D_k F and -D_k L^{-1}(F - EF) do not depend on omega_k, so each
     is formed on half the outcomes, and integrating X_k out of the remainder
@@ -101,8 +99,6 @@ def enumeration_bounds(
     remainder is half of main's: halving is exact in binary floating point
     unless a per-outcome term is subnormal."""
     lam = _check_lambda(lam)
-    if not set(methods) <= set(STREAMED_METHODS):
-        raise ValueError(f"{list(methods)} are not all enumeration bounds")
     integer_values(table)
     mean = expectation(model, table)
     inverse = pseudo_inverse_table(model, table).values
@@ -129,8 +125,7 @@ def enumeration_bounds(
     c3 = min(4.0 / 3.0, 2.0 / lam)
     main = (sup_f * abs(lam - mean), diff_f * gap, diff_f * remainder)
     wasserstein = (abs(lam - mean), c2 * gap, c3 * (0.5 * remainder))
-    terms = {"main": main, "main_reduced": main, "wasserstein": wasserstein}
-    return {m: _report(lam, *terms[m], m) for m in STREAMED_METHODS if m in methods}
+    return {m: _report(lam, *t, m) for m, t in zip(STREAMED_METHODS, (main, main, wasserstein))}
 
 
 def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> BoundReport:
@@ -140,7 +135,7 @@ def main_bound(model: ProbabilityModel, table: FunctionalTable, lam: float) -> B
     expected absolute carre-du-champ gap |lam - <DF, -DL^{-1}(F-EF)>|, then the
     same factor times E<(1/sqrt(pq)) DF (DF + sqrt(pq) X), |-DL^{-1}(F-EF)|>.
     """
-    return enumeration_bounds(model, table, lam, ("main",))["main"]
+    return enumeration_bounds(model, table, lam)["main"]
 
 
 def main_bound_reduced(
@@ -150,7 +145,7 @@ def main_bound_reduced(
     sqrt(pq) X is replaced by its mean sqrt(pq)(p - q) coordinatewise.  D_k F
     and D_k L^{-1}F do not depend on omega_k, so that step is exact and the
     report is :func:`main_bound`'s under this method name."""
-    return enumeration_bounds(model, table, lam, ("main_reduced",))["main_reduced"]
+    return enumeration_bounds(model, table, lam)["main_reduced"]
 
 
 def wasserstein_bound(
@@ -159,7 +154,7 @@ def wasserstein_bound(
     """Wasserstein-distance analogue with the Lipschitz-test-class factors
     1, 1 ^ 8/(3 sqrt(2 e lam)) and 4/3 ^ 2/lam; the second-difference factor
     multiplies the half-weighted gradient product."""
-    return enumeration_bounds(model, table, lam, ("wasserstein",))["wasserstein"]
+    return enumeration_bounds(model, table, lam)["wasserstein"]
 
 
 def j1_bound(

@@ -27,7 +27,7 @@ from .kernels import (
     _slice_contract_rows,
     inner_product,
 )
-from .model import FunctionalTable, ProbabilityModel
+from .model import FunctionalTable, ProbabilityModel, _check_table, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,7 @@ class ChaosExpansion:
     def __post_init__(self):
         clean = {}
         for order, kernel in self.kernels.items():
-            order = int(order)
+            order = _integer(order, "chaos order")
             if order < 1:
                 raise ValueError("chaos orders start at 1; constants go in mean")
             if kernel.order != order:
@@ -129,8 +129,7 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     Projects onto the orthonormal basis of Y-products: the coefficient at an
     increasing tuple S of size n is E[F * prod_{k in S} Y_k] / n!.
     """
-    if table.values.shape != (model.num_outcomes,):
-        raise LengthMismatch("table does not match the model")
+    _check_table(model, table)
     coeffs = _forward_transform(model, table.values)
     orders = mask_orders(model.size)
     kernels: dict[int, dict] = {}
@@ -165,9 +164,9 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
     """(mean, rows) of the product formula's parts at terms, each a
     (key rows, coefficients) pair of the engine: rows maps each order to its
     key rows and coefficients, the parts of that order scaled by
-    r! C(n,r) C(m,r) C(r,l) and added in term order as ``scaled`` and
-    :func:`kernel_add` would (so they raise as those do, part by part and,
-    within a part, lead by lead); the order-0 part is the mean."""
+    r! C(n,r) C(m,r) C(r,l) and added in term order, one IEEE addition per
+    key and zero sums dropped (raising as ``scaled`` and such a sum of Kernels
+    would, part by part and, within a part, lead by lead); order 0 is the mean."""
     mean, grouped = 0.0, {}
     for (r, ell), (keys, values) in zip(terms, parts):
         if not len(values):
@@ -185,7 +184,7 @@ def _grouped(n: int, m: int, terms: list, parts) -> tuple:
             if not np.isfinite(grouped[order][1]).all():
                 # A non-finite scaled value stays so in its sum.  Lead by
                 # lead, the scaled part's error comes before the sums', as
-                # each slice's ``scaled`` and then ``kernel_add`` raise.
+                # each slice's ``scaled`` and then its sum raise.
                 _check_finite(*map(np.concatenate, zip((keys, scaled), grouped[order])))
         else:
             _check_finite(keys, scaled)

@@ -18,14 +18,13 @@ so the order in which the terms come does not matter.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import EnumerationCapExceeded, InvalidLambda, RangeTooShort
-from .model import ENUMERATION_CAP, run_sums, stable_sum
+from .model import ENUMERATION_CAP, _frozen, _integer, run_sums, stable_sum
 
 _TAIL_EPS = 1e-14
 _TERM_EPS = 1e-22
@@ -37,15 +36,6 @@ _RANGE_LIMIT = 1 << ENUMERATION_CAP
 _BLOCK_TERMS = 1 << 16
 _TABLE_TERMS = 1 << 18
 _CACHED_TABLES = 8
-
-
-def _integer(value, name: str) -> int:
-    try:
-        if type(value) is not bool:  # True is no integer here, as in tv_monte_carlo
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_lambda(lam: float) -> float:
@@ -102,7 +92,7 @@ def truncation_point(lam: float, support_max: int = 0) -> int:
     """Smallest k with Poisson tail mass beyond k below 1e-14, at least
     max(support_max, 10 lam, 10); the range 0..k must fit _RANGE_LIMIT."""
     lam = _check_lambda(lam)
-    support_max = int(support_max)
+    support_max = _integer(support_max, "support_max")
     _check_range(max(support_max, 10 * lam), lam, support_max)
     k = max(support_max, math.ceil(10 * lam), 10)
     while poisson_tail(lam, k + 1) >= _TAIL_EPS:
@@ -167,12 +157,10 @@ class SteinSolution:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.k_max + 1,):
             raise ValueError("values must cover 0..k_max")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @cached_property
     def set_probability(self) -> float:

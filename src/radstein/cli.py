@@ -343,9 +343,7 @@ def _parse_bound_spec(doc: dict) -> tuple:
         rows, streamed = [], {}
         for method in requested:
             if method in bounds_mod.STREAMED_METHODS:
-                streamed = streamed or bounds_mod.enumeration_bounds(
-                    model, table, lam, set(requested) & set(bounds_mod.STREAMED_METHODS)
-                )
+                streamed = streamed or bounds_mod.enumeration_bounds(model, table, lam)
                 report = streamed[method]
             elif method == "second_order":
                 report = bounds_mod.second_order_bound(model, table, lam)

@@ -9,6 +9,7 @@ mass is reported explicitly as ``tail_error``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -29,6 +30,7 @@ from .model import (
     INTEGER_TOLERANCE,
     DistributionTable,
     ProbabilityModel,
+    _integer,
     rounded_integers,
     stable_sum,
     sums_by_key,
@@ -147,12 +149,13 @@ def tv_monte_carlo(
     from concurrent.futures import ThreadPoolExecutor
 
     lam = _check_lambda(lam)
-    if type(samples) is not int:
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    samples = _integer(samples, "samples")
     if samples < MIN_MC_SAMPLES:
         raise TooFewSamples(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     if samples > MAX_MC_SAMPLES:
         raise TooManySamples(f"at most {MAX_MC_SAMPLES} samples allowed, got {samples}")
+    with contextlib.suppress(ValueError):  # refused below, naming the range
+        seed = _integer(seed, "seed")
     if type(seed) is not int or not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     counts = np.zeros(1, dtype=np.int64)

@@ -28,16 +28,15 @@ coefficients as arrays, which the product formula groups and the J_m bounds
 reduce to norms; :func:`sym_offdiag_weighted_contract` builds the Kernel of
 one (r, l).  Both entry points reject a kernel index beyond N before any
 work (:func:`_check_kernel_indices`), so the engine reads phi at each index
-directly.  Kernels that this module builds from valid kernels (the engine's
-output, ``scaled``, :func:`kernel_add`, :func:`slice_kernel`) are not
-re-parsed: only finiteness is checked and zeros are dropped.
+directly.  Kernels built here from valid kernels (the engine's output,
+``scaled``, :func:`slice_kernel`, and sums, one IEEE addition per key) are
+not re-parsed: only finiteness is checked and zeros are dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .model import (
     ProbabilityModel,
+    _integer,
     _key_runs,
     _pair_sums,
     _sums_by_key,
@@ -59,14 +59,12 @@ from .model import (
 
 
 def _indices(key) -> tuple:
-    """key's indices by ``operator.index``, a bool refused, as ``chenstein._integer``."""
+    """key's indices by ``model._integer``."""
     key = tuple(key)
     try:
-        if bool not in map(type, key):
-            return tuple(map(operator.index, key))
-    except TypeError:
-        pass
-    raise ValueError(f"tuple {key} holds an index that is not an integer")
+        return tuple([_integer(i, "index") for i in key])
+    except ValueError:
+        raise ValueError(f"tuple {key} holds an index that is not an integer") from None
 
 
 def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
@@ -203,6 +201,7 @@ def slice_kernel(f: Kernel, k: int) -> Kernel:
     """The order-(order-1) kernel f(., k) with one argument fixed at k."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
+    k = _integer(k, "index")
     if k < 1:
         raise IndexOutOfRange(f"index {k} is not positive")
     return Kernel._built(
@@ -213,15 +212,6 @@ def slice_kernel(f: Kernel, k: int) -> Kernel:
             if k in key
         },
     )
-
-
-def kernel_add(f: Kernel, g: Kernel) -> Kernel:
-    if f.order != g.order:
-        raise OrderMismatch(f"orders {f.order} and {g.order} differ")
-    acc = dict(f.entries)
-    for key, value in g.entries.items():
-        acc[key] = acc.get(key, 0.0) + value
-    return Kernel._built(f.order, acc)
 
 
 def _check_kernel_indices(model: ProbabilityModel, *kernels: Kernel) -> None:
@@ -331,9 +321,9 @@ def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
 
 
 def _add_rows(acc: tuple, part: tuple) -> tuple:
-    """:func:`kernel_add` on (key rows, values), the keys distinct within
-    each: acc's keys in their order, then part's new ones in theirs, each
-    value one IEEE sum; zero sums are dropped and non-finite ones kept."""
+    """Two kernels as (key rows, values), the keys distinct within each,
+    added: acc's keys in their order, then part's new ones in theirs, one
+    IEEE addition per key; zero sums are dropped and non-finite ones kept."""
     keys, values = (np.concatenate(pair) for pair in zip(acc, part))
     order, edges = _key_runs(keys)
     firsts = order[edges[:-1]]

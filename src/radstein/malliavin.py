@@ -17,9 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import ChaosExpansion, _forward_transform, _inverse_transform, mask_orders
-from .errors import IndexOutOfRange, LengthMismatch, MalformedField
+from .errors import IndexOutOfRange, MalformedField
 from .kernels import Kernel, _check_kernel_indices, slice_kernel
-from .model import FunctionalTable, ProbabilityModel, expectation, stable_sum
+from .model import (
+    FunctionalTable,
+    ProbabilityModel,
+    _check_table,
+    _integer,
+    expectation,
+    stable_sum,
+)
 
 
 def flip_difference(model: ProbabilityModel, values: np.ndarray, k: int) -> np.ndarray:
@@ -46,6 +53,7 @@ def gradient_pathwise(model: ProbabilityModel, table: FunctionalTable, k: int) -
 
 def gradient_chaos(expansion: ChaosExpansion, k: int) -> ChaosExpansion:
     """Chaos form of D_k: order n maps to n J_{n-1}(f_n(., k))."""
+    k = _integer(k, "index")
     if k < 1:
         raise IndexOutOfRange(f"index {k} is not positive")
     mean = 0.0
@@ -106,7 +114,8 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
     """
     raw: dict[int, list] = {}  # order -> (tuple, contribution) pairs
     for k, component in u.components.items():
-        if not 1 <= int(k) <= model.size:
+        k = _integer(k, "component index", MalformedField)
+        if not 1 <= k <= model.size:
             raise MalformedField(f"component index {k} outside 1..{model.size}")
         _check_kernel_indices(model, *component.kernels.values())
         if component.max_order() >= model.size:
@@ -114,7 +123,6 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
                 f"component {k} holds order {component.max_order()}, so the "
                 f"assembled kernel would exceed order N = {model.size}"
             )
-        k = int(k)
         if component.mean != 0.0:
             raw.setdefault(1, []).append(((k,), component.mean))
         for order, kernel in component.kernels.items():
@@ -132,8 +140,7 @@ def pseudo_inverse_table(model: ProbabilityModel, table: FunctionalTable) -> Fun
     popcount n becomes n! * ((-1/n) * (c / n!)) + 0.0 between two butterflies.
     That is the rounding of decompose, pseudo_inverse and to_table, whose
     dropped zero entries leave +0.0, so both routes agree bit for bit."""
-    if table.values.shape != (model.num_outcomes,):
-        raise LengthMismatch("table does not match the model")
+    _check_table(model, table)
     coeffs = _forward_transform(model, table.values)
     orders = mask_orders(model.size)
     fact = np.array([float(math.factorial(n)) for n in range(model.size + 1)])[orders]

@@ -15,11 +15,18 @@ or runs below 512 values, or fewer than 2048 values in all), non-finite input
 and input with an exponent outside +-990.  A key of one or two values whose
 IEEE sum is finite and nonzero takes that sum, which is the correctly
 rounded one.
+
+The package's other value rules live here too: a model derives its arrays
+once from the validated p, and models and tables hold them read-only
+(:func:`_frozen`); :func:`_integer` is the integer rule for indices, orders
+and counts (numpy integers pass, 1.5 and bools raise); :func:`_check_table`
+matches a table to a model.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,49 +202,53 @@ def sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     return firsts, sums.tolist()
 
 
+def _integer(value, name: str, error=ValueError) -> int:
+    """``value`` as an int by ``operator.index``: numpy integers pass, and 1.5
+    or a bool raise ``error``."""
+    try:
+        if type(value) is not bool:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values``, an array that no one else holds, made read-only."""
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityModel:
     """Success probabilities p_1..p_N with derived q, sigma = sqrt(pq), phi.
 
     phi_k = (q_k - p_k) / sqrt(p_k q_k) vanishes exactly when p_k = 1/2; the
     standardized coordinate satisfies Y_k^2 = 1 + phi_k * Y_k pointwise.
-    """
+    Y_k is sqrt(q_k/p_k) on {omega_k = +1} and -sqrt(p_k/q_k) on
+    {omega_k = -1}: ``y_plus`` and ``y_minus`` at index k - 1."""
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise EmptyModel("model needs a nonempty probability vector")
         if not np.all(np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
             raise OutOfRangeProbability(
                 f"all probabilities must lie strictly inside (0, 1), got {p.tolist()}"
             )
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        q = 1.0 - p
+        sigma = np.sqrt(p * q)
+        for name, values in zip(
+            ("p", "q", "sigma", "phi", "y_plus", "y_minus"),
+            (p, q, sigma, (q - p) / sigma, np.sqrt(q / p), -np.sqrt(p / q)),
+        ):
+            object.__setattr__(self, name, _frozen(values))
 
     @property
     def size(self) -> int:
         return int(self.p.size)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        q = 1.0 - self.p
-        q.flags.writeable = False
-        return q
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        s = np.sqrt(self.p * self.q)
-        s.flags.writeable = False
-        return s
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        f = (self.q - self.p) / self.sigma
-        f.flags.writeable = False
-        return f
 
     @property
     def num_outcomes(self) -> int:
@@ -252,6 +263,7 @@ class ProbabilityModel:
             )
 
     def check_index(self, k: int) -> None:
+        k = _integer(k, "coordinate")
         if not 1 <= k <= self.size:
             raise IndexOutOfRange(f"coordinate {k} outside 1..{self.size}")
 
@@ -262,22 +274,7 @@ class ProbabilityModel:
         w = np.ones(1)
         for k in range(self.size):
             w = np.concatenate([w * self.q[k], w * self.p[k]])
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def y_plus(self) -> np.ndarray:
-        """Y_k on {omega_k = +1}, i.e. sqrt(q_k/p_k), at index k - 1."""
-        y = np.sqrt(self.q / self.p)
-        y.flags.writeable = False
-        return y
-
-    @cached_property
-    def y_minus(self) -> np.ndarray:
-        """Y_k on {omega_k = -1}, i.e. -sqrt(p_k/q_k), at index k - 1."""
-        y = -np.sqrt(self.p / self.q)
-        y.flags.writeable = False
-        return y
+        return _frozen(w)
 
     def y_table(self, k: int) -> np.ndarray:
         """Y_k over all outcomes, indexed by bitmask."""
@@ -289,10 +286,7 @@ class ProbabilityModel:
 
 def build_model(p) -> ProbabilityModel:
     """Validate a probability vector and derive q, sigma, phi."""
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.size == 0:
-        raise EmptyModel("model needs a nonempty probability vector")
-    return ProbabilityModel(arr)
+    return ProbabilityModel(np.atleast_1d(np.asarray(p, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +297,7 @@ class FunctionalTable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.model.num_outcomes,):
             raise LengthMismatch(
                 f"table has {v.shape} values, model enumerates "
@@ -311,9 +305,7 @@ class FunctionalTable:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("functional table contains non-finite values")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
 
     @classmethod
     def constant(cls, model: ProbabilityModel, c: float) -> "FunctionalTable":
@@ -327,9 +319,9 @@ class DistributionTable:
     pmf: dict
 
     def __post_init__(self):
-        pmf = {int(k): float(v) for k, v in self.pmf.items()}
-        if any(k < 0 for k in pmf):
+        if any(int(k) != k or k < 0 for k in self.pmf):
             raise ValueError("support must consist of nonnegative integers")
+        pmf = {int(k): float(v) for k, v in self.pmf.items()}
         if any(v < 0.0 for v in pmf.values()):
             raise ValueError("probabilities must be nonnegative")
         total = stable_sum(pmf.values())
@@ -354,7 +346,6 @@ def expectation(model: ProbabilityModel, table: FunctionalTable) -> float:
 
 def variance(model: ProbabilityModel, table: FunctionalTable) -> float:
     """Exact Var(F) via the centered two-pass formula; never negative."""
-    _check_table(model, table)
     mu = expectation(model, table)
     v = stable_sum(model.outcome_weights * (table.values - mu) ** 2)
     return max(v, 0.0)

@@ -14,6 +14,8 @@ each slice's in turn), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
 solution built term by term from the ratio recurrences for each k.
+:func:`kernel_add` is the key-by-key sum of two Kernels that the product
+formula's grouping of the engine's arrays must reproduce.
 """
 
 import itertools
@@ -32,19 +34,28 @@ from radstein.chenstein import (
     poisson_set_prob,
 )
 from radstein import distance
-from radstein.errors import LengthMismatch, TooFewSamples, TooManySamples
+from radstein.errors import LengthMismatch, OrderMismatch, TooFewSamples, TooManySamples
 from radstein.kernels import (
     Kernel,
     RawTensor,
     _check_contraction_indices,
     _check_kernel_indices,
     inner_product,
-    kernel_add,
     norm_sq,
     slice_kernel,
 )
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
 from radstein.model import FunctionalTable, rounded_integers, stable_sum
+
+
+def kernel_add(f: Kernel, g: Kernel) -> Kernel:
+    """f + g: one IEEE addition per key, zero sums dropped."""
+    if f.order != g.order:
+        raise OrderMismatch(f"orders {f.order} and {g.order} differ")
+    acc = dict(f.entries)
+    for key, value in g.entries.items():
+        acc[key] = acc.get(key, 0.0) + value
+    return Kernel._built(f.order, acc)
 
 
 def all_outcomes(n):

@@ -105,7 +105,8 @@ def test_criterion_02_symmetric_degeneration():
         product = multiply(model, f, g)
         plain = {}
         plain_mean = 0.0
-        from radstein.kernels import kernel_add, sym_offdiag_weighted_contract
+        from oracles import kernel_add
+        from radstein.kernels import sym_offdiag_weighted_contract
 
         for r in range(min(n, m) + 1):
             coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)

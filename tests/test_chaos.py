@@ -16,7 +16,7 @@ from radstein.chaos import (
     to_table,
 )
 from radstein.errors import IndexOutOfRange
-from radstein.kernels import Kernel, inner_product, kernel_add, sym_offdiag_weighted_contract
+from radstein.kernels import Kernel, inner_product, sym_offdiag_weighted_contract
 from radstein.model import (
     FunctionalTable,
     build_model,
@@ -228,7 +228,7 @@ class TestMultiply:
             elif not part.is_zero():
                 scaled = part.scaled(float(coeff))
                 direct[part.order] = (
-                    kernel_add(direct[part.order], scaled)
+                    oracles.kernel_add(direct[part.order], scaled)
                     if part.order in direct
                     else scaled
                 )

@@ -19,6 +19,7 @@ P30 = [repr(0.02 + 0.005 * k) for k in range(30)]
 CASES = [
     ("chaos_n10", ["bound", "chaos_n10.json"], EXIT_OK),
     ("jm_n30_mc", ["bound", "jm_n30_mc.json"], EXIT_OK),
+    ("j1_n30_mc", ["bound", "j1_n30_mc.json"], EXIT_OK),
     ("bernoulli_n9", ["bound", "bernoulli_n9.json"], EXIT_OK),
     (
         "bernoulli_n30_mc",

@@ -20,7 +20,6 @@ from radstein.kernels import (
     RawTensor,
     contract,
     inner_product,
-    kernel_add,
     norm,
     norm_sq,
     slice_kernel,
@@ -30,7 +29,7 @@ from radstein.kernels import (
 from radstein.model import build_model
 
 import oracles
-from oracles import kernel_as_raw, to_kernel
+from oracles import kernel_add, kernel_as_raw, to_kernel
 
 
 def star_kernel(n):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,8 @@ class TestBuildModel:
         np.testing.assert_allclose(
             model.phi * model.sigma, model.q - model.p, atol=1e-15
         )
+        arrays = (model.p, model.q, model.sigma, model.phi, model.outcome_weights)
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_enumeration_cap(self):
         model = build_model([0.5] * 25)
@@ -226,6 +229,100 @@ class TestDistribution:
             DistributionTable({0: 1.2, 1: -0.2})
         with pytest.raises(ValueError):
             DistributionTable({-1: 0.5, 1: 0.5})
+
+
+def _integer_rule_inputs():
+    """(call, error, message) for inputs whose index, order or support value
+    is not an integer, each with its label as the test id."""
+    from radstein.chenstein import truncation_point
+    from radstein.errors import MalformedField
+    from radstein.kernels import slice_kernel
+    from radstein.malliavin import GradientField, divergence, gradient_chaos, gradient_pathwise
+    from radstein.model import DistributionTable
+
+    model = build_model([0.3, 0.6])
+    table = FunctionalTable(model, [0.0, 1.0, 1.0, 2.0])
+    k = Kernel(1, {(1,): 1.0})
+    f = Kernel(2, {(1, 2): 1.0})
+    expansion = ChaosExpansion(0.0, {2: f})
+    field = GradientField({1.5: ChaosExpansion(1.0, {})})
+    order = "chaos order must be an integer, got "
+    index, coordinate = "index must be an integer, got ", "coordinate must be an integer, got "
+    cases = [
+        ("order_1.5", lambda: ChaosExpansion(0.0, {1.5: k}), ValueError, order + "1.5"),
+        ("order_True", lambda: ChaosExpansion(0.0, {True: k}), ValueError, order + "True"),
+        (
+            "divergence_1.5",
+            lambda: divergence(model, field),
+            MalformedField,
+            "component index must be an integer, got 1.5",
+        ),
+        (
+            "support_1.5",
+            lambda: DistributionTable({1.5: 1.0}),
+            ValueError,
+            "support must consist of nonnegative integers",
+        ),
+        ("slice_1.5", lambda: slice_kernel(f, 1.5), ValueError, index + "1.5"),
+        ("slice_True", lambda: slice_kernel(f, True), ValueError, index + "True"),
+        ("gradient_chaos_1.5", lambda: gradient_chaos(expansion, 1.5), ValueError, index + "1.5"),
+        (
+            "gradient_pathwise_True",
+            lambda: gradient_pathwise(model, table, True),
+            ValueError,
+            coordinate + "True",
+        ),
+        (
+            "gradient_pathwise_1.5",
+            lambda: gradient_pathwise(model, table, 1.5),
+            ValueError,
+            coordinate + "1.5",
+        ),
+        (
+            "truncation_2.7",
+            lambda: truncation_point(1.0, 2.7),
+            ValueError,
+            "support_max must be an integer, got 2.7",
+        ),
+    ]
+    return [pytest.param(*case, id=label) for label, *case in cases]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("call, error, message", _integer_rule_inputs())
+    def test_refuses_a_value_that_is_not_an_integer(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_accepts_numpy_integers(self):
+        from radstein.chaos import decompose
+        from radstein.chenstein import TargetSet, solve, truncation_point
+        from radstein.distance import tv_monte_carlo
+        from radstein.kernels import slice_kernel
+        from radstein.malliavin import GradientField, divergence, gradient_chaos, gradient_pathwise
+
+        model = build_model([0.3, 0.6])
+        f = Kernel(2, {(1, 2): 0.5})
+        expansion = ChaosExpansion(0.0, {np.int64(2): f})
+        assert list(expansion.kernels) == [2] and type(expansion.orders[0]) is int
+        table = to_table(model, expansion)
+        assert decompose(model, table).kernels[2].entries == f.entries
+        for i in (1, 2):
+            n = np.int64(i)
+            assert slice_kernel(f, n).entries == slice_kernel(f, i).entries
+            assert gradient_chaos(expansion, n).kernel(1).entries == {(3 - i,): 1.0}
+            got = gradient_pathwise(model, table, n).values
+            assert got.tobytes() == gradient_pathwise(model, table, i).values.tobytes()
+        u = {np.int64(2): ChaosExpansion(1.0, {}), 1: ChaosExpansion(0.5, {})}
+        assert divergence(model, GradientField(u)).kernels[1].entries == {(1,): 0.5, (2,): 1.0}
+        target = TargetSet(frozenset({1}))
+        want = solve(2.0, target, 20).values.tobytes()
+        assert solve(2.0, target, np.int64(20)).values.tobytes() == want
+        assert truncation_point(2.0, np.int64(30)) == truncation_point(2.0, 30)
+        ones = lambda signs: np.ones(len(signs))
+        mc = tv_monte_carlo(model, ones, 1.0, np.int64(10_000), np.uint64(3))
+        assert mc == tv_monte_carlo(model, ones, 1.0, 10_000, 3)
+        assert type(mc.samples) is int and type(mc.seed) is int
 
 
 @st.composite

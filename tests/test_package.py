@@ -91,6 +91,30 @@ def test_only_model_calls_math_fsum():
     assert callers == {"model.py"}
 
 
+def test_only_model_decides_integers_and_freezes_arrays():
+    # What counts as an integer index, order or count, and how an array is
+    # made read-only, are decided in one module; every other module calls
+    # model._integer and model._frozen.
+    callers = set()
+    for path in pathlib.Path(radstein.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            index = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "index"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "operator"
+            )
+            imported = isinstance(node, ast.ImportFrom) and node.module == "operator"
+            frozen = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "writeable"
+                and isinstance(node.ctx, ast.Store)
+            )
+            if index or frozen or (imported and any(a.name == "index" for a in node.names)):
+                callers.add(path.name)
+    assert callers == {"model.py"}
+
+
 def test_traced_benchmark_still_binds_every_name():
     # The benchmark's tracer wraps functions by "<module>.<function>" name;
     # bind() raises AttributeError once the package drops one of them.
