@@ -7,10 +7,10 @@ split for reporting.  Gradients entering expectations are computed by
 coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
 coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
 route ``verify`` checks too; the sparse ``Kernel`` route is the independent
-cross-check in the tests.  The closed-form J_m bounds take their grouped
-kernels from the product formula's grouping behind ``multiply``, the code
-path that ``verify`` certifies, as arrays up to their norms
-(:func:`_jm_blocks`), which :func:`j2_example_machinery` reads too.
+cross-check in the tests.  The closed-form J_m bounds take their kernels
+by order from the product formula behind ``multiply``, the code path that
+``verify`` certifies, as arrays up to their norms (:func:`_jm_blocks`),
+which :func:`j2_example_machinery` reads too.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
 from .kernels import (
     Kernel,
-    _add_rows,
-    _check_finite,
     _check_kernel_indices,
     _norm_sq,
     _runs_by_lead,
+    _summed,
     inner_product,
 )
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
@@ -213,26 +212,23 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
 
 def _jm_blocks(model: ProbabilityModel, f: Kernel):
     """Squared norms (as norm_sq rounds them) of the J_m bound's blocks for
-    f of order m >= 2, from the product formula's grouped key rows: first
-    {s: norm} of f's order-s groups at shift 1, then (k, norm of f_k,
+    f of order m >= 2, from the product formula's key rows by order: first
+    {s: norm} of f's order-s kernels at shift 1, then (k, norm of f_k,
     {s: norm}) for each nonzero slice f_k = f(., k), k ascending, of its
-    groups with itself, order m - 1 plus f_k (1/m) sqrt(pq)(p - q) (0.0 for
-    an order the slice lacks), all slices from one ``_slice_formula`` call.
-    Formed as consumed, so errors come as on Kernels: f's block (an index
-    beyond N raises there), the slices' engine and grouping, then each
-    slice's drifted sum."""
+    kernels with itself, order m - 1 plus f_k (1/m) sqrt(pq)(p - q) by one
+    more correctly rounded sum per key (``kernels._summed``), all slices
+    from one ``_slice_formula`` call.  Formed as consumed, so errors come as
+    the product formula raises them: f's block (an index beyond N raises
+    there), the slices', then the drift sum's first overflow."""
     m = f.order
-    grouped = _product_formula(model, f, f, 1, False)[1]
-    yield {s: _norm_sq(*rows) for s, rows in grouped.items()}
+    yield {s: _norm_sq(*rows) for s, rows in _product_formula(model, f, f, 1, False).items()}
     keys, values, sliced = _slice_formula(model, f)
     leads = np.unique(keys[:, 0]).tolist()
     drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
-    special = sliced.get(m - 1, (keys[:0], values[:0]))
-    sliced[m - 1] = _add_rows(special, (keys, drifted))
+    sliced[m - 1] = _summed(*map(np.concatenate, zip(sliced[m - 1], (keys, drifted))))
     slices = _runs_by_lead(keys, values, leads)
     runs = {s: _runs_by_lead(*rows, leads) for s, rows in sliced.items()}
     for x in leads:
-        _check_finite(*runs[m - 1][x])
         fk = _norm_sq(*slices[x])
         yield x + 1, fk, {s: _norm_sq(*run[x]) for s, run in runs.items()}
 

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import LengthMismatch
 from .kernels import (
     Kernel,
-    _add_rows,
-    _check_finite,
     _check_kernel_indices,
     _contract_rows,
     _kernel,
@@ -143,74 +141,52 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     )
 
 
+def _formula_terms(n: int, m: int, shift: int, with_mean: bool) -> list:
+    """The product formula's terms (r + shift, l + shift, scale) of
+    J_n(f) J_m(g), scale = r! C(n,r) C(m,r) C(r,l), r = 0..min(n, m),
+    l = 0..r, ascending; the order-0 term (r = l = n = m) only with_mean."""
+    return [
+        (r + shift, ell + shift, math.perm(n, r) * math.comb(m, r) * math.comb(r, ell))
+        for r in range(min(n, m) + 1)
+        for ell in range(r + 1)
+        if n + m - r - ell > 0 or with_mean
+    ]
+
+
 def _product_formula(
     model: ProbabilityModel, f: Kernel, g: Kernel, shift: int, with_mean: bool
-) -> tuple:
-    """(mean, rows) of :func:`_grouped`: the product formula's kernels by
-    order, from one engine call.  With n = order(f) - shift and
-    m = order(g) - shift, the symmetrized off-diagonal weighted contractions
-    of f with g at (r + shift, l + shift), r = 0..min(n,m), l = 0..r: at
-    shift 0 the kernels of J_n(f) J_m(g), at shift 1 with g = f of order m
-    those of sum_k (D_k J_m(f))^2 / m^2.  The order-0 term is formed only
-    with_mean."""
+) -> dict:
+    """The product formula's key rows and coefficients by order, from one
+    engine call (``_contract_rows``) at the terms of :func:`_formula_terms`
+    for n = order(f) - shift and m = order(g) - shift: at shift 0 the
+    kernels of J_n(f) J_m(g), at shift 1 with g = f of order m those of
+    sum_k (D_k J_m(f))^2 / m^2.  A coefficient is the correctly rounded sum
+    of its correctly rounded, scaled terms.  Errors come term by term, in
+    term order, then order by order, each at its first key whose sum
+    overflows (``OverflowError``) or is non-finite (``ValueError``)."""
     n, m = f.order - shift, g.order - shift
-    terms = [(r, ell) for r in range(min(n, m) + 1) for ell in range(r + 1)]
-    terms = [(r, ell) for r, ell in terms if n + m - r - ell > 0 or with_mean]
-    shifted = [(r + shift, ell + shift) for r, ell in terms]
-    return _grouped(n, m, terms, _contract_rows(model, f, g, shifted))
-
-
-def _grouped(n: int, m: int, terms: list, parts) -> tuple:
-    """(mean, rows) of the product formula's parts at terms, each a
-    (key rows, coefficients) pair of the engine: rows maps each order to its
-    key rows and coefficients, the parts of that order scaled by
-    r! C(n,r) C(m,r) C(r,l) and added in term order, one IEEE addition per
-    key and zero sums dropped (raising as ``scaled`` and such a sum of Kernels
-    would, part by part and, within a part, lead by lead); order 0 is the mean."""
-    mean, grouped = 0.0, {}
-    for (r, ell), (keys, values) in zip(terms, parts):
-        if not len(values):
-            continue
-        coefficient = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-        coefficient *= math.comb(r, ell)
-        order = keys.shape[1] - 1
-        if order == 0:
-            mean = coefficient * float(values[0])
-            continue
-        with np.errstate(over="ignore"):
-            scaled = float(coefficient) * values
-        if order in grouped:
-            grouped[order] = _add_rows(grouped[order], (keys, scaled))
-            if not np.isfinite(grouped[order][1]).all():
-                # A non-finite scaled value stays so in its sum.  Lead by
-                # lead, the scaled part's error comes before the sums', as
-                # each slice's ``scaled`` and then its sum raise.
-                _check_finite(*map(np.concatenate, zip((keys, scaled), grouped[order])))
-        else:
-            _check_finite(keys, scaled)
-            grouped[order] = keys, scaled
-    return mean, grouped
+    return _contract_rows(model, f, g, _formula_terms(n, m, shift, with_mean))
 
 
 def _slice_formula(model: ProbabilityModel, f: Kernel) -> tuple:
-    """(keys, values, rows): f's slice rows (``_slice_contract_rows``) and
-    the :func:`_grouped` rows of the product formula of every nonzero slice
-    with itself, slice k under lead k - 1, from one engine call and one
-    grouping over all slices, which raise in (r, l)-then-k order."""
+    """(keys, values, rows): f's slice rows and the key rows and
+    coefficients by order of the product formula above order 0 of every
+    nonzero slice with itself, slice k under lead k - 1, from one engine
+    call over all slices (``_slice_contract_rows``)."""
     n = f.order - 1
-    terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
-    keys, values, parts = _slice_contract_rows(model, f, terms)
-    return keys, values, _grouped(n, n, terms, parts)[1]
+    return _slice_contract_rows(model, f, _formula_terms(n, n, 0, False))
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     """Chaos expansion of the pointwise product J_n(f) * J_m(g): the product
     formula's kernels above order 0 plus the mean n! (f contracted with g at
-    (n, n)) when the orders agree, all from one engine call."""
+    (n, n)) when the orders agree, all from one engine call; a coefficient
+    is the correctly rounded sum of its correctly rounded terms."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    mean, grouped = _product_formula(model, f, g, 0, True)
-    return ChaosExpansion(mean, {s: _kernel(*rows) for s, rows in grouped.items()})
+    kernels = {s: _kernel(*rows) for s, rows in _product_formula(model, f, g, 0, True).items()}
+    mean = kernels.pop(0, Kernel.zero(0)).entries.get((), 0.0)
+    return ChaosExpansion(mean, kernels)
 
 
 def evaluate_on_signs(

@@ -48,6 +48,7 @@ def _check_lambda(lam: float) -> float:
 def poisson_pmf(lam: float, k: int) -> float:
     """e^{-lam} lam^k / k!, evaluated in log space."""
     lam = _check_lambda(lam)
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError(f"Poisson support is nonnegative, got {k}")
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
@@ -67,6 +68,7 @@ def poisson_pmf_vector(lam: float, k_max: int) -> np.ndarray:
 def poisson_tail(lam: float, k: int) -> float:
     """P(Po(lam) >= k), summed upward until terms vanish."""
     lam = _check_lambda(lam)
+    k = _integer(k, "k")
     if k <= 0:
         return 1.0
     terms = []

@@ -22,15 +22,18 @@ model's phi over the identified-but-unsummed slots.
 reference path that tests check against, outside the top-level API.  The
 bounds and the product formula use one engine, ``_weighted_contracts``, fed
 by an all-pairs scan of f and g (``_contract_rows``) or by the pairs of every
-slice of f with itself at once (``_slice_contract_rows``).  It emits, per
-(r, l), key rows (a lead, then the indices) and correctly rounded
-coefficients as arrays, which the product formula groups and the J_m bounds
-reduce to norms; :func:`sym_offdiag_weighted_contract` builds the Kernel of
-one (r, l).  Both entry points reject a kernel index beyond N before any
-work (:func:`_check_kernel_indices`), so the engine reads phi at each index
+slice of f with itself at once (``_slice_contract_rows``).  It takes terms
+(r, l, scale) and returns key rows (a lead, then the indices) and
+coefficients by output order, which the product formula hands on and the
+J_m bounds reduce to norms; :func:`sym_offdiag_weighted_contract` builds
+the Kernel of one (r, l).  A coefficient is the correctly rounded sum of its
+terms, each correctly rounded and scaled; errors come term by term, then
+order by order.
+Both entry points reject a kernel index beyond N before any work
+(:func:`_check_kernel_indices`), so the engine reads phi at each index
 directly.  Kernels built here from valid kernels (the engine's output,
-``scaled``, :func:`slice_kernel`, and sums, one IEEE addition per key) are
-not re-parsed: only finiteness is checked and zeros are dropped.
+``scaled``, :func:`slice_kernel`) are not re-parsed: only finiteness is
+checked and zeros are dropped.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from .errors import (
 from .model import (
     ProbabilityModel,
     _integer,
-    _key_runs,
-    _pair_sums,
     _sums_by_key,
     run_sums,
     stable_sum,
@@ -67,9 +68,16 @@ def _indices(key) -> tuple:
         raise ValueError(f"tuple {key} holds an index that is not an integer") from None
 
 
-def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
+def _validate(tensor, name: str, increasing: bool) -> None:
+    """Set a new Kernel's or RawTensor's order, an integer by
+    ``model._integer`` and nonnegative, and its entries: index tuples of that
+    length, positive (and strictly increasing if ``increasing``), each with a
+    finite value; zero values are dropped."""
+    order = _integer(tensor.order, f"{name} order")
+    if order < 0:
+        raise ValueError(f"{name} order must be nonnegative")
     clean = {}
-    for key, value in entries.items():
+    for key, value in tensor.entries.items():
         key = _indices(key)
         value = float(value)
         if len(key) != order:
@@ -82,7 +90,8 @@ def _validate_entries(order: int, entries: dict, increasing: bool) -> dict:
             raise ValueError(f"non-finite coefficient at {key}")
         if value != 0.0:
             clean[key] = value
-    return clean
+    object.__setattr__(tensor, "order", order)
+    object.__setattr__(tensor, "entries", clean)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +102,7 @@ class Kernel:
     entries: dict
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("kernel order must be nonnegative")
-        object.__setattr__(
-            self, "entries", _validate_entries(self.order, self.entries, True)
-        )
+        _validate(self, "kernel", True)
 
     @classmethod
     def _built(cls, order: int, entries: dict) -> "Kernel":
@@ -164,11 +169,7 @@ class RawTensor:
     entries: dict
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("tensor order must be nonnegative")
-        object.__setattr__(
-            self, "entries", _validate_entries(self.order, self.entries, False)
-        )
+        _validate(self, "tensor", False)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -311,26 +312,11 @@ def _kernel(keys: np.ndarray, values: np.ndarray) -> Kernel:
 
 def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
     """Raise ``Kernel._built``'s ValueError at the first non-finite value,
-    lead by lead and each lead's rows in their order (as each lead's kernel
-    would be built in turn), named by its key row without the lead."""
+    named by its key row without the lead."""
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        row = bad[np.argmin(keys[bad, 0])]  # argmin: the first of the least lead
-        key = tuple((keys[row, 1:] + 1).tolist())
+        key = tuple((keys[bad[0], 1:] + 1).tolist())
         raise ValueError(f"non-finite coefficient at {key}")
-
-
-def _add_rows(acc: tuple, part: tuple) -> tuple:
-    """Two kernels as (key rows, values), the keys distinct within each,
-    added: acc's keys in their order, then part's new ones in theirs, one
-    IEEE addition per key; zero sums are dropped and non-finite ones kept."""
-    keys, values = (np.concatenate(pair) for pair in zip(acc, part))
-    order, edges = _key_runs(keys)
-    firsts = order[edges[:-1]]
-    emit = firsts.argsort()
-    sums = _pair_sums(values[order], edges[:-1][emit], edges[1:][emit])
-    kept = sums != 0.0
-    return keys[firsts[emit][kept]], sums[kept]
 
 
 def _runs_by_lead(keys: np.ndarray, values: np.ndarray, leads: list) -> dict:
@@ -418,28 +404,40 @@ def _pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
     return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
 
 
-def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
-    """Per (r, l) of terms in order (checked first), the key rows and
-    coefficients of the kernel under each lead, ascending, of the pairs
-    ``pairs[r]`` of rows of tf and tg (0-based indices, order n and m,
-    values cf and cg); lead is per tf row.  A key row is the lead, then the
-    indices ascending.  Each split of a pair's r shared indices into l summed
-    and r - l kept ones adds
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The correctly rounded sum (``model._sums_by_key``) of each key row's
+    values, keys in order of first appearance, raising at the first sum that
+    fails, else at the first non-finite one; zero sums are dropped."""
+    firsts, sums = _sums_by_key(keys, values)
+    keys = keys[firsts]
+    _check_finite(keys, sums)
+    kept = sums != 0.0
+    return keys[kept], sums[kept]
+
+
+def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs) -> dict:
+    """{output order n + m - r - l: (key rows, coefficients)} of the terms
+    (r, l, scale), (r, l) checked first, each scale at least 1, from the
+    pairs ``pairs[r]`` of rows of tf and tg (0-based indices, order n and m,
+    values cf and cg) under the lead of their tf row.  A key row is the
+    lead, then the indices ascending.  Each split of a pair's r shared
+    indices into l summed and r - l kept ones adds
 
         (n-r)! (r-l)! (m-r)! l! / |U|!  *  f(T_f) g(T_g)  *  phi(kept)
 
     (multiplied left to right, phi in ascending index order) at the tuple
-    U = (T_f union T_g) minus the summed indices.  Each coefficient is the
-    correctly rounded sum of its contributions (``model.sums_by_key``), keyed
-    and summed in order of first contribution, pair by pair, each pair's
-    splits in turn.  Zero coefficients are dropped; a non-finite one raises
-    as ``Kernel._built`` does.  The pairs come lead by lead, so each lead's
-    rows form one run.
+    U = (T_f union T_g) minus the summed indices.  A term's coefficients are
+    the :func:`_summed` sums of its contributions, keyed in order of first
+    contribution (pair by pair, each pair's splits in turn), raising at that
+    term, then multiplied by its scale.  An order with several terms sums
+    their scaled coefficients per key once more (:func:`_summed`, term by
+    term); then each order, in order of its first term, raises at its first
+    non-finite coefficient.  The pairs come lead by lead.
     """
-    for r, ell in terms:
+    for r, ell, _ in terms:
         _check_contraction_indices(n, m, r, ell)
-    current = None
-    for r, ell in terms:
+    parts, current = {}, None
+    for r, ell, scale in terms:
         out_order = n + m - r - ell
         if r != current:
             current, (rows_f, rows_g) = r, pairs[r]
@@ -466,38 +464,42 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs):
                 for k in sorted(set(range(r)).difference(summed)):
                     w = w * model.phi[common[:, k]]
                 weights[:, s] = w
-        keys, weights = keys.reshape(-1, 1 + out_order), weights.reshape(-1)
-        firsts, sums = _sums_by_key(keys, weights)
-        keys = keys[firsts]
-        _check_finite(keys, sums)
-        kept = sums != 0.0
-        yield keys[kept], sums[kept]
+        keys, sums = _summed(keys.reshape(-1, 1 + out_order), weights.reshape(-1))
+        with np.errstate(over="ignore"):
+            parts.setdefault(out_order, []).append((keys, float(scale) * sums))
+    rows = {}
+    for out_order, group in parts.items():
+        if len(group) == 1:
+            _check_finite(*group[0])
+            rows[out_order] = group[0]
+        else:
+            rows[out_order] = _summed(*map(np.concatenate, zip(*group)))
+    return rows
 
 
-def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list):
-    """Iterator over the key rows and coefficients (``_weighted_contracts``,
-    lead 0) of the symmetrized off-diagonal part of
-    ``weighted_contract(model, f, g, r, l)`` at each (r, l) of terms in
-    order, from an all-pairs scan.  An index beyond N
-    raises at the call and an invalid (r, l) before any term is formed;
-    each term raises what its own computation meets when it is reached."""
+def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list) -> dict:
+    """The key rows and coefficients by output order (``_weighted_contracts``,
+    lead 0) of the terms (r, l, scale): the symmetrized off-diagonal parts of
+    ``weighted_contract(model, f, g, r, l)``, from an all-pairs scan, scaled
+    and summed per order.  An index beyond N raises first, then an invalid
+    (r, l), then each term's errors in term order and each order's."""
     _check_kernel_indices(model, f, g)
     (tf, cf), (tg, cg) = _rows(f), _rows(g)
-    pairs = _pairs_by_shared_count(tf, tg, {r for r, _ in terms})
+    pairs = _pairs_by_shared_count(tf, tg, {r for r, _, _ in terms})
     lead = np.zeros(len(tf), np.int32)
     return _weighted_contracts(model, f.order, g.order, terms, lead, tf, cf, tg, cg, pairs)
 
 
 def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tuple:
-    """(keys, values, parts): f's slices as key rows and values, each entry
+    """(keys, values, rows): f's slices as key rows and values, each entry
     once per index k it holds, without k, led by k - 1 (lead by lead,
-    ascending, each lead in f's order), and the key rows and coefficients
-    (``_weighted_contracts``) of each (r, l) of terms in order for all slices
-    at once, slice k's under lead k - 1.  Each lead's pairs are its rows
-    paired row by row, each with its lead's rows in order.  An index beyond
-    N raises before any work; otherwise the first error in (r, l) order:
-    within a term, the first slice's ``math.fsum`` error, else the first
-    slice's non-finite sum."""
+    ascending, each lead in f's order), and the key rows and coefficients by
+    output order (``_weighted_contracts``) of the terms (r, l, scale) for all
+    slices at once, slice k's under lead k - 1.  Each lead's pairs are its
+    rows paired row by row, each with its lead's rows in order.  An index
+    beyond N raises before any work; then the engine's errors, a term's at
+    its first failing slice and an order's at its first key in output order
+    (term by term, each term's slices in turn)."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
     _check_kernel_indices(model, f)
@@ -509,16 +511,16 @@ def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tup
     rows = np.repeat(tf, f.order, axis=0)[drop].reshape(len(lead), n)
     order = np.argsort(lead, kind="stable")  # lead by lead, each in f's order
     lead, rows, cf = lead[order], rows[order], np.repeat(cf, f.order)[order]
-    pairs = _pairs_by_shared_count(rows, rows, {r for r, _ in terms}, lead)
+    pairs = _pairs_by_shared_count(rows, rows, {r for r, _, _ in terms}, lead)
     args = n, n, terms, lead, rows, cf, rows, cf, pairs
-    parts = list(_weighted_contracts(model, *args))
-    return np.column_stack((lead, rows)), cf, parts
+    return np.column_stack((lead, rows)), cf, _weighted_contracts(model, *args)
 
 
 def sym_offdiag_weighted_contract(
     model: ProbabilityModel, f: Kernel, g: Kernel, r: int, ell: int
 ) -> Kernel:
     """The symmetrized off-diagonal part of ``weighted_contract(model, f, g,
-    r, l)`` as a Kernel: :func:`_contract_rows` at the one term (r, l),
-    which raises as it does."""
-    return _kernel(*next(_contract_rows(model, f, g, [(r, ell)])))
+    r, l)`` as a Kernel: :func:`_contract_rows` at the one term (r, l) with
+    scale 1, which raises as it does."""
+    (rows,) = _contract_rows(model, f, g, [(r, ell, 1)]).values()
+    return _kernel(*rows)

@@ -165,16 +165,6 @@ def _key_runs(keys: np.ndarray) -> tuple:
     return order, new.nonzero()[0]
 
 
-def _pair_sums(values: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """values[start] + values[start + 1] per run of two, values[start] + 0.0
-    per run of one, each one IEEE addition (meaningless for longer runs)."""
-    second = np.zeros(len(starts))
-    pair = stops - starts == 2
-    second[pair] = values[starts[pair] + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return values[starts] + second
-
-
 def _sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     """:func:`sums_by_key` with the sums as a float64 array.  A group of one
     or two values whose IEEE sum is finite and nonzero takes that sum, which
@@ -186,7 +176,11 @@ def _sums_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     emit = firsts.argsort()
     starts, stops = edges[:-1][emit], edges[1:][emit]
     ordered = values[order]
-    sums = _pair_sums(ordered, starts, stops)
+    second = np.zeros(len(starts))  # a group's second value, if it has two
+    pair = stops - starts == 2
+    second[pair] = ordered[starts[pair] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = ordered[starts] + second
     slow = ((stops - starts > 2) | ~np.isfinite(sums) | (sums == 0.0)).nonzero()[0]
     if len(slow):
         sums[slow] = run_sums(ordered, starts[slow].tolist(), stops[slow].tolist())

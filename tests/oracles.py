@@ -9,13 +9,15 @@ ran it one (r, l) at a time, the sparse-kernel computation of
 -D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
 second-order bound that holds every D_j D_l F table and sums each moment
 with its own ``math.fsum``, the product formula's (r, l) loop written out
-separately for ``multiply`` and for the J_m bound's grouped kernels (f's and
-each slice's in turn), the
+separately for ``multiply`` and for the J_m bound's grouped kernels (f's,
+and all slices' term by term), each term one call, the terms of one order
+added by one ``math.fsum`` per key (:func:`fsum_by_order`), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
 solution built term by term from the ratio recurrences for each k.
-:func:`kernel_add` is the key-by-key sum of two Kernels that the product
-formula's grouping of the engine's arrays must reproduce.
+:func:`kernel_add` is the key-by-key sum of two Kernels, one IEEE addition
+per key: where at most two terms share an order, the product formula's sum
+equals it.
 """
 
 import itertools
@@ -256,32 +258,59 @@ def postings_sym_offdiag_weighted_contract(model, f, g, r, ell):
     return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
 
 
+def fsum_by_order(parts):
+    """The product formula's sum on dicts, by its rule: parts are (order,
+    scale, {(lead, key): value}) in term order.  Each value is multiplied by
+    its part's scale, then the values of one (lead, key) of an order are
+    added by one ``math.fsum``, in order of first appearance, orders in
+    order of their first part.  Each order raises at its first sum that
+    fails in ``math.fsum``, else at its first non-finite sum, as the
+    ValueError of ``Kernel`` naming the key; zero sums are dropped.  Returns
+    {order: {(lead, key): sum}}."""
+    by_order = {}
+    for order, scale, entries in parts:
+        grouped = by_order.setdefault(order, {})
+        for lead_key, value in entries.items():
+            grouped.setdefault(lead_key, []).append(scale * value)
+    out = {}
+    for order, grouped in by_order.items():
+        sums = {lead_key: math.fsum(values) for lead_key, values in grouped.items()}
+        for (_, key), value in sums.items():
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite coefficient at {key}")
+        out[order] = {lead_key: value for lead_key, value in sums.items() if value}
+    return out
+
+
+def _led(kernel, lead=0):
+    return {(lead, key): value for key, value in kernel.entries.items()}
+
+
+def fsum_contracts(model, f, g, terms):
+    """{order: Kernel} of the terms (r, l, scale): each (r, l) formed by one
+    :func:`postings_sym_offdiag_weighted_contract` call, in term order, then
+    summed by :func:`fsum_by_order`."""
+    parts = []
+    for r, ell, scale in terms:
+        part = postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
+        parts.append((part.order, scale, _led(part)))
+    return {
+        order: Kernel(order, {key: v for (_, key), v in sums.items()})
+        for order, sums in fsum_by_order(parts).items()
+    }
+
+
 def loop_multiply(model, f, g):
     """J_n(f) J_m(g) as (mean, {order: kernel}): every (r, l) term of the
-    product formula formed, the order-0 one included, and summed into the
-    mean or its order's kernel in (r, l) order."""
+    product formula, the order-0 one included, by :func:`fsum_contracts`."""
     n, m = f.order, g.order
-    mean = 0.0
-    kernels = {}
-    for r in range(0, min(n, m) + 1):
-        for ell in range(0, r + 1):
-            coeff = (
-                math.factorial(r)
-                * math.comb(n, r)
-                * math.comb(m, r)
-                * math.comb(r, ell)
-            )
-            part = postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
-            if part.is_zero():
-                continue
-            order = part.order
-            if order == 0:
-                mean += coeff * part.entries.get((), 0.0)
-            else:
-                scaled = part.scaled(float(coeff))
-                kernels[order] = (
-                    kernel_add(kernels[order], scaled) if order in kernels else scaled
-                )
+    terms = [
+        (r, ell, math.factorial(r) * math.comb(n, r) * math.comb(m, r) * math.comb(r, ell))
+        for r in range(0, min(n, m) + 1)
+        for ell in range(0, r + 1)
+    ]
+    kernels = fsum_contracts(model, f, g, terms)
+    mean = kernels.pop(0, Kernel.zero(0)).entries.get((), 0.0)
     return mean, {o: k for o, k in kernels.items() if not k.is_zero()}
 
 
@@ -293,59 +322,99 @@ def jm_coefficient(m, r, ell):
     )
 
 
+def _jm_terms(m):
+    """(r, l, order) of the J_m bound's kernels above order 0: r = 1..m,
+    l = 1..r, order 2m - r - l."""
+    return [
+        (r, ell, 2 * m - r - ell)
+        for r in range(1, m + 1)
+        for ell in range(1, r + 1)
+        if 2 * m - r - ell > 0
+    ]
+
+
 def grouped_kernels(model, f, m):
     """Kernels above order 0 of sum_k (D_k J_m(f))^2 / m^2 (f of order m) or
-    of (J_{m-1}(f))^2 (f a slice of order m - 1), grouped by order: the
-    contraction at (r, l) shifted down by m - order(f), r = 1..m, l = 1..r,
-    with coefficient (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at order 2m - r - l."""
+    of (J_{m-1}(f))^2 (f a slice of order m - 1), by order: the contraction
+    at (r, l) shifted down by m - order(f), one call each, r = 1..m,
+    l = 1..r, with coefficient (r-1)! C(m-1, r-1)^2 C(r-1, l-1) at order
+    2m - r - l, summed by :func:`fsum_contracts`."""
     offset = m - f.order
-    grouped = {}
-    for r in range(1, m + 1):
-        for ell in range(1, r + 1):
-            s = 2 * m - r - ell
-            if s == 0:
+    terms = [(r - offset, ell - offset, jm_coefficient(m, r, ell)) for r, ell, _ in _jm_terms(m)]
+    return fsum_contracts(model, f, f, terms)
+
+
+def slice_grouped_kernels(model, f):
+    """(slices, sums): the nonzero slices (k, f_k), k ascending, and the
+    :func:`grouped_kernels` sums of all of them at once, as
+    {order: {(k - 1, key): sum}}, formed in the batched engine's order: term
+    by term, one call per slice, raising at the first term that fails
+    (within it, the first slice's ``math.fsum`` error, else the first
+    slice's non-finite sum), then :func:`fsum_by_order` over each term's
+    slices in turn."""
+    m = f.order
+    slices = [(k, slice_kernel(f, k)) for k in range(1, model.size + 1)]
+    slices = [(k, fk) for k, fk in slices if not fk.is_zero()]
+    parts = []
+    for r, ell, s in _jm_terms(m):
+        found = {}
+        for k, fk in slices:
+            try:
+                part = postings_sym_offdiag_weighted_contract(model, fk, fk, r - 1, ell - 1)
+            except (ValueError, OverflowError) as err:
+                found[str(err).startswith("non-finite coefficient"), k] = err
                 continue
-            part = postings_sym_offdiag_weighted_contract(
-                model, f, f, r - offset, ell - offset
-            )
-            if part.is_zero():
-                continue
-            scaled = part.scaled(jm_coefficient(m, r, ell))
-            grouped[s] = kernel_add(grouped[s], scaled) if s in grouped else scaled
-    return grouped
+            parts.append((s, jm_coefficient(m, r, ell), _led(part, k - 1)))
+        if found:
+            raise found[min(found)]
+    return slices, fsum_by_order(parts)
+
+
+def _drifted(model, slices, special, m):
+    """{k - 1: special kernel entries} of each slice: its order-(m - 1) sums
+    plus f_k (1/m) sqrt(pq)(p - q), one ``math.fsum`` per key, raising at the
+    first that fails, in order of first appearance (``special``'s keys, then
+    each slice's)."""
+    values = {lead_key: [v] for lead_key, v in special.items()}
+    for k, fk in slices:
+        sigma = model.sigma[k - 1]
+        drift = sigma * (model.p[k - 1] - model.q[k - 1])
+        for key, v in fk.scaled(drift / m).entries.items():
+            values.setdefault((k - 1, key), []).append(v)
+    out = {}
+    for (lead, key), vals in values.items():
+        out.setdefault(lead, {})[key] = math.fsum(vals)
+    return out
+
+
+def _slice_pieces(model, f, slices, sums, special):
+    """Each slice's coordinate-block summand of the J_m bound from its
+    squared norms."""
+    m = f.order
+    per_k = []
+    for k, fk in slices:
+        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
+        for s, entries in sums.items():
+            if s != m - 1:
+                kernel = Kernel(s, {key: v for (x, key), v in entries.items() if x == k - 1})
+                pieces.append(math.factorial(s) * norm_sq(kernel))
+        kernel = Kernel(m - 1, special.get(k - 1, {}))
+        pieces.append(math.factorial(m - 1) * norm_sq(kernel))
+        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
+        if math.isinf(per_k[-1]):
+            raise OverflowError(f"the coordinate block of slice {k} overflows")
+    return per_k
 
 
 def grouped_jm_bound(model, f, shift, lam):
     """The fixed-order bound for shift + J_m(f) built on
-    :func:`grouped_kernels`, with the Chen-Stein factors written out; lam is
-    checked by the caller and no integer check is made."""
+    :func:`kernel_route_jm_terms`, with the Chen-Stein factors written out;
+    lam is checked by the caller and no integer check is made."""
     m = f.order
     sup_f = min(1.0, math.sqrt(2.0 / (math.e * lam)))
     diff_f = -math.expm1(-lam) / lam
     var = math.factorial(m) * inner_product(f, f)
-    grouped = grouped_kernels(model, f, m)
-    fluct = math.fsum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
-    t3 = diff_f * math.sqrt(m * m * fluct)
-    per_k = []
-    for k in range(1, model.size + 1):
-        fk = slice_kernel(f, k)
-        if fk.is_zero():
-            continue
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        sliced = grouped_kernels(model, fk, m)
-        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
-        pieces += [
-            math.factorial(s) * norm_sq(kernel)
-            for s, kernel in sliced.items()
-            if s != m - 1
-        ]
-        special = kernel_add(
-            sliced.get(m - 1, Kernel.zero(m - 1)), fk.scaled(drift / m)
-        )
-        pieces.append(math.factorial(m - 1) * norm_sq(special))
-        per_k.append(math.fsum(pieces) / (model.p[k - 1] * model.q[k - 1]))
-    t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * math.fsum(per_k))
+    t3, t4 = kernel_route_jm_terms(model, f, lam)
     t1 = sup_f * abs(lam - float(shift))
     t2 = diff_f * abs(lam - var)
     t34 = math.fsum((t3, t4))
@@ -362,11 +431,11 @@ def grouped_jm_bound(model, f, shift, lam):
 
 def kernel_route_jm_terms(model, f, lam):
     """(term_fluctuation, term_coordinate_block) of ``jm_bound`` computed on
-    ``Kernel`` objects and no engine code of the package: the index check
-    first, then every group from :func:`grouped_kernels` (f's, then each
-    nonzero slice's in turn, k ascending), each slice's special kernel from
-    ``kernel_add`` and ``scaled``, and each norm from ``norm_sq``, raising
-    what that route meets, in its order."""
+    ``Kernel`` objects and dicts, with no engine code of the package: the
+    index check first, then f's kernels (:func:`grouped_kernels`), all
+    slices' kernels (:func:`slice_grouped_kernels`), each slice's special
+    kernel with its drift summand (:func:`_drifted`), and each norm from
+    ``norm_sq``, raising what that route meets, in its order."""
     from radstein.chenstein import stein_factors
 
     _check_kernel_indices(model, f)
@@ -375,22 +444,9 @@ def kernel_route_jm_terms(model, f, lam):
     var = math.factorial(m) * inner_product(f, f)
     grouped = grouped_kernels(model, f, m)
     fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
-    per_k = []
-    for k in range(1, model.size + 1):
-        fk = slice_kernel(f, k)
-        if fk.is_zero():
-            continue
-        sliced = grouped_kernels(model, fk, m)
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
-        special = sliced.pop(m - 1, Kernel.zero(m - 1))
-        special = kernel_add(special, fk.scaled(drift / m))
-        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
-        pieces += [math.factorial(s) * norm_sq(kernel) for s, kernel in sliced.items()]
-        pieces.append(math.factorial(m - 1) * norm_sq(special))
-        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
-        if math.isinf(per_k[-1]):
-            raise OverflowError(f"the coordinate block of slice {k} overflows")
+    slices, sums = slice_grouped_kernels(model, f)
+    special = _drifted(model, slices, sums.get(m - 1, {}), m)
+    per_k = _slice_pieces(model, f, slices, sums, special)
     t3 = diff_f * math.sqrt(m * m * fluct)
     return t3, diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
 

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-import re
 import warnings
 
 import numpy as np
@@ -51,14 +50,14 @@ import oracles
 def formula_kernels(model, f, g, shift=0):
     """The product formula's kernels above order 0
     (``chaos._product_formula``) as Kernels, by order."""
-    grouped = chaos._product_formula(model, f, g, shift, False)[1]
-    return {s: _kernel(*rows) for s, rows in grouped.items()}
+    rows = chaos._product_formula(model, f, g, shift, False)
+    return {s: _kernel(*order_rows) for s, order_rows in rows.items()}
 
 
 def slice_formula_kernels(model, f):
     """[(k, f_k, {order: kernel})] of each nonzero slice f_k, k ascending,
-    from the one engine call and grouping of ``chaos._slice_formula``; a
-    slice lacking an order holds an empty kernel there."""
+    from the one engine call of ``chaos._slice_formula``; a slice lacking an
+    order holds an empty kernel there."""
     keys, values, grouped = chaos._slice_formula(model, f)
     leads = np.unique(keys[:, 0]).tolist()
     slices = _runs_by_lead(keys, values, leads)
@@ -67,6 +66,25 @@ def slice_formula_kernels(model, f):
         (x + 1, _kernel(*slices[x]), {s: _kernel(*run[x]) for s, run in runs.items()})
         for x in leads
     ]
+
+
+def hexed_slice_rows(model, f):
+    """{order: [((k - 1, key), float.hex)]} of ``chaos._slice_formula``'s
+    rows, in row order."""
+    rows = chaos._slice_formula(model, f)[2]
+    return {
+        s: [
+            ((x, tuple(i + 1 for i in key)), v.hex())
+            for (x, *key), v in zip(keys.tolist(), values.tolist())
+        ]
+        for s, (keys, values) in rows.items()
+    }
+
+
+def hexed_slice_sums(model, f):
+    """The same of the Kernel route's sums (``oracles.slice_grouped_kernels``)."""
+    sums = oracles.slice_grouped_kernels(model, f)[1]
+    return {s: [(key, v.hex()) for key, v in entries.items()] for s, entries in sums.items()}
 
 
 def sup_factor(lam):
@@ -639,9 +657,10 @@ class TestProductFormulaRoute:
 
     def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
         """jm_bound makes one engine call for f and one batched call for all
-        of its slices; their (r, l) terms, in order and slice by slice, are
-        the calls the separate loops make one at a time.  multiply makes one
-        engine call per kernel pair."""
+        of its slices; their (r, l) terms, in order, each over all slices in
+        turn, are the calls the separate loops make one at a time, with the
+        loops' coefficients as scales.  multiply makes one engine call per
+        kernel pair."""
         from radstein import chaos
         from radstein.chaos import multiply
         from radstein.kernels import slice_kernel
@@ -649,17 +668,18 @@ class TestProductFormulaRoute:
         engine = chaos._contract_rows
         batched = chaos._slice_contract_rows
         one_term = oracles.postings_sym_offdiag_weighted_contract
-        calls, batch_calls, oracle_calls = [], [], []
+        calls, scales, batch_calls, oracle_calls = [], [], [], []
 
         def recorded(model, f, g, terms):
-            calls.append([(f.order, g.order, r, ell) for r, ell in terms])
+            calls.append([(f.order, g.order, r, ell) for r, ell, _ in terms])
+            scales.append([c for _, _, c in terms])
             return engine(model, f, g, terms)
 
         def batch_recorded(model, f, terms):
             batch = batched(model, f, terms)
             n = f.order - 1
             slices = sorted(set(batch[0][:, 0].tolist()))  # the leads, k - 1
-            batch_calls.append({x + 1: [(n, n, r, ell) for r, ell in terms] for x in slices})
+            batch_calls.append(([x + 1 for x in slices], [(n, n, r, ell) for r, ell, _ in terms]))
             return batch
 
         def oracle_recorded(model, f, g, r, ell):
@@ -682,10 +702,11 @@ class TestProductFormulaRoute:
         # batched call for its 7 slices, all nonzero here, five terms each.
         assert all(not slice_kernel(f3, k).is_zero() for k in range(1, 8))
         assert [len(terms) for terms in calls] == [5]
-        (batch,) = batch_calls
-        assert list(batch) == list(range(1, 8))
-        assert [len(terms) for terms in batch.values()] == [5] * 7
-        sliced = [t for terms in batch.values() for t in terms]
+        assert scales == [[oracles.jm_coefficient(3, r, ell) for _, _, r, ell in calls[0]]]
+        ((slices, terms),) = batch_calls
+        assert slices == list(range(1, 8))
+        assert len(terms) == 5
+        sliced = [t for t in terms for _ in slices]
         assert calls[0] + sliced == oracle_calls
         # No order-0 term is formed: n + m - r - l > 0 on every term.
         assert all(n + m - r - ell > 0 for n, m, r, ell in calls[0] + sliced)
@@ -737,17 +758,59 @@ class TestProductFormulaRoute:
         }
 
 
+class TestThreeTermsPerOrder:
+    """Output orders that three or more (r, l) terms share: ``multiply`` at
+    orders 4 and 4, and ``jm_bound`` at m = 5.  Each coefficient is the
+    correctly rounded sum of its correctly rounded, scaled terms, as the
+    oracles form it with one ``math.fsum`` per key, in float.hex."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_multiply_at_orders_four_and_four(self, symmetric):
+        from radstein.chaos import multiply
+
+        hexed = TestProductFormulaRoute.hexed
+        for seed in range(40):
+            rng = random.Random(seed)
+            size = rng.randint(5, 8)
+            p = [0.5] * size if symmetric else oracles.rand_model_p(rng, size)
+            model = build_model(p)
+            f = oracles.rand_kernel(rng, 4, size, density=0.5)
+            g = oracles.rand_kernel(rng, 4, size, density=0.5)
+            mean, kernels = oracles.loop_multiply(model, f, g)
+            product = multiply(model, f, g)
+            assert product.mean.hex() == mean.hex()
+            assert hexed(product.kernels) == hexed(dict(sorted(kernels.items())))
+
+    def test_jm_bound_at_order_five(self):
+        hexed = TestProductFormulaRoute.hexed
+        for seed in range(12):
+            rng = random.Random(100 + seed)
+            size = rng.randint(6, 8)
+            model = build_model(oracles.rand_model_p(rng, size))
+            f = oracles.rand_kernel(rng, 5, size, density=0.5)
+            lam = rng.uniform(0.5, 10.0)
+            assert hexed(formula_kernels(model, f, f, shift=1)) == hexed(
+                oracles.grouped_kernels(model, f, 5)
+            )
+            assert hexed_slice_rows(model, f) == hexed_slice_sums(model, f)
+            got = jm_bound(model, f, 1.0, lam, check_integer=False)
+            want = oracles.grouped_jm_bound(model, f, 1.0, lam)
+            TestProductFormulaRoute.assert_same_report(got, want)
+
+
 class TestSliceProductKernels:
     """The slices' product formula (``chaos._slice_formula``), all slices
     from one engine call, against ``chaos._product_formula`` called once per
     nonzero slice: the same slices and the same nonzero kernels in key order
     and float.hex.  An index beyond N raises at the call; any other error has
-    the per-slice route's type."""
+    the per-slice route's type, and the type and message of the Kernel
+    route that forms the terms in the same order
+    (``oracles.slice_grouped_kernels``)."""
 
     MODERATE = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
     HUGE = st.sampled_from([1e200, -1e300, 1e155, 1e80, -1e77, 1e40])
-    # Products near the largest double, so that the engine's sums stay finite
-    # and the grouping's scaling and adding overflow.
+    # Products near the largest double, so that the terms' sums stay finite
+    # and their scaling and the per-order sums overflow.
     NEAR_MAX_ROOT = st.sampled_from([1e153, -7e153, 1.2e154, 3e152, 1.0, -1e150])
 
     @staticmethod
@@ -773,50 +836,6 @@ class TestSliceProductKernels:
             fk = slice_kernel(f, k)
             if not fk.is_zero():
                 yield k, fk, formula_kernels(model, fk, fk)
-
-    @staticmethod
-    def term_then_slice_error(model, f):
-        """The error chaos._slice_formula must raise, found on Kernels: each
-        nonzero slice's engine part at each (r, l), one call each, then its
-        ``scaled`` and ``kernel_add`` in term order.  The engine's first error
-        in (r, l) order (within a term, the first slice's whose sum fails in
-        ``math.fsum``, else the first slice's with a non-finite sum), else
-        the grouping's first in (r, l)-then-k order, as (type, message); None
-        when neither raises."""
-        from oracles import kernel_add
-        from radstein.kernels import slice_kernel, sym_offdiag_weighted_contract
-
-        n = f.order - 1
-        terms = [(r, ell) for r in range(n + 1) for ell in range(r + 1) if r + ell < 2 * n]
-        slices = [(k, slice_kernel(f, k)) for k in range(1, model.size + 1)]
-        slices = [(k, fk) for k, fk in slices if not fk.is_zero()]
-        found, parts = {}, {}
-        for k, fk in slices:
-            for t, term in enumerate(terms):
-                try:
-                    parts[k, t] = sym_offdiag_weighted_contract(model, fk, fk, *term)
-                except (ValueError, OverflowError) as err:
-                    summed = str(err).startswith("non-finite coefficient")
-                    found[t, summed, k] = type(err), str(err)
-                    break
-        if found:
-            return found[min(found)]
-        for k, _ in slices:
-            grouped = {}
-            for t, (r, ell) in enumerate(terms):
-                part = parts[k, t]
-                if part.is_zero():
-                    continue
-                try:
-                    part = part.scaled(
-                        math.factorial(r) * math.comb(n, r) ** 2 * math.comb(r, ell)
-                    )
-                    s = part.order
-                    grouped[s] = kernel_add(grouped[s], part) if s in grouped else part
-                except ValueError as err:
-                    found[t, k] = type(err), str(err)
-                    break
-        return found[min(found)] if found else None
 
     @staticmethod
     def draw_setup(data, coefficient, orders=(2, 4)):
@@ -870,7 +889,8 @@ class TestSliceProductKernels:
     def test_jm_bound_raises_as_the_per_slice_route(self, data):
         """Overflowing kernels: the same remainder terms, or the same
         exception type and message, as jm_bound's Kernel route
-        (``oracles.kernel_route_jm_terms``), slice by slice."""
+        (``oracles.kernel_route_jm_terms``): one call per slice and term,
+        term by term."""
         model, f = self.draw_setup(data, st.one_of(self.HUGE, st.just(1.0)))
 
         def run(route):
@@ -895,49 +915,50 @@ class TestSliceProductKernels:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_raises_the_first_error_in_term_then_slice_order(self, data):
         """Orders 4 and 5 with huge coefficients, so that one order of a
-        slice gathers three parts or more: the batch raises the engine's, else
-        the grouping's, first error in (r, l)-then-k order."""
+        slice gathers three terms or more: the batch gives the Kernel route's
+        sums (``oracles.slice_grouped_kernels``) in key order and float.hex,
+        or raises its error: the first term's that fails, within it the
+        first slice's, else the first order's at its first key in output
+        order."""
         near = data.draw(st.booleans(), label="near the largest double")
         coefficient = self.NEAR_MAX_ROOT if near else st.one_of(self.HUGE, st.just(1.0))
         model, f = self.draw_setup(data, coefficient, (4, 5))
         if f.max_index() > model.size:
             return
-        try:
-            chaos._slice_formula(model, f)
-            got = None
-        except (ValueError, OverflowError) as err:
-            got = type(err), str(err)
-        assert got == self.term_then_slice_error(model, f)
 
-    def test_grouping_errors_of_one_term_come_slice_by_slice(self):
-        """Order 5, at (r, l) = (4, 2): slice 2's scaled part overflows, and
-        so does slice 1's sum of it with the (3, 3) part; slice 1's error
-        comes first, as each slice's ``scaled`` and ``kernel_add`` raise in
-        turn."""
+        def run(route):
+            try:
+                return route()
+            except (ValueError, OverflowError) as err:
+                return type(err), str(err)
+
+        assert run(lambda: hexed_slice_rows(model, f)) == run(lambda: hexed_slice_sums(model, f))
+
+    def test_an_order_sum_overflows_at_its_first_key(self):
+        """Order 5: slice 1's order-3 sum of three terms, each finite,
+        overflows, as the Kernel route's ``math.fsum`` does."""
         model = build_model([0.3, 0.5, 0.3, 0.5, 0.1, 0.5])
         f = Kernel(
             5, {(1, 2, 3, 4, 6): 1e153, (1, 2, 3, 4, 5): 3e152, (1, 2, 4, 5, 6): 3e152}
         )
-        message = "non-finite coefficient at (3, 5)"
-        assert self.term_then_slice_error(model, f) == (ValueError, message)
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            oracles.slice_grouped_kernels(model, f)
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
             chaos._slice_formula(model, f)
 
-    def test_grouping_checks_accumulated_rows_lead_by_lead(self):
-        """Three order-1 parts: the second appends key (3,) of lead 0 after
-        lead 1's rows, and the third overflows both lead 1's (2,) and lead
-        0's (3,); lead 0's error comes first."""
+    def test_an_order_raises_at_its_first_key_in_output_order(self):
+        """Two terms of order 2 scaled to overflow: (1, 1) holds keys of
+        slices 2 and 5 only, and (2, 0) those of slices 1, 2, 3 and 4.  The
+        output order runs term by term, so slice 2's key (6, 7) of the first
+        term is named, not slice 1's (3, 4) of the second."""
+        from radstein import kernels
 
-        def part(rows, values):
-            return np.array(rows, dtype=np.intp), np.array(values)
-
-        parts = [
-            part([[0, 0], [1, 1]], [1.0, 1e308]),
-            part([[0, 2]], [1e308]),
-            part([[1, 1], [0, 2]], [1e308, 1e308]),
-        ]
-        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(3,\)$"):
-            chaos._grouped(1, 1, [(0, 0)] * 3, parts)
+        model = build_model([0.3, 0.5, 0.1, 0.1, 0.3, 0.3, 0.3])
+        f = Kernel(3, {(1, 3, 4): 2.0, (2, 5, 6): 2.0, (2, 5, 7): 2.0})
+        keys, _, rows = kernels._slice_contract_rows(model, f, [(1, 1, 1), (2, 0, 1)])
+        assert [x for x, *_ in rows[2][0].tolist()] == [1, 4, 0, 1, 1, 2, 3]
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(6, 7\)$"):
+            kernels._slice_contract_rows(model, f, [(1, 1, 1e308), (2, 0, 1e308)])
 
     def test_first_error_comes_in_term_then_slice_order(self):
         """Slice 3 overflows at its first term, at (1, 2), and slice 1 at its

@@ -241,6 +241,17 @@ class TestMultiply:
                     kernel.entries.get(key, 0.0), abs=1e-13
                 )
 
+    def test_an_overflowing_mean_raises(self):
+        # The (4, 4) term, 4! * 1e153 * 5e153 = 1.2e308, is finite; the mean,
+        # that term scaled by 4!, is not.
+        model = build_model([0.5] * 4)
+        f = Kernel(4, {(1, 2, 3, 4): 1e153})
+        g = Kernel(4, {(1, 2, 3, 4): 5e153})
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(\)$"):
+            multiply(model, f, g)
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(\)$"):
+            oracles.loop_multiply(model, f, g)
+
     @given(st.integers(0, 10_000_000))
     @settings(max_examples=40)
     def test_pointwise_product_identity_property(self, seed):

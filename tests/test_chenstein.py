@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,19 @@ class TestPoissonUtilities:
         for lam in (0.1, 1.0, 7.5):
             head = stable_sum(poisson_pmf(lam, k) for k in range(12))
             assert head + poisson_tail(lam, 12) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("function", [poisson_pmf, poisson_tail])
+    @pytest.mark.parametrize("k", [1.5, True, 2.0, "3"])
+    def test_refuses_k_that_is_not_an_integer(self, function, k):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(k))}$"):
+            function(2.0, k)
+
+    def test_numpy_integer_k_gives_the_int_bits(self):
+        for lam in (0.3, 2.0, 17.5):
+            for k in (0, 1, 4, 40):
+                for function in (poisson_pmf, poisson_tail):
+                    got = function(lam, np.int64(k))
+                    assert type(got) is float and got.hex() == function(lam, k).hex()
 
     def test_invalid_lambda(self):
         with pytest.raises(InvalidLambda):

@@ -39,21 +39,30 @@ def star_kernel(n):
 
 
 def contracts(model, f, g, terms):
-    """The Kernel of each (r, l) of terms from one engine call
-    (``kernels._contract_rows``), which raises at the call as it does."""
-    return (kernels._kernel(*part) for part in kernels._contract_rows(model, f, g, terms))
+    """{order: Kernel} of the terms (r, l, scale) from one engine call
+    (``kernels._contract_rows``), which raises as it does."""
+    rows = kernels._contract_rows(model, f, g, terms)
+    return {order: kernels._kernel(*order_rows) for order, order_rows in rows.items()}
 
 
 def slice_contracts(model, f, terms):
-    """k -> the Kernel of each (r, l) of terms for each nonzero slice f_k,
-    k ascending, all from one engine call (``kernels._slice_contract_rows``)."""
-    keys, _, parts = kernels._slice_contract_rows(model, f, terms)
+    """k -> {order: Kernel} of the terms (r, l, scale) for each nonzero slice
+    f_k, k ascending, all from one engine call
+    (``kernels._slice_contract_rows``)."""
+    keys, _, rows = kernels._slice_contract_rows(model, f, terms)
     leads = np.unique(keys[:, 0]).tolist()
-    out = {x + 1: [] for x in leads}
-    for part in parts:
-        for x, run in kernels._runs_by_lead(*part, leads).items():
-            out[x + 1].append(kernels._kernel(*run))
+    out = {x + 1: {} for x in leads}
+    for order, order_rows in rows.items():
+        for x, run in kernels._runs_by_lead(*order_rows, leads).items():
+            out[x + 1][order] = kernels._kernel(*run)
     return out
+
+
+def hexed(kernels_by_order):
+    return {
+        order: [(key, v.hex()) for key, v in kernel.entries.items()]
+        for order, kernel in kernels_by_order.items()
+    }
 
 
 def tensors_close(a, b, tol=1e-13):
@@ -83,6 +92,28 @@ class TestKernelBasics:
         assert list(f.entries) == [(1, 2)] and type(next(iter(f.entries))[1]) is int
         g = Kernel.from_pairs(2, [((np.int64(2), 1), 1.0)])
         assert list(g.entries) == [(1, 2)]
+
+    @pytest.mark.parametrize(
+        "make, order, name",
+        [
+            (Kernel, 1.5, "kernel"),
+            (Kernel, True, "kernel"),
+            (Kernel, "1", "kernel"),
+            (RawTensor, 2.5, "tensor"),
+            (RawTensor, False, "tensor"),
+        ],
+    )
+    def test_rejects_an_order_that_is_not_an_integer(self, make, order, name):
+        entries = {(1,): 1.0} if order is True else {}
+        message = rf"^{name} order must be an integer, got {re.escape(repr(order))}$"
+        with pytest.raises(ValueError, match=message):
+            make(order, entries)
+
+    def test_accepts_numpy_integer_orders(self):
+        for make in (Kernel, RawTensor):
+            tensor = make(np.int64(2), {(1, 2): 1.0})
+            assert tensor.order == 2 and type(tensor.order) is int
+            assert list(tensor.entries.items()) == [((1, 2), 1.0)]
 
     def test_prunes_zeros(self):
         assert Kernel(2, {(1, 2): 0.0}).is_zero()
@@ -284,24 +315,20 @@ class TestFusedContraction:
 
 
 class TestMultiTermEngine:
-    """The engine over several (r, l) terms (``kernels._contract_rows``)
-    against the postings-map engine it replaced, called once per (r, l): the same kernels in key order and
-    float.hex, and the same exception at the same term.  A kernel index
-    beyond N raises at the call."""
+    """The engine over several terms (r, l, scale) (``kernels._contract_rows``)
+    against the postings-map engine it replaced, called once per (r, l),
+    each term scaled and the terms of one order added by one ``math.fsum``
+    per key (``oracles.fsum_contracts``): the same kernels in key order and
+    float.hex, and the same exception.  A kernel index beyond N raises at
+    the call."""
 
     @staticmethod
-    def outcomes(parts):
-        """Each kernel of parts as (order, hexed entries), up to the first
-        exception, which ends the list as (type, message)."""
-        out = []
+    def outcome(route):
+        """hexed(route()), or the exception it raises as (type, message)."""
         try:
-            for part in parts:
-                out.append(
-                    (part.order, [(k, v.hex()) for k, v in part.entries.items()])
-                )
+            return hexed(route())
         except (IndexOutOfRange, ValueError, OverflowError) as err:
-            out.append((type(err), str(err)))
-        return out
+            return type(err), str(err)
 
     @given(st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -338,8 +365,10 @@ class TestMultiTermEngine:
 
         f = draw_kernel("f")
         g = f if data.draw(st.booleans(), label="g is f") else draw_kernel("g")
+        # Scales of the product formula, and huge ones that overflow.
+        scale = st.sampled_from([1, 2, 3, 6, 36, 1e150, 1e300])
         term = st.integers(0, min(f.order, g.order)).flatmap(
-            lambda r: st.tuples(st.just(r), st.integers(0, r))
+            lambda r: st.tuples(st.just(r), st.integers(0, r), scale)
         )
         terms = data.draw(st.lists(term, min_size=1, max_size=8), label="terms")
         block = data.draw(st.sampled_from([1, 2, 7, 1 << 15]), label="pair block")
@@ -353,22 +382,20 @@ class TestMultiTermEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with mock.patch.object(kernels, "_PAIR_BLOCK", block):
-                got = self.outcomes(
-                    contracts(model, f, g, terms)
-                )
-        want = self.outcomes(
-            oracles.postings_sym_offdiag_weighted_contract(model, f, g, r, ell)
-            for r, ell in terms
-        )
-        assert got == want
+                got = self.outcome(lambda: contracts(model, f, g, terms))
+        assert got == self.outcome(lambda: oracles.fsum_contracts(model, f, g, terms))
 
     def test_overflow_raises_without_a_numpy_warning(self, capfd):
         model = build_model([0.3, 0.6, 0.5])
         f = Kernel(2, {(1, 2): 1e200, (2, 3): 1e200})
+        g = Kernel(2, {(1, 2): 1e150, (2, 3): 1e150})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
-                list(contracts(model, f, f, [(1, 0)]))
+                contracts(model, f, f, [(1, 0, 1)])
+            # Finite terms whose scaling overflows.
+            with pytest.raises(ValueError, match="non-finite"):
+                contracts(model, g, g, [(1, 0, 1e300)])
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
@@ -383,13 +410,49 @@ class TestMultiTermEngine:
         c = abs(second)
         f = Kernel(2, {(1, 2): c, (1, 3): second})
         g = Kernel(2, {(1, 3): c, (1, 2): c})
-        got = self.outcomes(contracts(model, f, g, [(1, 1)]))
-        want = self.outcomes(
-            oracles.postings_sym_offdiag_weighted_contract(model, f, g, 1, 1)
-            for _ in range(1)
+        got = self.outcome(lambda: contracts(model, f, g, [(1, 1, 1)]))
+        want = self.outcome(
+            lambda: {2: oracles.postings_sym_offdiag_weighted_contract(model, f, g, 1, 1)}
         )
         assert got == want
-        assert got[-1][0] is error
+        assert got[0] is error
+
+    def test_terms_raise_before_orders(self):
+        # The first term, (1, 0), is finite, and its scaled coefficient
+        # overflows; the second, (1, 1), fails in its own sum (two weights of
+        # about 1.1e308).  Every term's error comes before any order's.
+        model = build_model([0.3, 0.6, 0.5])
+        f = Kernel(2, {(1, 2): 1.5e154, (1, 3): 1.5e154})
+        g = Kernel(2, {(1, 3): 1.5e154, (1, 2): 1.5e154})
+        with pytest.raises(ValueError, match=r"^non-finite coefficient at \(1, 2, 3\)$"):
+            contracts(model, f, g, [(1, 0, 1e300)])
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            contracts(model, f, g, [(1, 0, 1e300), (1, 1, 1)])
+
+    def test_order_errors(self):
+        """Each order, in order of its first term, raises at its first key
+        whose sum overflows (``math.fsum``'s OverflowError), else at its
+        first non-finite coefficient, in output order (the ValueError naming
+        the key); scaling alone can make one."""
+        model = build_model([0.3, 0.6, 0.5])
+        f = Kernel(1, {(1,): 4.0, (2,): 1.0})
+        g = Kernel(1, {(3,): 1.0, (2,): 4.0})
+        # (0, 0) gives order 2 the coefficients 2.0, 8.0 and 0.5 at (1, 3),
+        # (1, 2) and (2, 3), in that output order; (1, 1) gives order 0 the
+        # coefficient 4.0.
+        got = hexed(contracts(model, f, g, [(0, 0, 1), (1, 1, 1)]))
+        assert got == {2: [((1, 3), "0x1.0000000000000p+1"), ((1, 2), "0x1.0000000000000p+3"),
+                           ((2, 3), "0x1.0000000000000p-1")], 0: [((), "0x1.0000000000000p+2")]}
+        cases = [
+            ([(0, 0, 6e307), (0, 0, 6e307)], OverflowError, "intermediate overflow in fsum"),
+            ([(0, 0, 1e308)], ValueError, "non-finite coefficient at (1, 3)"),
+            ([(0, 0, 1e300), (0, 0, 1e308)], ValueError, "non-finite coefficient at (1, 3)"),
+            ([(1, 1, 1e308), (0, 0, 1e308)], ValueError, "non-finite coefficient at ()"),
+            ([(0, 0, 1e308), (1, 1, 1e308)], ValueError, "non-finite coefficient at (1, 3)"),
+        ]
+        for terms, error, message in cases:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                contracts(model, f, g, terms)
 
     def test_index_beyond_n_raises_at_the_call(self):
         # Index 3 is only ever summed at (1, 1), where no phi is read: the
@@ -397,16 +460,16 @@ class TestMultiTermEngine:
         model = build_model([0.3, 0.6])
         f = Kernel(2, {(1, 3): 1.0, (2, 3): 1.0})
         message = "^kernel references index 3, model has 2$"
-        for terms in ([(1, 1)], [(1, 1), (1, 0)]):
+        for terms in ([(1, 1, 1)], [(1, 1, 1), (1, 0, 2)]):
             with pytest.raises(IndexOutOfRange, match=message):
                 contracts(model, f, f, terms)
 
     def test_invalid_term_raises_before_any_work(self):
         model = build_model([0.3, 0.6])
         f = Kernel(1, {(1,): 1.0})
-        parts = contracts(model, f, f, [(1, 1), (2, 0)])
-        with pytest.raises(InvalidContractionIndices):
-            next(parts)
+        with mock.patch.object(kernels, "_summed", side_effect=AssertionError):
+            with pytest.raises(InvalidContractionIndices):
+                contracts(model, f, f, [(1, 1, 1), (2, 0, 1)])
 
 
 class TestSlicePairBlocks:
@@ -437,20 +500,13 @@ class TestSlicePairBlocks:
                 label="f",
             ),
         )
-        terms = [(r, ell) for r in range(m) for ell in range(r + 1)]
+        terms = [(r, ell, r + 1) for r in range(m) for ell in range(r + 1)]
         block = data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="pair block")
         with mock.patch.object(kernels, "_PAIR_BLOCK", block):
             got = slice_contracts(model, f, terms)
-        for k, parts in got.items():
+        for k, kernels_by_order in got.items():
             fk = slice_kernel(f, k)
-            want = contracts(model, fk, fk, terms)
-            assert [
-                (part.order, [(t, v.hex()) for t, v in part.entries.items()])
-                for part in parts
-            ] == [
-                (part.order, [(t, v.hex()) for t, v in part.entries.items()])
-                for part in want
-            ]
+            assert hexed(kernels_by_order) == hexed(contracts(model, fk, fk, terms))
         assert list(got) == [k for k in range(1, size + 1) if not slice_kernel(f, k).is_zero()]
 
     @given(
