@@ -32,10 +32,10 @@ from .errors import OrderTooSmall
 from .kernels import (
     Kernel,
     _check_kernel_indices,
-    _norm_sq,
-    _runs_by_lead,
+    _made,
     _summed,
     inner_product,
+    norm_sq,
 )
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
@@ -183,9 +183,9 @@ def j1_bound(
     norm2 = inner_product(f, f)
     per_k = []
     per_k_abs = []
-    for (k,), c in sorted(f.entries.items()):
-        sigma = model.sigma[k - 1]
-        drift = sigma * (model.p[k - 1] - model.q[k - 1])
+    for k, c in zip(f.keys[:, 0].tolist(), f.values.tolist()):
+        sigma = model.sigma[k]
+        drift = sigma * (model.p[k] - model.q[k])
         per_k.append((c * c + drift * c) * abs(c) / sigma)
         per_k_abs.append((abs(c) ** 3 + drift * c * c) / sigma)
     t1 = sup_f * abs(lam - mean)
@@ -211,26 +211,37 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
 
 
 def _jm_blocks(model: ProbabilityModel, f: Kernel):
-    """Squared norms (as norm_sq rounds them) of the J_m bound's blocks for
-    f of order m >= 2, from the product formula's key rows by order: first
-    {s: norm} of f's order-s kernels at shift 1, then (k, norm of f_k,
-    {s: norm}) for each nonzero slice f_k = f(., k), k ascending, of its
-    kernels with itself, order m - 1 plus f_k (1/m) sqrt(pq)(p - q) by one
-    more correctly rounded sum per key (``kernels._summed``), all slices
-    from one ``_slice_formula`` call.  Formed as consumed, so errors come as
-    the product formula raises them: f's block (an index beyond N raises
-    there), the slices', then the drift sum's first overflow."""
+    """Squared norms (``norm_sq``) of the J_m bound's blocks for f of order
+    m >= 2, from the product formula's key rows by order: first {s: norm} of
+    f's order-s kernels at shift 1, then (k, norm of f_k, {s: norm}) for each
+    nonzero slice f_k = f(., k), k ascending, of its kernels with itself,
+    order m - 1 plus f_k (1/m) sqrt(pq)(p - q) by one more correctly rounded
+    sum per key (``kernels._summed``), all slices from one ``_slice_formula``
+    call.  Slice k's kernels are the rows under lead k - 1.  Formed as
+    consumed, so errors come as the product formula raises them: f's block
+    (an index beyond N raises there), the slices', then the drift sum's
+    first overflow."""
     m = f.order
-    yield {s: _norm_sq(*rows) for s, rows in _product_formula(model, f, f, 1, False).items()}
+    rows = _product_formula(model, f, f, 1, False)
+    yield {s: norm_sq(_made(s, keys[:, 1:], v)) for s, (keys, v) in rows.items()}
     keys, values, sliced = _slice_formula(model, f)
-    leads = np.unique(keys[:, 0]).tolist()
     drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
     sliced[m - 1] = _summed(*map(np.concatenate, zip(sliced[m - 1], (keys, drifted))))
-    slices = _runs_by_lead(keys, values, leads)
-    runs = {s: _runs_by_lead(*rows, leads) for s, rows in sliced.items()}
-    for x in leads:
-        fk = _norm_sq(*slices[x])
-        yield x + 1, fk, {s: _norm_sq(*run[x]) for s, run in runs.items()}
+    # The slice rows come lead by lead, each lead's first row where it changes.
+    leads = keys[np.flatnonzero(np.diff(keys[:, 0], prepend=-1)), 0]
+
+    def norms(order, rows, sums):
+        """Each lead's norm of the Kernel of the rows under it, in their order."""
+        stable = np.argsort(rows[:, 0], kind="stable")
+        rows, sums = rows[stable], sums[stable]
+        ends = np.searchsorted(rows[:, 0], leads, "right").tolist()
+        runs = zip([0, *ends], ends)
+        return [norm_sq(_made(order, rows[a:b, 1:], sums[a:b])) for a, b in runs]
+
+    slices = norms(m - 1, keys, values)
+    runs = {s: norms(s, *order_rows) for s, order_rows in sliced.items()}
+    for i, x in enumerate(leads.tolist()):
+        yield x + 1, slices[i], {s: run[i] for s, run in runs.items()}
 
 
 def jm_bound(

@@ -21,7 +21,8 @@ from .kernels import (
     Kernel,
     _check_kernel_indices,
     _contract_rows,
-    _kernel,
+    _finite_nonzero,
+    _made,
     _slice_contract_rows,
     inner_product,
 )
@@ -55,7 +56,7 @@ class ChaosExpansion:
         return list(self.kernels)
 
     def kernel(self, order: int) -> Kernel:
-        return self.kernels.get(order, Kernel.zero(order))
+        return self.kernels[order] if order in self.kernels else Kernel.zero(order)
 
     def max_order(self) -> int:
         return max(self.kernels, default=0)
@@ -104,12 +105,8 @@ def to_table(model: ProbabilityModel, expansion: ChaosExpansion) -> FunctionalTa
     coeffs[0] = expansion.mean
     for order, kernel in expansion.kernels.items():
         _check_kernel_indices(model, kernel)
-        scale = math.factorial(order)
-        for key, value in kernel.entries.items():
-            mask = 0
-            for i in key:
-                mask |= 1 << (i - 1)
-            coeffs[mask] = scale * value
+        masks = (1 << kernel.keys).sum(axis=1)  # N <= 24: int32 holds each bit
+        coeffs[masks] = float(math.factorial(order)) * kernel.values
     return FunctionalTable(model, _inverse_transform(model, coeffs))
 
 
@@ -129,16 +126,17 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     """
     _check_table(model, table)
     coeffs = _forward_transform(model, table.values)
-    orders = mask_orders(model.size)
-    kernels: dict[int, dict] = {}
-    for mask in (np.flatnonzero(coeffs[1:]) + 1).tolist():
-        order = int(orders[mask])
-        key = tuple(k + 1 for k in range(model.size) if (mask >> k) & 1)
-        kernels.setdefault(order, {})[key] = coeffs[mask] / math.factorial(order)
-    return ChaosExpansion(
-        float(coeffs[0]),
-        {order: Kernel(order, entries) for order, entries in kernels.items()},
-    )
+    masks = np.flatnonzero(coeffs[1:]) + 1
+    orders = mask_orders(model.size)[masks]
+    kernels = {}
+    # Each order in order of its first mask, its masks ascending.
+    for order in dict.fromkeys(orders.tolist()):
+        picked = masks[orders == order]
+        bits = np.nonzero((picked[:, None] >> np.arange(model.size)) & 1)[1]
+        keys = bits.astype(np.int32).reshape(len(picked), order)
+        values = coeffs[picked] / math.factorial(order)
+        kernels[order] = _made(order, *_finite_nonzero(keys, values))
+    return ChaosExpansion(float(coeffs[0]), kernels)
 
 
 def _formula_terms(n: int, m: int, shift: int, with_mean: bool) -> list:
@@ -184,8 +182,9 @@ def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     is the correctly rounded sum of its correctly rounded terms."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    kernels = {s: _kernel(*rows) for s, rows in _product_formula(model, f, g, 0, True).items()}
-    mean = kernels.pop(0, Kernel.zero(0)).entries.get((), 0.0)
+    rows = _product_formula(model, f, g, 0, True)
+    kernels = {s: _made(s, keys[:, 1:], values) for s, (keys, values) in rows.items()}
+    mean = kernels.pop(0).values.sum() if 0 in kernels else 0.0
     return ChaosExpansion(mean, kernels)
 
 
@@ -211,15 +210,19 @@ def evaluate_on_signs(
     for kernel in expansion.kernels.values():
         _check_kernel_indices(model, kernel)
     # One contiguous row of Y values per coordinate a kernel uses, so each
-    # factor streams.
-    used = sorted({i for f in expansion.kernels.values() for key in f.entries for i in key})
-    cols = np.array(used, dtype=np.intp) - 1
+    # factor streams; row_of maps a coordinate to its row.
+    used = np.zeros(model.size, dtype=bool)
+    for kernel in expansion.kernels.values():
+        used[kernel.keys] = True
+    cols = np.flatnonzero(used)
+    row_of = np.cumsum(used) - 1
     plus = np.ascontiguousarray(signs.T[cols]) == 1
-    y = dict(zip(used, np.where(plus, model.y_plus[cols, None], model.y_minus[cols, None])))
+    y = np.where(plus, model.y_plus[cols, None], model.y_minus[cols, None])
     out = np.full(signs.shape[0], expansion.mean)
     for order, kernel in expansion.kernels.items():
         scale = math.factorial(order)
-        for (i1, *rest), coeff in kernel.entries.items():
+        rows = row_of[kernel.keys].tolist()
+        for (i1, *rest), coeff in zip(rows, kernel.values.tolist()):
             prod = (scale * coeff) * y[i1]
             for i in rest:
                 prod *= y[i]

@@ -57,6 +57,7 @@ def poisson_pmf(lam: float, k: int) -> float:
 def poisson_pmf_vector(lam: float, k_max: int) -> np.ndarray:
     """pmf on 0..k_max as one array."""
     lam = _check_lambda(lam)
+    k_max = _integer(k_max, "k_max")
     ks = np.arange(k_max + 1)
     with np.errstate(divide="ignore"):
         logs = -lam + ks * math.log(lam) - np.array(

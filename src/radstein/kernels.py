@@ -1,10 +1,17 @@
 """Sparse symmetric off-diagonal kernels and their contraction algebra.
 
-A :class:`Kernel` of order n stores one coefficient per strictly increasing
-1-based index tuple and represents the symmetric function on N^n that takes
-that value on every rearrangement of the tuple and 0 whenever two arguments
-coincide.  Norms and inner products are always taken over all of N^n, so a
-squared kernel norm is n! times the sum of squared stored coefficients.
+A :class:`Kernel` of order n holds ``keys``, an (nnz, n) int32 array of
+0-based indices with strictly increasing rows, and ``values``, float64 with
+no zeros, both read-only.  It represents the symmetric function on N^n that
+takes a row's value on every rearrangement of its indices and 0 whenever two
+arguments coincide.  Rows keep the order they arose in (the caller's mapping,
+first appearance for ``from_pairs``, first contribution for the engine, the
+parent's for ``scaled`` and :func:`slice_kernel`); row-by-row sums and
+first-bad-key errors follow it, and an operation that needs sorted keys sorts
+inside itself.  ``entries``, {1-based index tuple: value}, is a read-only
+view derived from the arrays for readers outside the package.  Norms and
+inner products are taken over all of N^n, so a squared kernel norm is n!
+times the sum of squared stored coefficients.
 
 Contractions identify r argument pairs between two kernels and sum l of the
 identified pairs over off-diagonal l-tuples.  Intermediate results need be
@@ -21,19 +28,17 @@ model's phi over the identified-but-unsummed slots.
 :func:`weighted_contract`) expand every permutation explicitly: they are the
 reference path that tests check against, outside the top-level API.  The
 bounds and the product formula use one engine, ``_weighted_contracts``, fed
-by an all-pairs scan of f and g (``_contract_rows``) or by the pairs of every
-slice of f with itself at once (``_slice_contract_rows``).  It takes terms
-(r, l, scale) and returns key rows (a lead, then the indices) and
-coefficients by output order, which the product formula hands on and the
-J_m bounds reduce to norms; :func:`sym_offdiag_weighted_contract` builds
-the Kernel of one (r, l).  A coefficient is the correctly rounded sum of its
-terms, each correctly rounded and scaled; errors come term by term, then
-order by order.
-Both entry points reject a kernel index beyond N before any work
-(:func:`_check_kernel_indices`), so the engine reads phi at each index
+the kernels' arrays by an all-pairs scan of f and g (``_contract_rows``) or
+by the pairs of every slice of f with itself at once (``_slice_contract_rows``).
+It takes terms (r, l, scale) and returns key rows (a lead, then the indices)
+and coefficients by output order, which the product formula hands on and the
+J_m bounds reduce to norms.  A coefficient is the correctly rounded sum of
+its terms, each correctly rounded and scaled; errors come term by term, then
+order by order.  Both entry points reject a kernel index beyond N before any
+work (:func:`_check_kernel_indices`), so the engine reads phi at each index
 directly.  Kernels built here from valid kernels (the engine's output,
-``scaled``, :func:`slice_kernel`) are not re-parsed: only finiteness is
-checked and zeros are dropped.
+``scaled``, :func:`slice_kernel`) are not re-parsed: at most finiteness is
+checked and zeros are dropped (:func:`_finite_nonzero`).
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,12 +58,16 @@ from .errors import (
 )
 from .model import (
     ProbabilityModel,
+    _frozen,
     _integer,
+    _key_runs,
     _sums_by_key,
     run_sums,
     stable_sum,
-    sums_by_key,
 )
+
+# The largest index a Kernel's int32 key rows hold.
+_INDEX_LIMIT = np.iinfo(np.int32).max
 
 
 def _indices(key) -> tuple:
@@ -71,8 +82,9 @@ def _indices(key) -> tuple:
 def _validate(tensor, name: str, increasing: bool) -> None:
     """Set a new Kernel's or RawTensor's order, an integer by
     ``model._integer`` and nonnegative, and its entries: index tuples of that
-    length, positive (and strictly increasing if ``increasing``), each with a
-    finite value; zero values are dropped."""
+    length, positive (and if ``increasing``, a Kernel's, strictly
+    increasing), each with a finite value; zero values are dropped, and a
+    Kernel keeps no index beyond int32."""
     order = _integer(tensor.order, f"{name} order")
     if order < 0:
         raise ValueError(f"{name} order must be nonnegative")
@@ -88,77 +100,91 @@ def _validate(tensor, name: str, increasing: bool) -> None:
             raise ValueError(f"tuple {key} is not strictly increasing")
         if not math.isfinite(value):
             raise ValueError(f"non-finite coefficient at {key}")
+        if increasing and value != 0.0 and key and key[-1] > _INDEX_LIMIT:
+            raise IndexOutOfRange(f"tuple {key} holds an index beyond {_INDEX_LIMIT}")
         if value != 0.0:
             clean[key] = value
     object.__setattr__(tensor, "order", order)
     object.__setattr__(tensor, "entries", clean)
 
 
-@dataclass(frozen=True, eq=False)
 class Kernel:
-    """Symmetric off-diagonal kernel; order 0 holds a single scalar at ()."""
+    """Symmetric off-diagonal kernel of ``order``, ``keys`` and ``values``;
+    order 0 holds a single scalar at ()."""
 
-    order: int
-    entries: dict
+    def __init__(self, order: int, entries):
+        self.__dict__.update(order=order, entries=entries)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the caller's ``entries`` and replace them by key rows and
+        values, in the mapping's order."""
         _validate(self, "kernel", True)
+        clean = self.__dict__.pop("entries")
+        keys = np.array([i - 1 for key in clean for i in key], np.int32)
+        self.__dict__.update(
+            keys=_frozen(keys.reshape(len(clean), self.order)),
+            values=_frozen(np.fromiter(clean.values(), float, len(clean))),
+        )
 
-    @classmethod
-    def _built(cls, order: int, entries: dict) -> "Kernel":
-        """Kernel from float entries this module built out of valid kernels
-        (keys already strictly increasing tuples of positive ints of length
-        ``order``): only finiteness is checked and zeros are dropped."""
-        if not all(map(math.isfinite, entries.values())):
-            key = next(k for k, v in entries.items() if not math.isfinite(v))
-            raise ValueError(f"non-finite coefficient at {key}")
-        if not all(entries.values()):
-            entries = {key: value for key, value in entries.items() if value}
-        kernel = object.__new__(cls)
-        object.__setattr__(kernel, "order", order)
-        object.__setattr__(kernel, "entries", entries)
-        return kernel
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Kernel.{name}")
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        keys = map(tuple, (self.keys + 1).tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     @classmethod
     def zero(cls, order: int) -> "Kernel":
         return cls(order, {})
 
     @classmethod
-    def scalar(cls, c: float) -> "Kernel":
-        return cls(0, {(): c} if c != 0.0 else {})
-
-    @classmethod
     def from_pairs(cls, order: int, pairs) -> "Kernel":
-        """Build from [index-tuple, coefficient] pairs; duplicates merge by
-        their correctly rounded sum, so their order does not matter
-        (OverflowError if the sum leaves the float range)."""
-        keys, values = [], []
+        """Build from [index-tuple, coefficient] pairs, rows in order of first
+        appearance; duplicates merge by their correctly rounded sum, so their
+        order does not matter (OverflowError if the sum leaves the float
+        range).  A key is grouped by its place in that order."""
+        groups, index, values = {}, [], []
         for key, value in pairs:
             key = tuple(sorted(_indices(key)))
             if len(set(key)) != len(key):
                 raise ValueError(f"tuple {key} repeats an index")
-            keys.append(key)
+            index.append(groups.setdefault(key, len(groups)))
             values.append(float(value))
-        tuples = np.fromiter(keys, dtype=object, count=len(keys))
-        firsts, sums = sums_by_key(tuples, np.array(values))
-        return cls(order, dict(zip(tuples[firsts].tolist(), sums)))
+        sums = _sums_by_key(np.array(index, np.intp), np.array(values, float))[1]
+        return cls(order, dict(zip(groups, sums.tolist())))
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def value(self, key) -> float:
-        """Value of the represented function at an arbitrary index tuple."""
-        key = tuple(key)
-        if len(set(key)) != len(key):
-            return 0.0
-        return self.entries.get(tuple(sorted(key)), 0.0)
+        return not len(self.values)
 
     def max_index(self) -> int:
-        return max((t[-1] for t in self.entries if t), default=0)
+        return int(self.keys[:, -1].max()) + 1 if self.keys.size else 0
 
     def scaled(self, a: float) -> "Kernel":
-        a = float(a)
-        return Kernel._built(self.order, {t: a * c for t, c in self.entries.items()})
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _made(self.order, *_finite_nonzero(self.keys, float(a) * self.values))
+
+
+def _finite_nonzero(keys: np.ndarray, values: np.ndarray, lead: int = 0) -> tuple:
+    """(keys, values) without the zero values, raising the ValueError of
+    ``Kernel(order, mapping)`` at the first non-finite value, named by its
+    0-based key row after the ``lead`` columns."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < len(values):
+        key = keys[np.flatnonzero(~finite)[0], lead:] + 1
+        raise ValueError(f"non-finite coefficient at {tuple(key.tolist())}")
+    if np.count_nonzero(values) == len(values):
+        return keys, values
+    return keys[values != 0.0], values[values != 0.0]
+
+
+def _made(order: int, keys: np.ndarray, values: np.ndarray) -> Kernel:
+    """The Kernel of finite nonzero ``values`` at 0-based key rows that are
+    strictly increasing and distinct, in row order, made read-only."""
+    kernel = object.__new__(Kernel)
+    kernel.__dict__.update(order=order, keys=_frozen(keys), values=_frozen(values))
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +202,12 @@ class RawTensor:
 
 
 def norm_sq(t) -> float:
-    """Squared l2 norm over all of N^order."""
+    """Squared l2 norm over all of N^order: for a Kernel, order! times the
+    correctly rounded sum (``run_sums``) of its squared coefficients."""
     if isinstance(t, Kernel):
-        return math.factorial(t.order) * stable_sum(
-            c * c for c in t.entries.values()
-        )
+        with np.errstate(over="ignore"):
+            squares = t.values * t.values
+        return math.factorial(t.order) * run_sums(squares, [0], [len(squares)])[0]
     return stable_sum(v * v for v in t.entries.values())
 
 
@@ -189,30 +216,34 @@ def norm(t) -> float:
 
 
 def inner_product(f: Kernel, g: Kernel) -> float:
-    """l2 inner product over N^order; orders must agree."""
+    """l2 inner product over N^order; orders must agree: the correctly
+    rounded sum, over the rows of the kernel with fewer rows, of its value
+    times the other's at that row or 0.0, rows matched by one stable sort of
+    both kernels' rows."""
     if f.order != g.order:
         raise OrderMismatch(f"orders {f.order} and {g.order} differ")
-    small, large = (f, g) if len(f.entries) <= len(g.entries) else (g, f)
-    return math.factorial(f.order) * stable_sum(
-        c * large.entries.get(t, 0.0) for t, c in small.entries.items()
-    )
+    small, large = (f, g) if len(f.values) <= len(g.values) else (g, f)
+    rank, edges = _key_runs(np.concatenate((small.keys, large.keys)))
+    pairs = edges[:-1][np.diff(edges) == 2]  # a row of small, then its match
+    matched = np.zeros(len(small.values))
+    matched[rank[pairs]] = large.values[rank[pairs + 1] - len(small.values)]
+    with np.errstate(over="ignore"):
+        products = small.values * matched
+    return math.factorial(f.order) * stable_sum(products)
 
 
 def slice_kernel(f: Kernel, k: int) -> Kernel:
-    """The order-(order-1) kernel f(., k) with one argument fixed at k."""
+    """The order-(order-1) kernel f(., k) with one argument fixed at k, rows
+    in f's order."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
     k = _integer(k, "index")
     if k < 1:
         raise IndexOutOfRange(f"index {k} is not positive")
-    return Kernel._built(
-        f.order - 1,
-        {
-            tuple(i for i in key if i != k): value
-            for key, value in f.entries.items()
-            if k in key
-        },
-    )
+    rows = (f.keys == k - 1).nonzero()[0]  # the rows holding k, in f's order
+    keys = f.keys[rows]
+    keys = keys[keys != k - 1].reshape(len(rows), f.order - 1)
+    return _made(f.order - 1, keys, f.values[rows])
 
 
 def _check_kernel_indices(model: ProbabilityModel, *kernels: Kernel) -> None:
@@ -296,46 +327,6 @@ def weighted_contract(
 _PAIR_BLOCK = 1 << 15
 
 
-def _rows(h: Kernel) -> tuple:
-    """h's entries as (0-based index rows, values), in h's order."""
-    rows = np.array([*h.entries], np.int32).reshape(len(h.entries), h.order) - 1
-    return rows, np.array([*h.entries.values()])
-
-
-def _kernel(keys: np.ndarray, values: np.ndarray) -> Kernel:
-    """The kernel of finite ``values`` at key rows (a lead, then 0-based
-    indices ascending), in row order, the lead dropped."""
-    order = keys.shape[1] - 1
-    tuples = zip(*(keys[:, 1:] + 1).T.tolist()) if order else [()] * len(values)
-    return Kernel._built(order, dict(zip(tuples, values.tolist())))
-
-
-def _check_finite(keys: np.ndarray, values: np.ndarray) -> None:
-    """Raise ``Kernel._built``'s ValueError at the first non-finite value,
-    named by its key row without the lead."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        key = tuple((keys[bad[0], 1:] + 1).tolist())
-        raise ValueError(f"non-finite coefficient at {key}")
-
-
-def _runs_by_lead(keys: np.ndarray, values: np.ndarray, leads: list) -> dict:
-    """lead -> its (key rows, values), in their order, for every lead of
-    ``leads`` (ascending, holding every lead of keys)."""
-    order = np.argsort(keys[:, 0], kind="stable")
-    keys, values = keys[order], values[order]
-    ends = np.searchsorted(keys[:, 0], leads, "right").tolist()
-    return {x: (keys[a:b], values[a:b]) for x, a, b in zip(leads, [0, *ends], ends)}
-
-
-def _norm_sq(keys: np.ndarray, values: np.ndarray) -> float:
-    """:func:`norm_sq` of ``_kernel(keys, values)``, without building it:
-    the same correctly rounded sum (``run_sums``) of the squares."""
-    with np.errstate(over="ignore"):
-        squares = values * values
-    return math.factorial(keys.shape[1] - 1) * run_sums(squares, [0], [len(squares)])[0]
-
-
 def _shared_counts(rows_f: np.ndarray, rows_g: np.ndarray) -> np.ndarray:
     """How many indices each row of rows_f shares with each row of rows_g:
     the product A_f A_g^T of their 0/1 incidence matrices, formed sparsely
@@ -409,10 +400,7 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
     values, keys in order of first appearance, raising at the first sum that
     fails, else at the first non-finite one; zero sums are dropped."""
     firsts, sums = _sums_by_key(keys, values)
-    keys = keys[firsts]
-    _check_finite(keys, sums)
-    kept = sums != 0.0
-    return keys[kept], sums[kept]
+    return _finite_nonzero(keys[firsts], sums, 1)
 
 
 def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs) -> dict:
@@ -470,8 +458,7 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs) -> dict
     rows = {}
     for out_order, group in parts.items():
         if len(group) == 1:
-            _check_finite(*group[0])
-            rows[out_order] = group[0]
+            rows[out_order] = _finite_nonzero(*group[0], 1)
         else:
             rows[out_order] = _summed(*map(np.concatenate, zip(*group)))
     return rows
@@ -484,10 +471,10 @@ def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list) -
     and summed per order.  An index beyond N raises first, then an invalid
     (r, l), then each term's errors in term order and each order's."""
     _check_kernel_indices(model, f, g)
-    (tf, cf), (tg, cg) = _rows(f), _rows(g)
-    pairs = _pairs_by_shared_count(tf, tg, {r for r, _, _ in terms})
-    lead = np.zeros(len(tf), np.int32)
-    return _weighted_contracts(model, f.order, g.order, terms, lead, tf, cf, tg, cg, pairs)
+    pairs = _pairs_by_shared_count(f.keys, g.keys, {r for r, _, _ in terms})
+    lead = np.zeros(len(f.keys), np.int32)
+    args = terms, lead, f.keys, f.values, g.keys, g.values, pairs
+    return _weighted_contracts(model, f.order, g.order, *args)
 
 
 def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tuple:
@@ -504,13 +491,12 @@ def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tup
         raise OrderMismatch("cannot slice a scalar kernel")
     _check_kernel_indices(model, f)
     n = f.order - 1
-    tf, cf = _rows(f)
     # Row (entry, index k of it) is the entry without k, led by k - 1.
-    lead = tf.reshape(-1)
-    drop = np.tile(~np.eye(f.order, dtype=bool), (len(tf), 1))
-    rows = np.repeat(tf, f.order, axis=0)[drop].reshape(len(lead), n)
+    lead = f.keys.reshape(-1)
+    drop = np.tile(~np.eye(f.order, dtype=bool), (len(f.keys), 1))
+    rows = np.repeat(f.keys, f.order, axis=0)[drop].reshape(len(lead), n)
     order = np.argsort(lead, kind="stable")  # lead by lead, each in f's order
-    lead, rows, cf = lead[order], rows[order], np.repeat(cf, f.order)[order]
+    lead, rows, cf = lead[order], rows[order], np.repeat(f.values, f.order)[order]
     pairs = _pairs_by_shared_count(rows, rows, {r for r, _, _ in terms}, lead)
     args = n, n, terms, lead, rows, cf, rows, cf, pairs
     return np.column_stack((lead, rows)), cf, _weighted_contracts(model, *args)
@@ -522,5 +508,5 @@ def sym_offdiag_weighted_contract(
     """The symmetrized off-diagonal part of ``weighted_contract(model, f, g,
     r, l)`` as a Kernel: :func:`_contract_rows` at the one term (r, l) with
     scale 1, which raises as it does."""
-    (rows,) = _contract_rows(model, f, g, [(r, ell, 1)]).values()
-    return _kernel(*rows)
+    ((order, (keys, values)),) = _contract_rows(model, f, g, [(r, ell, 1)]).items()
+    return _made(order, keys[:, 1:], values)

@@ -18,12 +18,13 @@ import numpy as np
 
 from .chaos import ChaosExpansion, _forward_transform, _inverse_transform, mask_orders
 from .errors import IndexOutOfRange, MalformedField
-from .kernels import Kernel, _check_kernel_indices, slice_kernel
+from .kernels import _check_kernel_indices, _finite_nonzero, _made, slice_kernel
 from .model import (
     FunctionalTable,
     ProbabilityModel,
     _check_table,
     _integer,
+    _sums_by_key,
     expectation,
     stable_sum,
 )
@@ -59,11 +60,12 @@ def gradient_chaos(expansion: ChaosExpansion, k: int) -> ChaosExpansion:
     mean = 0.0
     kernels = {}
     for order, kernel in expansion.kernels.items():
-        sliced = slice_kernel(kernel, k).scaled(float(order))
+        sliced = slice_kernel(kernel, k)
         if sliced.is_zero():
             continue
+        sliced = sliced.scaled(float(order))
         if order == 1:
-            mean = sliced.entries.get((), 0.0)
+            mean = sliced.values[0]
         else:
             kernels[order - 1] = sliced
     return ChaosExpansion(mean, kernels)
@@ -110,9 +112,11 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
     k; the divergence is sum_n J_n of the symmetrized, off-diagonal
     restriction of the assembled f_n.  Averaging over which argument carries k
     performs the symmetrization directly on increasing tuples; each
-    coefficient is the correctly rounded sum of its contributions.
+    coefficient is the correctly rounded sum (``model._sums_by_key``) of its
+    contributions, rows in order of first contribution (component by
+    component).
     """
-    raw: dict[int, list] = {}  # order -> (tuple, contribution) pairs
+    leads, means, parts = [], [], {}  # parts: order -> [(k - 1, kernel)]
     for k, component in u.components.items():
         k = _integer(k, "component index", MalformedField)
         if not 1 <= k <= model.size:
@@ -123,15 +127,25 @@ def divergence(model: ProbabilityModel, u: GradientField) -> ChaosExpansion:
                 f"component {k} holds order {component.max_order()}, so the "
                 f"assembled kernel would exceed order N = {model.size}"
             )
-        if component.mean != 0.0:
-            raw.setdefault(1, []).append(((k,), component.mean))
+        leads.append(k - 1)
+        means.append(component.mean)  # a zero mean adds only a zero sum
         for order, kernel in component.kernels.items():
-            raw.setdefault(order + 1, []).extend(
-                (key + (k,), value / (order + 1))
-                for key, value in kernel.entries.items()
-                if k not in key  # a diagonal position, masked away
-            )
-    return ChaosExpansion(0.0, {n: Kernel.from_pairs(n, p) for n, p in raw.items()})
+            parts.setdefault(order, []).append((k - 1, kernel))
+    # Each order's rows, led by their component's k - 1; the means are order 0.
+    no_keys = np.empty((len(leads), 0), np.int32)
+    rows = {0: (np.array(leads, np.int32), no_keys, np.array(means, float))}
+    for order, items in parts.items():
+        lead = np.array([x for x, _ in items], np.int32)
+        lead = lead.repeat([len(f.values) for _, f in items])
+        keys = np.concatenate([f.keys for _, f in items])
+        rows[order] = lead, keys, np.concatenate([f.values for _, f in items])
+    kernels = {}
+    for order, (lead, keys, values) in rows.items():
+        off = ~(keys == lead[:, None]).any(axis=1)  # diagonal positions go
+        keys = np.sort(np.column_stack((keys[off], lead[off])), axis=1)
+        firsts, sums = _sums_by_key(keys, values[off] / (order + 1))
+        kernels[order + 1] = _made(order + 1, *_finite_nonzero(keys[firsts], sums))
+    return ChaosExpansion(0.0, kernels)
 
 
 def pseudo_inverse_table(model: ProbabilityModel, table: FunctionalTable) -> FunctionalTable:

@@ -88,7 +88,7 @@ def random_expansion(
 
 
 def _kernel_payload(f: Kernel) -> list:
-    return [[list(key), value] for key, value in sorted(f.entries.items())]
+    return [list(pair) for pair in sorted(zip((f.keys + 1).tolist(), f.values.tolist()))]
 
 
 def _kernel_table(model: ProbabilityModel, f: Kernel) -> np.ndarray:
@@ -167,12 +167,18 @@ def _adjointness(rng: random.Random):
 
 
 def _expansion_gap(a: ChaosExpansion, b: ChaosExpansion) -> float:
-    gap = abs(a.mean - b.mean)
-    for order in set(a.kernels) | set(b.kernels):
-        ka, kb = a.kernel(order), b.kernel(order)
-        for key in set(ka.entries) | set(kb.entries):
-            gap = max(gap, abs(ka.entries.get(key, 0.0) - kb.entries.get(key, 0.0)))
-    return gap
+    """The largest |a - b| over the means and the kernel coefficients, each
+    held at its index set's bitmask (the orders' masks are disjoint)."""
+    size = max(a.max_index(), b.max_index())
+
+    def coefficients(e: ChaosExpansion) -> np.ndarray:
+        c = np.zeros(1 << size)
+        c[0] = e.mean
+        for f in e.kernels.values():
+            c[(1 << f.keys).sum(axis=1)] = f.values
+        return c
+
+    return float(np.abs(coefficients(a) - coefficients(b)).max())
 
 
 def _l_equals_minus_delta_d(rng: random.Random):

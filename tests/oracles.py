@@ -14,7 +14,10 @@ and all slices' term by term), each term one call, the terms of one order
 added by one ``math.fsum`` per key (:func:`fsum_by_order`), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
-solution built term by term from the ratio recurrences for each k.
+solution built term by term from the ratio recurrences for each k, and the
+dict route: a kernel as {1-based index tuple: coefficient} (:class:`DictKernel`)
+with the operations that walked it, which the array Kernel must match bit for
+bit, row order and first error included.
 :func:`kernel_add` is the key-by-key sum of two Kernels, one IEEE addition
 per key: where at most two terms share an order, the product formula's sum
 equals it.
@@ -23,12 +26,19 @@ equals it.
 import itertools
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from radstein.bounds import BoundReport
-from radstein.chaos import decompose, to_table
+from radstein.chaos import (
+    ChaosExpansion,
+    _forward_transform,
+    _inverse_transform,
+    decompose,
+    mask_orders,
+    to_table,
+)
 from radstein.chenstein import (
     _TERM_EPS,
     _check_lambda,
@@ -36,7 +46,14 @@ from radstein.chenstein import (
     poisson_set_prob,
 )
 from radstein import distance
-from radstein.errors import LengthMismatch, OrderMismatch, TooFewSamples, TooManySamples
+from radstein.errors import (
+    IndexOutOfRange,
+    LengthMismatch,
+    MalformedField,
+    OrderMismatch,
+    TooFewSamples,
+    TooManySamples,
+)
 from radstein.kernels import (
     Kernel,
     RawTensor,
@@ -47,7 +64,13 @@ from radstein.kernels import (
     slice_kernel,
 )
 from radstein.malliavin import gradient_pathwise, pseudo_inverse
-from radstein.model import FunctionalTable, rounded_integers, stable_sum
+from radstein.model import (
+    FunctionalTable,
+    _check_table,
+    _integer,
+    rounded_integers,
+    stable_sum,
+)
 
 
 def kernel_add(f: Kernel, g: Kernel) -> Kernel:
@@ -57,7 +80,221 @@ def kernel_add(f: Kernel, g: Kernel) -> Kernel:
     acc = dict(f.entries)
     for key, value in g.entries.items():
         acc[key] = acc.get(key, 0.0) + value
-    return Kernel._built(f.order, acc)
+    return Kernel(f.order, acc)
+
+
+def kernel_value(f, key) -> float:
+    """Value of the function f represents at an arbitrary index tuple."""
+    key = tuple(key)
+    if len(set(key)) != len(key):
+        return 0.0
+    return f.entries.get(tuple(sorted(key)), 0.0)
+
+
+# The dict route.  Indices and orders follow the package's integer rule.
+
+
+def _dict_indices(key) -> tuple:
+    key = tuple(key)
+    try:
+        return tuple([_integer(i, "index") for i in key])
+    except ValueError:
+        raise ValueError(f"tuple {key} holds an index that is not an integer") from None
+
+
+@dataclass(frozen=True, eq=False)
+class DictKernel:
+    """A kernel as {1-based strictly increasing index tuple: coefficient} in
+    the caller's order: order an integer, each entry of that length,
+    positive, strictly increasing and finite, in turn; zeros dropped."""
+
+    order: int
+    entries: dict
+
+    def __post_init__(self):
+        order = _integer(self.order, "kernel order")
+        if order < 0:
+            raise ValueError("kernel order must be nonnegative")
+        clean = {}
+        for key, value in self.entries.items():
+            key = _dict_indices(key)
+            value = float(value)
+            if len(key) != order:
+                raise ValueError(f"tuple {key} has length {len(key)}, expected {order}")
+            if any(i < 1 for i in key):
+                raise IndexOutOfRange(f"tuple {key} contains a non-positive index")
+            if any(a >= b for a, b in zip(key, key[1:])):
+                raise ValueError(f"tuple {key} is not strictly increasing")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite coefficient at {key}")
+            if value != 0.0:
+                clean[key] = value
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "entries", clean)
+
+    @classmethod
+    def built(cls, order, entries):
+        """From float entries at valid keys: only finiteness is checked, at
+        the first key in order, and zeros are dropped."""
+        for key, value in entries.items():
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite coefficient at {key}")
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "order", order)
+        object.__setattr__(kernel, "entries", {k: v for k, v in entries.items() if v})
+        return kernel
+
+    def is_zero(self):
+        return not self.entries
+
+    def max_index(self):
+        return max((t[-1] for t in self.entries if t), default=0)
+
+    def scaled(self, a):
+        a = float(a)
+        return DictKernel.built(self.order, {t: a * c for t, c in self.entries.items()})
+
+
+def as_dict_kernel(f) -> DictKernel:
+    return DictKernel(f.order, dict(f.entries))
+
+
+def dict_rows(f) -> tuple:
+    """A DictKernel's (order, key rows, values) as a Kernel holds them, in
+    its order, as bytes."""
+    keys = np.array(list(f.entries), np.int32).reshape(len(f.entries), f.order) - 1
+    return f.order, keys.tobytes(), np.array(list(f.entries.values()), float).tobytes()
+
+
+def array_rows(f) -> tuple:
+    """A Kernel's (order, key rows, values) as bytes: int32 keys compare
+    equal to :func:`dict_rows`' only."""
+    return f.order, f.keys.tobytes(), f.values.tobytes()
+
+
+def dict_from_pairs(order, pairs) -> DictKernel:
+    """Duplicates summed by one ``math.fsum`` per key, in order of first
+    appearance, raising at the first that fails, then the DictKernel's
+    checks."""
+    groups = {}
+    for key, value in pairs:
+        key = tuple(sorted(_dict_indices(key)))
+        if len(set(key)) != len(key):
+            raise ValueError(f"tuple {key} repeats an index")
+        groups.setdefault(key, []).append(float(value))
+    return DictKernel(order, {key: math.fsum(values) for key, values in groups.items()})
+
+
+def dict_inner_product(f, g) -> float:
+    if f.order != g.order:
+        raise OrderMismatch(f"orders {f.order} and {g.order} differ")
+    small, large = (f, g) if len(f.entries) <= len(g.entries) else (g, f)
+    return math.factorial(f.order) * math.fsum(
+        c * large.entries.get(t, 0.0) for t, c in small.entries.items()
+    )
+
+
+def dict_slice_kernel(f, k) -> DictKernel:
+    if f.order < 1:
+        raise OrderMismatch("cannot slice a scalar kernel")
+    k = _integer(k, "index")
+    if k < 1:
+        raise IndexOutOfRange(f"index {k} is not positive")
+    return DictKernel.built(
+        f.order - 1,
+        {tuple(i for i in key if i != k): v for key, v in f.entries.items() if k in key},
+    )
+
+
+def dict_to_table(model, expansion) -> FunctionalTable:
+    coeffs = np.zeros(model.num_outcomes)
+    coeffs[0] = expansion.mean
+    for order, kernel in expansion.kernels.items():
+        _check_kernel_indices(model, kernel)
+        scale = math.factorial(order)
+        for key, value in kernel.entries.items():
+            mask = 0
+            for i in key:
+                mask |= 1 << (i - 1)
+            coeffs[mask] = scale * value
+    return FunctionalTable(model, _inverse_transform(model, coeffs))
+
+
+def dict_evaluate_on_signs(model, expansion, signs) -> np.ndarray:
+    """The evaluator on valid +-1 signs: one row of Y values per coordinate
+    used, each entry's product accumulated in entry order."""
+    for kernel in expansion.kernels.values():
+        _check_kernel_indices(model, kernel)
+    used = sorted({i for f in expansion.kernels.values() for key in f.entries for i in key})
+    cols = np.array(used, dtype=np.intp) - 1
+    plus = np.ascontiguousarray(np.asarray(signs).T[cols]) == 1
+    y = dict(zip(used, np.where(plus, model.y_plus[cols, None], model.y_minus[cols, None])))
+    out = np.full(len(signs), expansion.mean)
+    for order, kernel in expansion.kernels.items():
+        scale = math.factorial(order)
+        for (i1, *rest), coeff in kernel.entries.items():
+            prod = (scale * coeff) * y[i1]
+            for i in rest:
+                prod *= y[i]
+            out += prod
+    return out
+
+
+def dict_decompose(model, table) -> ChaosExpansion:
+    """Kernels keyed mask by mask, ascending, each order's built in order of
+    its first mask."""
+    _check_table(model, table)
+    coeffs = _forward_transform(model, table.values)
+    orders = mask_orders(model.size)
+    kernels = {}
+    for mask in (np.flatnonzero(coeffs[1:]) + 1).tolist():
+        order = int(orders[mask])
+        key = tuple(k + 1 for k in range(model.size) if (mask >> k) & 1)
+        kernels.setdefault(order, {})[key] = coeffs[mask] / math.factorial(order)
+    return ChaosExpansion(
+        float(coeffs[0]), {order: DictKernel(order, e) for order, e in kernels.items()}
+    )
+
+
+def dict_gradient_chaos(expansion, k) -> ChaosExpansion:
+    k = _integer(k, "index")
+    if k < 1:
+        raise IndexOutOfRange(f"index {k} is not positive")
+    mean, kernels = 0.0, {}
+    for order, kernel in expansion.kernels.items():
+        sliced = dict_slice_kernel(kernel, k).scaled(float(order))
+        if sliced.is_zero():
+            continue
+        if order == 1:
+            mean = sliced.entries.get((), 0.0)
+        else:
+            kernels[order - 1] = sliced
+    return ChaosExpansion(mean, kernels)
+
+
+def dict_divergence(model, u) -> ChaosExpansion:
+    """Each component's contributions as (tuple, value) pairs, merged per
+    order by :func:`dict_from_pairs`."""
+    raw = {}
+    for k, component in u.components.items():
+        k = _integer(k, "component index", MalformedField)
+        if not 1 <= k <= model.size:
+            raise MalformedField(f"component index {k} outside 1..{model.size}")
+        _check_kernel_indices(model, *component.kernels.values())
+        if component.max_order() >= model.size:
+            raise MalformedField(
+                f"component {k} holds order {component.max_order()}, so the "
+                f"assembled kernel would exceed order N = {model.size}"
+            )
+        if component.mean != 0.0:
+            raw.setdefault(1, []).append(((k,), component.mean))
+        for order, kernel in component.kernels.items():
+            raw.setdefault(order + 1, []).extend(
+                (key + (k,), value / (order + 1))
+                for key, value in kernel.entries.items()
+                if k not in key
+            )
+    return ChaosExpansion(0.0, {n: dict_from_pairs(n, p) for n, p in raw.items()})
 
 
 def all_outcomes(n):

@@ -36,7 +36,7 @@ from radstein.errors import (
     NonIntegerValue,
     OrderTooSmall,
 )
-from radstein.kernels import Kernel, _kernel, _runs_by_lead
+from radstein.kernels import Kernel, _made
 from radstein.model import (
     FunctionalTable,
     build_model,
@@ -51,7 +51,14 @@ def formula_kernels(model, f, g, shift=0):
     """The product formula's kernels above order 0
     (``chaos._product_formula``) as Kernels, by order."""
     rows = chaos._product_formula(model, f, g, shift, False)
-    return {s: _kernel(*order_rows) for s, order_rows in rows.items()}
+    return {s: _made(s, keys[:, 1:], values) for s, (keys, values) in rows.items()}
+
+
+def lead_kernel(order, keys, values, lead):
+    """The Kernel of the key rows under ``lead`` (their first column), in
+    their order."""
+    pick = keys[:, 0] == lead
+    return _made(order, keys[pick, 1:], values[pick])
 
 
 def slice_formula_kernels(model, f):
@@ -59,12 +66,13 @@ def slice_formula_kernels(model, f):
     from the one engine call of ``chaos._slice_formula``; a slice lacking an
     order holds an empty kernel there."""
     keys, values, grouped = chaos._slice_formula(model, f)
-    leads = np.unique(keys[:, 0]).tolist()
-    slices = _runs_by_lead(keys, values, leads)
-    runs = {s: _runs_by_lead(*rows, leads) for s, rows in grouped.items()}
     return [
-        (x + 1, _kernel(*slices[x]), {s: _kernel(*run[x]) for s, run in runs.items()})
-        for x in leads
+        (
+            x + 1,
+            lead_kernel(f.order - 1, keys, values, x),
+            {s: lead_kernel(s, *rows, x) for s, rows in grouped.items()},
+        )
+        for x in sorted(set(keys[:, 0].tolist()))
     ]
 
 
@@ -1068,7 +1076,7 @@ class TestIndexBeyondN:
 
         model = build_model([0.3, 0.6, 0.5])
         call = self.entry_points()[name]
-        with mock.patch.object(kernels, "_rows", side_effect=AssertionError):
+        with mock.patch.object(kernels, "_pairs_by_shared_count", side_effect=AssertionError):
             with pytest.raises(
                 IndexOutOfRange, match=r"^kernel references index 4, model has 3$"
             ):

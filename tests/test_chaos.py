@@ -167,7 +167,7 @@ class TestDecompose:
         expansion = decompose(model, table)
         assert expansion.kernel(2).entries[(1, 2)] == pytest.approx(0.5, abs=1e-13)
         assert abs(expansion.mean) < 1e-13
-        assert abs(expansion.kernel(1).value((1,))) < 1e-13
+        assert abs(oracles.kernel_value(expansion.kernel(1), (1,))) < 1e-13
 
     def test_bernoulli_sum(self):
         model = build_model([0.15, 0.55, 0.75])

@@ -13,6 +13,7 @@ from radstein.chenstein import (
     TargetSet,
     forward_diff,
     poisson_pmf,
+    poisson_pmf_vector,
     poisson_set_prob,
     poisson_tail,
     second_forward_diff,
@@ -58,10 +59,12 @@ class TestPoissonUtilities:
             head = stable_sum(poisson_pmf(lam, k) for k in range(12))
             assert head + poisson_tail(lam, 12) == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("function", [poisson_pmf, poisson_tail])
-    @pytest.mark.parametrize("k", [1.5, True, 2.0, "3"])
+    @pytest.mark.parametrize("function", [poisson_pmf, poisson_tail, poisson_pmf_vector])
+    @pytest.mark.parametrize("k", [1.5, True, 2.0, "3", 2.5])
     def test_refuses_k_that_is_not_an_integer(self, function, k):
-        with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(k))}$"):
+        name = "k_max" if function is poisson_pmf_vector else "k"
+        message = rf"^{name} must be an integer, got {re.escape(repr(k))}$"
+        with pytest.raises(ValueError, match=message):
             function(2.0, k)
 
     def test_numpy_integer_k_gives_the_int_bits(self):

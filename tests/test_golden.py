@@ -27,7 +27,7 @@ CASES = [
         EXIT_OK,
     ),
     ("j2_example_n9", ["bound", "j2_example_n9.json"], EXIT_DOMINATION),
-    ("verify_seed0", ["verify", "--seed", "0"], EXIT_OK),
+    *((f"verify_seed{s}", ["verify", "--seed", str(s)], EXIT_OK) for s in range(5)),
     ("j2_rate_2_14", ["j2-rate", "--n-min", "2", "--n-max", "14"], EXIT_DOMINATION),
 ]
 

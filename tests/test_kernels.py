@@ -42,19 +42,20 @@ def contracts(model, f, g, terms):
     """{order: Kernel} of the terms (r, l, scale) from one engine call
     (``kernels._contract_rows``), which raises as it does."""
     rows = kernels._contract_rows(model, f, g, terms)
-    return {order: kernels._kernel(*order_rows) for order, order_rows in rows.items()}
+    return {s: kernels._made(s, keys[:, 1:], v) for s, (keys, v) in rows.items()}
 
 
 def slice_contracts(model, f, terms):
     """k -> {order: Kernel} of the terms (r, l, scale) for each nonzero slice
     f_k, k ascending, all from one engine call
-    (``kernels._slice_contract_rows``)."""
+    (``kernels._slice_contract_rows``): the rows under lead k - 1."""
     keys, _, rows = kernels._slice_contract_rows(model, f, terms)
-    leads = np.unique(keys[:, 0]).tolist()
-    out = {x + 1: {} for x in leads}
-    for order, order_rows in rows.items():
-        for x, run in kernels._runs_by_lead(*order_rows, leads).items():
-            out[x + 1][order] = kernels._kernel(*run)
+    out = {}
+    for x in sorted(set(keys[:, 0].tolist())):
+        out[x + 1] = {}
+        for order, (lead_keys, values) in rows.items():
+            pick = lead_keys[:, 0] == x
+            out[x + 1][order] = kernels._made(order, lead_keys[pick, 1:], values[pick])
     return out
 
 
@@ -120,14 +121,14 @@ class TestKernelBasics:
 
     def test_value_respects_symmetry_and_diagonal(self):
         f = Kernel(2, {(1, 2): 3.0})
-        assert f.value((2, 1)) == 3.0
-        assert f.value((1, 1)) == 0.0
+        assert oracles.kernel_value(f, (2, 1)) == 3.0
+        assert oracles.kernel_value(f, (1, 1)) == 0.0
 
 
 class TestContract:
     def test_tensor_product_with_unit_scalar(self):
         f = Kernel(2, {(1, 2): 0.7, (2, 3): -0.4})
-        result = contract(f, Kernel.scalar(1.0), 0, 0)
+        result = contract(f, Kernel(0, {(): 1.0}), 0, 0)
         assert result.entries == kernel_as_raw(f).entries
 
     def test_star_contraction_closed_form(self):

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import radstein
@@ -124,3 +127,21 @@ def test_traced_benchmark_still_binds_every_name():
     for label in spans.TRACED:
         importlib.import_module(f"radstein.{label.split('.')[0]}")
     spans.Tracer().bind()
+
+
+def test_a_jm_bound_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy 2's first np.unique call imports numpy.ma (about 16 ms); the J_m
+    # path takes its slice leads from lead-sorted key rows instead.
+    spec = pathlib.Path(__file__).parent / "data" / "golden" / "jm_n30_mc.json"
+    argv = ["bound", str(spec), "--out", str(tmp_path / "report.json")]
+    code = (
+        "import sys\n"
+        "from radstein.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(radstein.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
