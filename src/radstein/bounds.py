@@ -45,6 +45,7 @@ from .model import (
     build_model,
     expectation,
     integer_values,
+    run_sums,
     stable_sum,
     stable_sums,
     variance,
@@ -231,12 +232,13 @@ def _jm_blocks(model: ProbabilityModel, f: Kernel):
     leads = keys[np.flatnonzero(np.diff(keys[:, 0], prepend=-1)), 0]
 
     def norms(order, rows, sums):
-        """Each lead's norm of the Kernel of the rows under it, in their order."""
+        """Each lead's squared norm of the rows under it, ``norm_sq``'s
+        arithmetic: order! times the run sum of its squared coefficients."""
         stable = np.argsort(rows[:, 0], kind="stable")
-        rows, sums = rows[stable], sums[stable]
-        ends = np.searchsorted(rows[:, 0], leads, "right").tolist()
-        runs = zip([0, *ends], ends)
-        return [norm_sq(_made(order, rows[a:b, 1:], sums[a:b])) for a, b in runs]
+        with np.errstate(over="ignore"):
+            squares = sums[stable] * sums[stable]
+        ends = np.searchsorted(rows[stable, 0], leads, "right").tolist()
+        return [math.factorial(order) * s for s in run_sums(squares, [0, *ends], ends)]
 
     slices = norms(m - 1, keys, values)
     runs = {s: norms(s, *order_rows) for s, order_rows in sliced.items()}

@@ -28,8 +28,9 @@ model's phi over the identified-but-unsummed slots.
 :func:`weighted_contract`) expand every permutation explicitly: they are the
 reference path that tests check against, outside the top-level API.  The
 bounds and the product formula use one engine, ``_weighted_contracts``, fed
-the kernels' arrays by an all-pairs scan of f and g (``_contract_rows``) or
-by the pairs of every slice of f with itself at once (``_slice_contract_rows``).
+the entry pairs of f and g (``_contract_rows``) or of every slice of f with
+itself at once (``_slice_contract_rows``), both found through the postings of
+the second kernel's indices (``_pairs_by_shared_count``).
 It takes terms (r, l, scale) and returns key rows (a lead, then the indices)
 and coefficients by output order, which the product formula hands on and the
 J_m bounds reduce to norms.  A coefficient is the correctly rounded sum of
@@ -323,76 +324,37 @@ def weighted_contract(
     return RawTensor(raw.order, entries)
 
 
-# Entry pairs of f and g whose shared-index counts are formed at once.
-_PAIR_BLOCK = 1 << 15
+def _pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
+    """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, in
+    (f row, g row) order; each row of tf and tg holds one entry's indices.
+    Each index of each f row meets the g rows that hold it (its postings),
+    and one ``np.unique`` counts the meetings of each pair that meets, so no
+    other pair is formed and no BLAS call is made.  With ``lead`` (one per
+    row of tf, which is then tg too), or when r = 0 is asked for, each index
+    is keyed by (lead, index), lead 0 if there is none, and each row gains a
+    column holding only its lead: then exactly the same-lead pairs meet, a
+    pair sharing r indices r + 1 times."""
+    extra = lead is not None or 0 in counts
+    if extra:
 
+        def keyed(rows):
+            """Index i under lead k as k 2^32 + i + 1, after the lead column k 2^32."""
+            k = np.zeros(len(rows), np.int64) if lead is None else lead.astype(np.int64) << 32
+            return np.column_stack((k, rows + 1 + k[:, None]))
 
-def _shared_counts(rows_f: np.ndarray, rows_g: np.ndarray) -> np.ndarray:
-    """How many indices each row of rows_f shares with each row of rows_g:
-    the product A_f A_g^T of their 0/1 incidence matrices, formed sparsely
-    and exactly in integers: each index of each f row meets the g rows that
-    hold it (its postings), and ``np.bincount`` counts the meetings of each
-    pair.  No BLAS call is made, so no BLAS thread is woken."""
-    width_f, width_g = rows_f.shape[1], rows_g.shape[1]
-    if not (width_f and width_g):
-        return np.zeros((len(rows_f), len(rows_g)), np.intp)
-    index = rows_g.ravel()
-    postings = np.argsort(index, kind="stable")
+        tf, tg = keyed(tf), keyed(tg)
+    width_f, width_g = tf.shape[1], tg.shape[1]
+    index = tg.ravel()
+    postings = np.argsort(index)
     index = index[postings]
-    lo = np.searchsorted(index, rows_f.ravel(), "left")
-    size = np.searchsorted(index, rows_f.ravel(), "right") - lo
+    lo = np.searchsorted(index, tf.ravel(), "left")
+    size = np.searchsorted(index, tf.ravel(), "right") - lo
     # The t-th meeting of an index of f (from 0) is with its posting lo + t.
     first = np.repeat(lo - np.cumsum(size) + size, size)
     g_row = postings[np.arange(len(first)) + first] // width_g
     f_row = np.repeat(np.arange(size.size) // width_f, size)
-    counts = np.bincount(f_row * len(rows_g) + g_row, minlength=len(rows_f) * len(rows_g))
-    return counts.reshape(len(rows_f), len(rows_g))
-
-
-def _lead_blocks(lead: np.ndarray) -> list:
-    """(lo, hi, c0, c1): rows lo..hi paired with rows c0..c1, covering every
-    pair of rows under one lead (``lead`` ascending) once, about
-    ``_PAIR_BLOCK`` pairs at a time: runs of whole leads of at most
-    sqrt(_PAIR_BLOCK) rows among themselves, and a longer lead's rows in
-    steps, each with all of its lead."""
-    side = math.isqrt(_PAIR_BLOCK)
-    bounds = [0, *(np.flatnonzero(np.diff(lead)) + 1).tolist(), len(lead)]
-    blocks, c0 = [], 0
-    for s, e in zip(bounds, bounds[1:]):
-        if e - s > side:
-            if c0 < s:
-                blocks.append((c0, s, c0, s))
-            step = max(1, _PAIR_BLOCK // (e - s))
-            blocks += [(lo, min(lo + step, e), s, e) for lo in range(s, e, step)]
-            c0 = e
-        elif e - c0 > side:
-            blocks.append((c0, s, c0, s))
-            c0 = s
-    if c0 < len(lead):
-        blocks.append((c0, len(lead), c0, len(lead)))
-    return blocks
-
-
-def _pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
-    """r -> (f rows, g rows) of the entry pairs sharing exactly r indices, f
-    row by f row, each in g's order; each row of tf and tg holds one entry's
-    indices.  With ``lead`` (ascending, one per row of tf, which is then tg
-    too) only pairs of rows under one lead are formed (:func:`_lead_blocks`);
-    otherwise all pairs, about ``_PAIR_BLOCK`` at a time."""
-    if lead is None:
-        step = max(1, _PAIR_BLOCK // max(1, len(tg)))
-        blocks = [(lo, lo + step, 0, len(tg)) for lo in range(0, len(tf), step)]
-    else:
-        blocks = _lead_blocks(lead)
-    found = {r: [(np.empty(0, np.intp),) * 2] for r in counts}
-    for lo, hi, c0, c1 in blocks:
-        shared = _shared_counts(tf[lo:hi], tg[c0:c1])
-        if lead is not None:
-            shared[lead[lo:hi, None] != lead[None, c0:c1]] = -1
-        for r, pairs in found.items():
-            i, j = np.nonzero(shared == r)
-            pairs.append((i + lo, j + c0))
-    return {r: [np.concatenate(a) for a in zip(*p)] for r, p in found.items()}
+    pair, shared = np.unique(f_row * len(tg) + g_row, return_counts=True)
+    return {r: np.divmod(pair[shared == r + extra], len(tg)) for r in counts}
 
 
 def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
@@ -467,9 +429,10 @@ def _weighted_contracts(model, n, m, terms, lead, tf, cf, tg, cg, pairs) -> dict
 def _contract_rows(model: ProbabilityModel, f: Kernel, g: Kernel, terms: list) -> dict:
     """The key rows and coefficients by output order (``_weighted_contracts``,
     lead 0) of the terms (r, l, scale): the symmetrized off-diagonal parts of
-    ``weighted_contract(model, f, g, r, l)``, from an all-pairs scan, scaled
-    and summed per order.  An index beyond N raises first, then an invalid
-    (r, l), then each term's errors in term order and each order's."""
+    ``weighted_contract(model, f, g, r, l)``, from the pairs of f and g
+    sharing r indices, scaled and summed per order.  An index beyond N raises
+    first, then an invalid (r, l), then each term's errors in term order and
+    each order's."""
     _check_kernel_indices(model, f, g)
     pairs = _pairs_by_shared_count(f.keys, g.keys, {r for r, _, _ in terms})
     lead = np.zeros(len(f.keys), np.int32)
@@ -483,10 +446,11 @@ def _slice_contract_rows(model: ProbabilityModel, f: Kernel, terms: list) -> tup
     ascending, each lead in f's order), and the key rows and coefficients by
     output order (``_weighted_contracts``) of the terms (r, l, scale) for all
     slices at once, slice k's under lead k - 1.  Each lead's pairs are its
-    rows paired row by row, each with its lead's rows in order.  An index
-    beyond N raises before any work; then the engine's errors, a term's at
-    its first failing slice and an order's at its first key in output order
-    (term by term, each term's slices in turn)."""
+    rows paired row by row, each with its lead's rows in order, found under
+    the lead (``_pairs_by_shared_count``).  An index beyond N raises before
+    any work; then the engine's errors, a term's at its first failing slice
+    and an order's at its first key in output order (term by term, each
+    term's slices in turn)."""
     if f.order < 1:
         raise OrderMismatch("cannot slice a scalar kernel")
     _check_kernel_indices(model, f)

@@ -2,22 +2,23 @@
 
 Everything here works from first principles on explicit outcome lists and
 index loops, never through the package's transforms or sparse algebra, so
-agreement is evidence rather than tautology.  The exceptions reproduce an
-earlier production route that the current one must match bit for bit: the
-all-pairs scan of the fused kernel contraction, the postings-map engine that
-ran it one (r, l) at a time, the sparse-kernel computation of
--D L^{-1}(F - E[F]) with the per-method enumeration bounds built on it, the
-second-order bound that holds every D_j D_l F table and sums each moment
-with its own ``math.fsum``, the product formula's (r, l) loop written out
-separately for ``multiply`` and for the J_m bound's grouped kernels (f's,
-and all slices' term by term), each term one call, the terms of one order
-added by one ``math.fsum`` per key (:func:`fsum_by_order`), the
+agreement is evidence rather than tautology.  :func:`all_pairs_by_shared_count`
+checks the engine's pair search by a nested loop over every pair of rows.  The
+exceptions reproduce an earlier production route that the current one must
+match bit for bit: the fused kernel contraction over every entry pair, the
+postings-map engine that ran it one (r, l) at a time, the sparse-kernel
+computation of -D L^{-1}(F - E[F]) with the per-method enumeration bounds
+built on it, the second-order bound that holds every D_j D_l F table and sums
+each moment with its own ``math.fsum``, the product formula's (r, l) loop
+written out separately for ``multiply`` and for the J_m bound's grouped
+kernels (f's, and all slices' term by term), each term one call, the terms of
+one order added by one ``math.fsum`` per key (:func:`fsum_by_order`), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
 solution built term by term from the ratio recurrences for each k, and the
-dict route: a kernel as {1-based index tuple: coefficient} (:class:`DictKernel`)
-with the operations that walked it, which the array Kernel must match bit for
-bit, row order and first error included.
+dict route: a kernel as {1-based index tuple: coefficient}
+(:class:`DictKernel`) with the operations that walked it, which the array
+Kernel must match bit for bit, row order and first error included.
 :func:`kernel_add` is the key-by-key sum of two Kernels, one IEEE addition
 per key: where at most two terms share an order, the product formula's sum
 equals it.
@@ -431,6 +432,21 @@ def all_pairs_sym_offdiag_weighted_contract(model, f, g, r, ell):
                 key = tuple(sorted(union.difference(summed)))
                 terms.setdefault(key, []).append(w)
     return Kernel(out_order, {key: math.fsum(vals) for key, vals in terms.items()})
+
+
+def all_pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
+    """r -> ([f rows], [g rows]) of the pairs of rows of tf and tg (each row
+    one entry's indices) sharing exactly r indices, for r in ``counts``, by a
+    nested loop over every pair in (f row, g row) order; with ``lead`` (one
+    per row of tf, which is then tg too) only the pairs under one lead."""
+    found = {r: ([], []) for r in counts}
+    for a, row_f in enumerate(tf.tolist()):
+        for b, row_g in enumerate(tg.tolist()):
+            shared = len(set(row_f).intersection(row_g))
+            if shared in found and (lead is None or lead[a] == lead[b]):
+                found[shared][0].append(a)
+                found[shared][1].append(b)
+    return found
 
 
 def _pairs_sharing(f, g, r):

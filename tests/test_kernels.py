@@ -1,6 +1,6 @@
 import random
 import re
-from collections import Counter
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -372,7 +372,6 @@ class TestMultiTermEngine:
             lambda r: st.tuples(st.just(r), st.integers(0, r), scale)
         )
         terms = data.draw(st.lists(term, min_size=1, max_size=8), label="terms")
-        block = data.draw(st.sampled_from([1, 2, 7, 1 << 15]), label="pair block")
 
         beyond = max(f.max_index(), g.max_index())
         if beyond > size:
@@ -382,8 +381,7 @@ class TestMultiTermEngine:
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with mock.patch.object(kernels, "_PAIR_BLOCK", block):
-                got = self.outcome(lambda: contracts(model, f, g, terms))
+            got = self.outcome(lambda: contracts(model, f, g, terms))
         assert got == self.outcome(lambda: oracles.fsum_contracts(model, f, g, terms))
 
     def test_overflow_raises_without_a_numpy_warning(self, capfd):
@@ -473,15 +471,14 @@ class TestMultiTermEngine:
                 contracts(model, f, f, [(1, 1, 1), (2, 0, 1)])
 
 
-class TestSlicePairBlocks:
-    """The slice side (``kernels._slice_contract_rows``) forms its same-lead
-    pairs in blocks of about ``_PAIR_BLOCK`` pairs (``kernels._lead_blocks``):
-    every block size gives each slice the kernels of one engine call on that
-    slice alone."""
+class TestSlicePairs:
+    """The slice side (``kernels._slice_contract_rows``) forms the same-lead
+    pairs of all slices in one pair search: each slice gets the kernels of
+    one engine call on that slice alone."""
 
     @given(st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_every_block_size_equals_one_call_per_slice(self, data):
+    def test_equals_one_call_per_slice(self, data):
         size = data.draw(st.integers(2, 10), label="N")
         p = data.draw(
             st.lists(st.floats(0.05, 0.95), min_size=size, max_size=size), label="p"
@@ -502,36 +499,67 @@ class TestSlicePairBlocks:
             ),
         )
         terms = [(r, ell, r + 1) for r in range(m) for ell in range(r + 1)]
-        block = data.draw(st.sampled_from([1, 2, 5, 16, 64]), label="pair block")
-        with mock.patch.object(kernels, "_PAIR_BLOCK", block):
-            got = slice_contracts(model, f, terms)
+        got = slice_contracts(model, f, terms)
         for k, kernels_by_order in got.items():
             fk = slice_kernel(f, k)
             assert hexed(kernels_by_order) == hexed(contracts(model, fk, fk, terms))
         assert list(got) == [k for k in range(1, size + 1) if not slice_kernel(f, k).is_zero()]
 
-    @given(
-        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-        block=st.sampled_from([1, 2, 7, 30, 100, 1 << 15]),
-    )
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    def test_blocks_cover_each_same_lead_pair_once(self, sizes, block):
-        lead = np.repeat(np.arange(len(sizes)), sizes)
-        with mock.patch.object(kernels, "_PAIR_BLOCK", block):
-            blocks = kernels._lead_blocks(lead)
-        seen = Counter()
-        for lo, hi, c0, c1 in blocks:
-            # About _PAIR_BLOCK pairs, or one row against its whole lead.
-            assert (hi - lo) * (c1 - c0) <= max(block, max(sizes))
-            for a in range(lo, hi):
-                seen.update((a, b) for b in range(c0, c1) if lead[a] == lead[b])
-        want = Counter(
-            (a, b)
-            for a in range(len(lead))
-            for b in range(len(lead))
-            if lead[a] == lead[b]
-        )
-        assert seen == want
+
+class TestPairSearch:
+    """``kernels._pairs_by_shared_count`` finds the pairs of rows sharing r
+    indices through the postings, never forming a pair that does not meet."""
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_the_nested_loop_pair_for_pair(self, data):
+        # Few distinct indices, so rows share 0..order of them, and large
+        # ones, which the lead keys must keep apart from other leads' indices.
+        top = kernels._INDEX_LIMIT - 1
+        index = st.one_of(st.integers(0, 6), st.sampled_from([1 << 30, top - 1, top]))
+
+        def draw_rows(order, label):
+            row = st.lists(index, min_size=order, max_size=order, unique=True).map(sorted)
+            rows = data.draw(st.lists(row, max_size=30), label=label)
+            return np.array(rows, np.int32).reshape(len(rows), order)
+
+        n = data.draw(st.integers(0, 4), label="order f")
+        if data.draw(st.booleans(), label="with a lead"):
+            m, tf = n, draw_rows(n, "rows")
+            tg = tf
+            # Lead 0 most often, so one lead can hold most rows.
+            leads = st.lists(
+                st.sampled_from([0, 0, 0, 0, 1, 2, top]), min_size=len(tf), max_size=len(tf)
+            )
+            lead = np.array(sorted(data.draw(leads, label="lead")), np.int32)
+        else:
+            m = data.draw(st.integers(0, 4), label="order g")
+            tf, tg, lead = draw_rows(n, "f rows"), draw_rows(m, "g rows"), None
+        counts = data.draw(st.sets(st.integers(0, min(n, m))), label="counts")
+        got = kernels._pairs_by_shared_count(tf, tg, counts, lead)
+        want = oracles.all_pairs_by_shared_count(tf, tg, counts, lead)
+        assert list(got) == list(want)
+        for r, (rows_f, rows_g) in got.items():
+            assert (rows_f.tolist(), rows_g.tolist()) == want[r]
+
+    def test_forms_no_pair_that_does_not_meet(self):
+        # Two 50,000-row kernels on disjoint indices, 2.5e9 pairs that share
+        # nothing, and three more g rows that meet f: (1, 2) shares both
+        # indices of f's row 0, (3, 200001) one of row 1, and (5, 7) one of
+        # row 2 and one of row 3.
+        size = 50_000
+        f = Kernel(2, {(2 * i + 1, 2 * i + 2): 1.0 for i in range(size)})
+        far = {(2 * size + 2 * i + 1, 2 * size + 2 * i + 2): 1.0 for i in range(size)}
+        g = Kernel(2, {**far, (1, 2): 1.0, (3, 4 * size + 1): 1.0, (5, 7): 1.0})
+        tracemalloc.start()
+        try:
+            pairs = kernels._pairs_by_shared_count(f.keys, g.keys, {1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = {r: (a.tolist(), b.tolist()) for r, (a, b) in pairs.items()}
+        assert got == {1: ([1, 2, 3], [size + 1, size + 2, size + 2]), 2: ([0], [size])}
+        assert peak < 64 << 20
 
 
 class TestEngineBuiltKernels:
