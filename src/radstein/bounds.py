@@ -8,9 +8,9 @@ coordinate flips on value tables, and -D L^{-1}(F - E[F]) by L^{-1} in the
 coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
 route ``verify`` checks too; the sparse ``Kernel`` route is the independent
 cross-check in the tests.  The closed-form J_m bounds take their kernels
-by order from the product formula behind ``multiply``, the code path that
-``verify`` certifies, as arrays up to their norms (:func:`_jm_blocks`),
-which :func:`j2_example_machinery` reads too.
+by order from the product formula of the slices f(., k), on the engine
+behind ``multiply`` that ``verify`` certifies, as arrays up to their norms
+(:func:`_jm_blocks`), which :func:`j2_example_machinery` reads too.
 """
 
 from __future__ import annotations
@@ -20,23 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chaos import (
-    ChaosExpansion,
-    _product_formula,
-    _slice_formula,
-    mask_orders,
-    to_table,
-)
+from .chaos import ChaosExpansion, _slice_formula, mask_orders, to_table
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
-from .kernels import (
-    Kernel,
-    _check_kernel_indices,
-    _made,
-    _summed,
-    inner_product,
-    norm_sq,
-)
+from .kernels import Kernel, _check_kernel_indices, _made, _summed, norm_sq
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
@@ -68,7 +55,7 @@ class BoundReport:
 
     def __post_init__(self):
         terms = (self.term_mean_shift, self.term_variance_like, self.term_remainder)
-        if any(t < 0 for t in terms):
+        if any(not t >= 0 for t in terms):
             raise ValueError(f"bound terms must be nonnegative, got {terms}")
         if abs(self.total - stable_sum(terms)) > 1e-12:
             raise ValueError("total must equal the sum of the three terms")
@@ -181,7 +168,7 @@ def j1_bound(
     factors = stein_factors(lam)
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     mean = float(shift)
-    norm2 = inner_product(f, f)
+    norm2 = norm_sq(f)
     per_k = []
     per_k_abs = []
     for k, c in zip(f.keys[:, 0].tolist(), f.values.tolist()):
@@ -211,21 +198,20 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
     return _report(lam, t1, t2, t3, "bernoulli")
 
 
-def _jm_blocks(model: ProbabilityModel, f: Kernel):
-    """Squared norms (``norm_sq``) of the J_m bound's blocks for f of order
-    m >= 2, from the product formula's key rows by order: first {s: norm} of
-    f's order-s kernels at shift 1, then (k, norm of f_k, {s: norm}) for each
-    nonzero slice f_k = f(., k), k ascending, of its kernels with itself,
-    order m - 1 plus f_k (1/m) sqrt(pq)(p - q) by one more correctly rounded
-    sum per key (``kernels._summed``), all slices from one ``_slice_formula``
-    call.  Slice k's kernels are the rows under lead k - 1.  Formed as
-    consumed, so errors come as the product formula raises them: f's block
-    (an index beyond N raises there), the slices', then the drift sum's
-    first overflow."""
+def _jm_blocks(model: ProbabilityModel, f: Kernel) -> tuple:
+    """The J_m bound's blocks for f of order m >= 2 from one
+    ``_slice_formula`` call, slice k's rows under lead k - 1: ({s: kernel}
+    of the fluctuation block by order, [(k, norm of f_k, {s: norm})] for
+    each nonzero slice f_k = f(., k), k ascending, of its kernels with
+    itself), norms by ``norm_sq``.  D_k J_m(f) = m J_{m-1}(f_k), so the
+    fluctuation block sum_k (D_k J_m(f))^2 / m^2 is the slices' kernels
+    summed over k by one more correctly rounded sum per key
+    (``kernels._summed``); then each slice's order m - 1 gains
+    f_k (1/m) sqrt(pq)(p - q) the same way.  Errors come from the engine
+    call (an index beyond N first), the fluctuation sums, then the drift's."""
     m = f.order
-    rows = _product_formula(model, f, f, 1, False)
-    yield {s: norm_sq(_made(s, keys[:, 1:], v)) for s, (keys, v) in rows.items()}
     keys, values, sliced = _slice_formula(model, f)
+    fluct = {s: _made(s, *_summed(rows[:, 1:], v)) for s, (rows, v) in sliced.items()}
     drifted = (model.sigma * (model.p - model.q) / m)[keys[:, 0]] * values
     sliced[m - 1] = _summed(*map(np.concatenate, zip(sliced[m - 1], (keys, drifted))))
     # The slice rows come lead by lead, each lead's first row where it changes.
@@ -242,8 +228,10 @@ def _jm_blocks(model: ProbabilityModel, f: Kernel):
 
     slices = norms(m - 1, keys, values)
     runs = {s: norms(s, *order_rows) for s, order_rows in sliced.items()}
-    for i, x in enumerate(leads.tolist()):
-        yield x + 1, slices[i], {s: run[i] for s, run in runs.items()}
+    return fluct, [
+        (x + 1, slices[i], {s: run[i] for s, run in runs.items()})
+        for i, x in enumerate(leads.tolist())
+    ]
 
 
 def jm_bound(
@@ -267,14 +255,14 @@ def jm_bound(
         integer_values(to_table(model, ChaosExpansion(float(shift), {m: f})))
     factors = stein_factors(lam)
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
-    var = math.factorial(m) * inner_product(f, f)
+    var = math.factorial(m) * norm_sq(f)
 
-    blocks = _jm_blocks(model, f)
-    fluct = stable_sum(math.factorial(s) * v for s, v in next(blocks).items())
+    kernels, slices = _jm_blocks(model, f)
+    fluct = stable_sum(math.factorial(s) * norm_sq(g) for s, g in kernels.items())
     t3 = diff_f * math.sqrt(m * m * fluct)
 
     per_k = []
-    for k, fk, norms in blocks:
+    for k, fk, norms in slices:
         pieces = [(math.factorial(m - 1) * fk) ** 2]
         pieces += [math.factorial(s) * v for s, v in norms.items()]
         per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
@@ -457,17 +445,16 @@ def j2_example(n: int) -> J2Example:
 
 def j2_example_machinery(n: int) -> J2Example:
     """The same record recomputed from :func:`jm_bound`'s own blocks
-    (:func:`_jm_blocks`): A3 and A4 from the order-1 and order-2 groups of f
-    at shift 1, A5, A6 and A7 from each slice's squared norm, order-2 group
-    and drifted order-1 group; must match the closed forms to 1e-12
-    relative."""
+    (:func:`_jm_blocks`): A3 and A4 from the fluctuation block's order-1
+    and order-2 groups, A5, A6 and A7 from each slice's squared norm,
+    order-2 group and drifted order-1 group; must match the closed forms to
+    1e-12 relative."""
     model, f = j2_example_kernel(n)
-    lam = 2.0 * inner_product(f, f)
-    blocks = _jm_blocks(model, f)
-    fluct = next(blocks)
-    a3, a4 = fluct.get(1, 0.0), fluct.get(2, 0.0)
+    lam = 2.0 * norm_sq(f)
+    fluct, slices = _jm_blocks(model, f)
+    a3, a4 = norm_sq(fluct[1]), norm_sq(fluct[2])
     parts = []
-    for k, fk, norms in blocks:  # no slice is zero
+    for k, fk, norms in slices:  # no slice is zero
         pq = model.p[k - 1] * model.q[k - 1]
         squares = (fk ** 2, norms.get(2, 0.0), norms[1])
         parts.append([x / pq for x in squares])

@@ -139,31 +139,17 @@ def decompose(model: ProbabilityModel, table: FunctionalTable) -> ChaosExpansion
     return ChaosExpansion(float(coeffs[0]), kernels)
 
 
-def _formula_terms(n: int, m: int, shift: int, with_mean: bool) -> list:
-    """The product formula's terms (r + shift, l + shift, scale) of
-    J_n(f) J_m(g), scale = r! C(n,r) C(m,r) C(r,l), r = 0..min(n, m),
-    l = 0..r, ascending; the order-0 term (r = l = n = m) only with_mean."""
+def _formula_terms(n: int, m: int, with_mean: bool) -> list:
+    """The product formula's terms (r, l, scale) of J_n(f) J_m(g),
+    scale = r! C(n,r) C(m,r) C(r,l), r = 0..min(n, m), l = 0..r, ascending;
+    the order-0 term (r = l = n = m) only with_mean: one engine call's
+    terms for ``multiply`` and for :func:`_slice_formula`."""
     return [
-        (r + shift, ell + shift, math.perm(n, r) * math.comb(m, r) * math.comb(r, ell))
+        (r, ell, math.perm(n, r) * math.comb(m, r) * math.comb(r, ell))
         for r in range(min(n, m) + 1)
         for ell in range(r + 1)
         if n + m - r - ell > 0 or with_mean
     ]
-
-
-def _product_formula(
-    model: ProbabilityModel, f: Kernel, g: Kernel, shift: int, with_mean: bool
-) -> dict:
-    """The product formula's key rows and coefficients by order, from one
-    engine call (``_contract_rows``) at the terms of :func:`_formula_terms`
-    for n = order(f) - shift and m = order(g) - shift: at shift 0 the
-    kernels of J_n(f) J_m(g), at shift 1 with g = f of order m those of
-    sum_k (D_k J_m(f))^2 / m^2.  A coefficient is the correctly rounded sum
-    of its correctly rounded, scaled terms.  Errors come term by term, in
-    term order, then order by order, each at its first key whose sum
-    overflows (``OverflowError``) or is non-finite (``ValueError``)."""
-    n, m = f.order - shift, g.order - shift
-    return _contract_rows(model, f, g, _formula_terms(n, m, shift, with_mean))
 
 
 def _slice_formula(model: ProbabilityModel, f: Kernel) -> tuple:
@@ -172,7 +158,7 @@ def _slice_formula(model: ProbabilityModel, f: Kernel) -> tuple:
     nonzero slice with itself, slice k under lead k - 1, from one engine
     call over all slices (``_slice_contract_rows``)."""
     n = f.order - 1
-    return _slice_contract_rows(model, f, _formula_terms(n, n, 0, False))
+    return _slice_contract_rows(model, f, _formula_terms(n, n, False))
 
 
 def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
@@ -182,7 +168,7 @@ def multiply(model: ProbabilityModel, f: Kernel, g: Kernel) -> ChaosExpansion:
     is the correctly rounded sum of its correctly rounded terms."""
     if f.order < 1 or g.order < 1:
         raise ValueError("product formula applies to orders >= 1")
-    rows = _product_formula(model, f, g, 0, True)
+    rows = _contract_rows(model, f, g, _formula_terms(f.order, g.order, True))
     kernels = {s: _made(s, keys[:, 1:], values) for s, (keys, values) in rows.items()}
     mean = kernels.pop(0).values.sum() if 0 in kernels else 0.0
     return ChaosExpansion(mean, kernels)

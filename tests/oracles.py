@@ -11,8 +11,10 @@ computation of -D L^{-1}(F - E[F]) with the per-method enumeration bounds
 built on it, the second-order bound that holds every D_j D_l F table and sums
 each moment with its own ``math.fsum``, the product formula's (r, l) loop
 written out separately for ``multiply`` and for the J_m bound's grouped
-kernels (f's, and all slices' term by term), each term one call, the terms of
-one order added by one ``math.fsum`` per key (:func:`fsum_by_order`), the
+kernels (all slices' term by term, their sums over k for f's fluctuation
+block, and f's own at shift 1 for the identity behind that), each term one
+call, the terms of one order added by one ``math.fsum`` per key
+(:func:`fsum_by_order`), the
 Monte Carlo distance drawn from one sequential generator in whole chunks with
 the evaluator reading one strided column per factor, and the Chen-Stein
 solution built term by term from the ratio recurrences for each k, and the
@@ -623,6 +625,21 @@ def slice_grouped_kernels(model, f):
     return slices, fsum_by_order(parts)
 
 
+def summed_over_slices(sums):
+    """{order: Kernel} of the slices' sums (:func:`slice_grouped_kernels`)
+    added over k: one ``math.fsum`` per key, keys in order of first
+    appearance, order by order, raising at the first that fails.  As
+    D_k J_m(f) = m J_{m-1}(f(., k)), these are the kernels of
+    sum_k (D_k J_m(f))^2 / m^2 that :func:`grouped_kernels` forms directly."""
+    out = {}
+    for order, entries in sums.items():
+        by_key = {}
+        for (_, key), value in entries.items():
+            by_key.setdefault(key, []).append(value)
+        out[order] = Kernel(order, {key: math.fsum(v) for key, v in by_key.items()})
+    return out
+
+
 def _drifted(model, slices, special, m):
     """{k - 1: special kernel entries} of each slice: its order-(m - 1) sums
     plus f_k (1/m) sqrt(pq)(p - q), one ``math.fsum`` per key, raising at the
@@ -685,8 +702,9 @@ def grouped_jm_bound(model, f, shift, lam):
 def kernel_route_jm_terms(model, f, lam):
     """(term_fluctuation, term_coordinate_block) of ``jm_bound`` computed on
     ``Kernel`` objects and dicts, with no engine code of the package: the
-    index check first, then f's kernels (:func:`grouped_kernels`), all
-    slices' kernels (:func:`slice_grouped_kernels`), each slice's special
+    index check first, then all slices' kernels
+    (:func:`slice_grouped_kernels`), the fluctuation block's kernels as
+    their sums over k (:func:`summed_over_slices`), each slice's special
     kernel with its drift summand (:func:`_drifted`), and each norm from
     ``norm_sq``, raising what that route meets, in its order."""
     from radstein.chenstein import stein_factors
@@ -695,10 +713,10 @@ def kernel_route_jm_terms(model, f, lam):
     m = f.order
     diff_f = stein_factors(lam).diff_bound
     var = math.factorial(m) * inner_product(f, f)
-    grouped = grouped_kernels(model, f, m)
-    fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
     slices, sums = slice_grouped_kernels(model, f)
+    grouped = summed_over_slices(sums)
     special = _drifted(model, slices, sums.get(m - 1, {}), m)
+    fluct = stable_sum(math.factorial(s) * norm_sq(k) for s, k in grouped.items())
     per_k = _slice_pieces(model, f, slices, sums, special)
     t3 = diff_f * math.sqrt(m * m * fluct)
     return t3, diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))

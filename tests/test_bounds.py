@@ -13,6 +13,7 @@ from radstein.bounds import (
     J2_RATE_CONSTANT,
     STREAMED_METHODS,
     BoundReport,
+    _jm_blocks,
     bernoulli_bound,
     bernoulli_sum_table,
     enumeration_bounds,
@@ -36,7 +37,7 @@ from radstein.errors import (
     NonIntegerValue,
     OrderTooSmall,
 )
-from radstein.kernels import Kernel, _made
+from radstein.kernels import Kernel, _contract_rows, _made
 from radstein.model import (
     FunctionalTable,
     build_model,
@@ -47,11 +48,28 @@ from radstein.model import (
 import oracles
 
 
-def formula_kernels(model, f, g, shift=0):
-    """The product formula's kernels above order 0
-    (``chaos._product_formula``) as Kernels, by order."""
-    rows = chaos._product_formula(model, f, g, shift, False)
+def formula_kernels(model, f, g):
+    """The product formula's kernels above order 0, from the engine call of
+    ``multiply`` (``kernels._contract_rows`` at ``chaos._formula_terms``),
+    as Kernels, by order."""
+    rows = _contract_rows(model, f, g, chaos._formula_terms(f.order, g.order, False))
     return {s: _made(s, keys[:, 1:], values) for s, (keys, values) in rows.items()}
+
+
+def nonzero(kernels):
+    return {s: k for s, k in kernels.items() if not k.is_zero()}
+
+
+def fluctuation_pair(model, f):
+    """The fluctuation block's nonzero kernels of ``_jm_blocks`` and of the
+    Kernel route (the slices' sums added over k,
+    ``oracles.summed_over_slices``), each hexed."""
+    hexed = TestProductFormulaRoute.hexed
+    sums = oracles.slice_grouped_kernels(model, f)[1]
+    return (
+        hexed(nonzero(_jm_blocks(model, f)[0])),
+        hexed(nonzero(oracles.summed_over_slices(sums))),
+    )
 
 
 def lead_kernel(order, keys, values, lead):
@@ -523,8 +541,9 @@ class TestFixedOrderGrouping:
     """The grouped contraction kernels against an enumeration oracle.
 
     (1/m) sum_k (D_k J_m(f))^2 has mean m! ||f||^2 and order-s kernel
-    m * g_s, where g_s is the grouped kernel entering the fluctuation term;
-    decomposing the enumerated table recovers both.
+    m * g_s, where g_s is the grouped kernel entering the fluctuation term
+    (``_jm_blocks``: the slices' kernels summed over k); decomposing the
+    enumerated table recovers both.
     """
 
     @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
@@ -545,7 +564,7 @@ class TestFixedOrderGrouping:
         assert observed.mean == pytest.approx(
             math.factorial(m) * inner_product(f, f), abs=1e-10
         )
-        grouped = formula_kernels(model, f, f, shift=1)
+        grouped = _jm_blocks(model, f)[0]
         orders = {s for s, k in grouped.items() if not k.is_zero()}
         for s in orders | set(observed.kernels):
             expected = grouped.get(s, Kernel.zero(s)).scaled(float(m))
@@ -592,11 +611,47 @@ class TestFixedOrderGrouping:
                         expected.entries.get(key, 0.0), abs=1e-10
                     )
 
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_slices_summed_over_k_are_the_contractions_of_f(self, data):
+        """D_k J_m(f) = m J_{m-1}(f(., k)): the fluctuation kernels of
+        ``_jm_blocks``, the slices' kernels summed over k, equal the
+        contractions of f with itself at r, l >= 1
+        (``oracles.grouped_kernels``) per coefficient, up to the rounding of
+        each slice's sum before the sum over k: within 1e-10 max |f|^2."""
+        size = data.draw(st.integers(2, 9), label="N")
+        p = data.draw(
+            st.lists(
+                st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+                min_size=size,
+                max_size=size,
+            ),
+            label="p",
+        )
+        model = build_model(p)
+        m = data.draw(st.integers(2, min(5, size)), label="m")
+        scale = data.draw(st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]), label="scale")
+        key = st.frozensets(st.integers(1, size), min_size=m, max_size=m)
+        entries = st.dictionaries(
+            key.map(lambda s: tuple(sorted(s))),
+            st.floats(-2.0, 2.0),
+            min_size=1,
+            max_size=20,
+        )
+        f = Kernel(m, {k: scale * v for k, v in data.draw(entries, label="f").items()})
+        got = _jm_blocks(model, f)[0]
+        want = oracles.grouped_kernels(model, f, m)
+        tol = 1e-10 * float(np.max(np.abs(f.values), initial=0.0)) ** 2
+        for s in set(nonzero(got)) | set(nonzero(want)):
+            g, w = got.get(s, Kernel.zero(s)).entries, want.get(s, Kernel.zero(s)).entries
+            for k in set(g) | set(w):
+                assert g.get(k, 0.0) == pytest.approx(w.get(k, 0.0), abs=tol)
+
 
 class TestProductFormulaRoute:
-    """The product formula (``chaos._product_formula``) behind ``multiply``
-    and ``jm_bound`` against the separate (r, l) loops they replaced, kept in
-    ``oracles``: same kernels, same reports, the same (r, l) terms formed."""
+    """The product formula behind ``multiply`` and ``jm_bound`` against the
+    separate (r, l) loops they replaced, kept in ``oracles``: same kernels,
+    same reports, the same (r, l) terms formed."""
 
     @staticmethod
     def hexed(kernels):
@@ -637,9 +692,8 @@ class TestProductFormulaRoute:
         g_order = data.draw(st.integers(1, min(3, size)), label="order of g")
         g = f if data.draw(st.booleans(), label="g is f") else draw_kernel(g_order, "g")
 
-        assert self.hexed(formula_kernels(model, f, f, shift=1)) == self.hexed(
-            oracles.grouped_kernels(model, f, m)
-        )
+        got, want = fluctuation_pair(model, f)
+        assert got == want
         for k in range(1, size + 1):
             fk = slice_kernel(f, k)
             if not fk.is_zero():
@@ -664,11 +718,10 @@ class TestProductFormulaRoute:
         self.assert_same_report(got, want)
 
     def test_engine_calls_equal_the_separate_loops(self, monkeypatch):
-        """jm_bound makes one engine call for f and one batched call for all
-        of its slices; their (r, l) terms, in order, each over all slices in
-        turn, are the calls the separate loops make one at a time, with the
-        loops' coefficients as scales.  multiply makes one engine call per
-        kernel pair."""
+        """jm_bound makes one engine call, batched over all slices of f; its
+        (r, l) terms, in order, each over all slices in turn, are the calls
+        the separate loops make one at a time, with the loops' coefficients
+        as scales.  multiply makes one engine call per kernel pair."""
         from radstein import chaos
         from radstein.chaos import multiply
         from radstein.kernels import slice_kernel
@@ -680,7 +733,6 @@ class TestProductFormulaRoute:
 
         def recorded(model, f, g, terms):
             calls.append([(f.order, g.order, r, ell) for r, ell, _ in terms])
-            scales.append([c for _, _, c in terms])
             return engine(model, f, g, terms)
 
         def batch_recorded(model, f, terms):
@@ -688,6 +740,7 @@ class TestProductFormulaRoute:
             n = f.order - 1
             slices = sorted(set(batch[0][:, 0].tolist()))  # the leads, k - 1
             batch_calls.append(([x + 1 for x in slices], [(n, n, r, ell) for r, ell, _ in terms]))
+            scales.append([c for _, _, c in terms])
             return batch
 
         def oracle_recorded(model, f, g, r, ell):
@@ -706,18 +759,18 @@ class TestProductFormulaRoute:
 
         jm_bound(model, f3, 1.0, 1.5, check_integer=False)
         oracles.grouped_jm_bound(model, f3, 1.0, 1.5)
-        # One call for f with five (r, l) terms above order 0, and one
-        # batched call for its 7 slices, all nonzero here, five terms each.
+        # One batched call for the 7 slices of f, all nonzero here, with
+        # five (r, l) terms above order 0 each, and no other engine call.
         assert all(not slice_kernel(f3, k).is_zero() for k in range(1, 8))
-        assert [len(terms) for terms in calls] == [5]
-        assert scales == [[oracles.jm_coefficient(3, r, ell) for _, _, r, ell in calls[0]]]
+        assert calls == []
         ((slices, terms),) = batch_calls
         assert slices == list(range(1, 8))
         assert len(terms) == 5
+        assert scales == [[oracles.jm_coefficient(3, r + 1, ell + 1) for _, _, r, ell in terms]]
         sliced = [t for t in terms for _ in slices]
-        assert calls[0] + sliced == oracle_calls
+        assert sliced == oracle_calls
         # No order-0 term is formed: n + m - r - l > 0 on every term.
-        assert all(n + m - r - ell > 0 for n, m, r, ell in calls[0] + sliced)
+        assert all(n + m - r - ell > 0 for n, m, r, ell in sliced)
 
         calls.clear()
         oracle_calls.clear()
@@ -790,16 +843,14 @@ class TestThreeTermsPerOrder:
             assert hexed(product.kernels) == hexed(dict(sorted(kernels.items())))
 
     def test_jm_bound_at_order_five(self):
-        hexed = TestProductFormulaRoute.hexed
         for seed in range(12):
             rng = random.Random(100 + seed)
             size = rng.randint(6, 8)
             model = build_model(oracles.rand_model_p(rng, size))
             f = oracles.rand_kernel(rng, 5, size, density=0.5)
             lam = rng.uniform(0.5, 10.0)
-            assert hexed(formula_kernels(model, f, f, shift=1)) == hexed(
-                oracles.grouped_kernels(model, f, 5)
-            )
+            got, want = fluctuation_pair(model, f)
+            assert got == want
             assert hexed_slice_rows(model, f) == hexed_slice_sums(model, f)
             got = jm_bound(model, f, 1.0, lam, check_integer=False)
             want = oracles.grouped_jm_bound(model, f, 1.0, lam)
@@ -808,8 +859,8 @@ class TestThreeTermsPerOrder:
 
 class TestSliceProductKernels:
     """The slices' product formula (``chaos._slice_formula``), all slices
-    from one engine call, against ``chaos._product_formula`` called once per
-    nonzero slice: the same slices and the same nonzero kernels in key order
+    from one engine call, against ``multiply``'s engine call made once per
+    nonzero slice (``formula_kernels``): the same slices and the same nonzero kernels in key order
     and float.hex.  An index beyond N raises at the call; any other error has
     the per-slice route's type, and the type and message of the Kernel
     route that forms the terms in the same order
@@ -1028,8 +1079,8 @@ class TestIndexBeyondN:
 
         good, bad = TestIndexBeyondN.GOOD, TestIndexBeyondN.BAD
         expansion = ChaosExpansion(1.0, {2: bad})
-        # "contracts" to "slice_product_kernels" name the private engine and
-        # product formula entries behind the bounds and multiply.
+        # "contracts" to "slice_product_kernels" name the private engine,
+        # J_m block and product formula entries behind the bounds and multiply.
         return {
             "contracts": lambda m: kernels._contract_rows(m, good, bad, [(1, 0)]),
             "contracts_summed_only": lambda m: kernels._contract_rows(
@@ -1039,7 +1090,7 @@ class TestIndexBeyondN:
                 m, bad, good, 1, 1
             ),
             "slice_contracts": lambda m: kernels._slice_contract_rows(m, bad, [(0, 0)]),
-            "product_kernels": lambda m: chaos._product_formula(m, bad, bad, 1, False),
+            "product_kernels": lambda m: _jm_blocks(m, bad),
             "slice_product_kernels": lambda m: chaos._slice_formula(m, bad),
             "multiply": lambda m: chaos.multiply(m, good, bad),
             "covariance": lambda m: chaos.covariance(m, good, bad),
@@ -1142,18 +1193,19 @@ class TestSecondOrderBound:
     )
     def test_overflowing_moments_match_dict_route(self, n, scale, top):
         """Squared second gradients overflow to inf; where the other factor
-        is inf, the skipped m2(l, l, k) terms are NaN as in the dict route."""
+        is inf, the skipped m2(l, l, k) terms are NaN as in the dict route, so
+        both routes refuse the same NaN remainder with the same message."""
         model = build_model([0.3] * n)
         values = scale * oracles.rand_integer_table(random.Random(n), 1 << n, top)
         table = FunctionalTable(model, values)
-        with np.errstate(all="ignore"):
-            got = second_order_bound(model, table, 1.0)
-            want = oracles.dict_second_order_bound(model, table, 1.0)
-        assert not math.isfinite(got.total)
-        assert report_bits(got) == report_bits(want)
-        assert [v.hex() for v in got.detail.values()] == [
-            v.hex() for v in want.detail.values()
-        ]
+        errors = []
+        for route in (second_order_bound, oracles.dict_second_order_bound):
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+                route(model, table, 1.0)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("bound terms must be nonnegative, got (")
+        assert errors[0].endswith(", nan)")
 
     def test_peak_memory_is_about_two_tables_per_coordinate_at_n14(self):
         import tracemalloc
@@ -1240,3 +1292,27 @@ class TestBoundReport:
     def test_negative_term_rejected(self):
         with pytest.raises(ValueError):
             BoundReport(1.0, -0.1, 0.0, 0.0, -0.1, "x")
+
+    def test_nan_term_rejected_and_infinite_term_kept(self):
+        message = r"^bound terms must be nonnegative, got \(0\.0, nan, 0\.0\)$"
+        with pytest.raises(ValueError, match=message):
+            BoundReport(1.0, 0.0, math.nan, 0.0, math.nan, "x")
+        assert BoundReport(1.0, 0.0, math.inf, 0.0, math.inf, "x").total == math.inf
+
+    @pytest.mark.parametrize("bound", ["second_order", "main", "jm"])
+    def test_a_bound_with_a_nan_term_raises(self, bound):
+        """Values near 1e200 make a gradient product overflow, and inf - inf
+        leaves a NaN term; a NaN shift leaves a NaN mean-shift term."""
+        model = build_model([0.3, 0.6, 0.4])
+        values = np.array([0.0, 1e200, 2e200, 0.0, 3e200, 0.0, 1e200, 2e200])
+        table = FunctionalTable(model, values)
+        calls = {
+            "second_order": lambda: second_order_bound(model, table, 1.0),
+            "main": lambda: main_bound(model, table, 1.0),
+            "jm": lambda: jm_bound(
+                model, Kernel(2, {(1, 2): 0.5}), math.nan, 1.0, check_integer=False
+            ),
+        }
+        message = "^bound terms must be nonnegative, got .*nan"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            calls[bound]()
