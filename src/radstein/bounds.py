@@ -9,8 +9,8 @@ coefficient domain (:func:`radstein.malliavin.pseudo_inverse_table`), the
 route ``verify`` checks too; the sparse ``Kernel`` route is the independent
 cross-check in the tests.  The closed-form J_m bounds take their kernels
 by order from the product formula of the slices f(., k), on the engine
-behind ``multiply`` that ``verify`` certifies, as arrays up to their norms
-(:func:`_jm_blocks`), which :func:`j2_example_machinery` reads too.
+behind ``multiply`` that ``verify`` certifies, as arrays down to norm columns
+by slice (:func:`_jm_blocks`), which :func:`j2_example_machinery` reads too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .chaos import ChaosExpansion, _slice_formula, mask_orders, to_table
 from .chenstein import _check_lambda, stein_factors
 from .errors import OrderTooSmall
-from .kernels import Kernel, _check_kernel_indices, _made, _summed, norm_sq
+from .kernels import Kernel, _check_kernel_indices, _made, _norms_sq, _summed, norm_sq
 from .malliavin import _gradient_into, flip_difference, pseudo_inverse_table
 from .model import (
     SUM_BLOCK,
@@ -32,7 +32,6 @@ from .model import (
     build_model,
     expectation,
     integer_values,
-    run_sums,
     stable_sum,
     stable_sums,
     variance,
@@ -169,13 +168,17 @@ def j1_bound(
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     mean = float(shift)
     norm2 = norm_sq(f)
-    per_k = []
-    per_k_abs = []
-    for k, c in zip(f.keys[:, 0].tolist(), f.values.tolist()):
-        sigma = model.sigma[k]
-        drift = sigma * (model.p[k] - model.q[k])
-        per_k.append((c * c + drift * c) * abs(c) / sigma)
-        per_k_abs.append((abs(c) ** 3 + drift * c * c) / sigma)
+    k, c = f.keys[:, 0], f.values
+    sigma = model.sigma[k]
+    drift = sigma * (model.p - model.q)[k]
+    with np.errstate(over="ignore"):
+        per_k = (c * c + drift * c) * np.abs(c) / sigma
+        if np.isinf(per_k).any():
+            i = np.isinf(per_k).argmax()
+            raise OverflowError(f"the remainder of coordinate {k[i] + 1} overflows")
+        # libm's pow on Python floats (numpy's rounds by CPU), finite as per_k is
+        cubes = (np.abs(c).astype(object) ** 3).astype(float)
+        per_k_abs = (cubes + drift * c * c) / sigma
     t1 = sup_f * abs(lam - mean)
     t2 = diff_f * abs(lam - norm2)
     t3 = diff_f * stable_sum(per_k)
@@ -200,15 +203,16 @@ def bernoulli_bound(p, lam: float) -> BoundReport:
 
 def _jm_blocks(model: ProbabilityModel, f: Kernel) -> tuple:
     """The J_m bound's blocks for f of order m >= 2 from one
-    ``_slice_formula`` call, slice k's rows under lead k - 1: ({s: kernel}
-    of the fluctuation block by order, [(k, norm of f_k, {s: norm})] for
-    each nonzero slice f_k = f(., k), k ascending, of its kernels with
-    itself), norms by ``norm_sq``.  D_k J_m(f) = m J_{m-1}(f_k), so the
-    fluctuation block sum_k (D_k J_m(f))^2 / m^2 is the slices' kernels
-    summed over k by one more correctly rounded sum per key
-    (``kernels._summed``); then each slice's order m - 1 gains
-    f_k (1/m) sqrt(pq)(p - q) the same way.  Errors come from the engine
-    call (an index beyond N first), the fluctuation sums, then the drift's."""
+    ``_slice_formula`` call: ({s: kernel} of the fluctuation block by order,
+    leads, slice norms, {s: column}).  ``leads`` holds k - 1 for each nonzero
+    slice f_k = f(., k), k ascending, and the arrays are indexed like it:
+    ||f_k||^2 and, by order s, the squared norms of f_k's kernels with itself
+    (``kernels._norms_sq``).  D_k J_m(f) = m J_{m-1}(f_k), so the fluctuation
+    block sum_k (D_k J_m(f))^2 / m^2 is the slices' kernels summed over k by
+    one more correctly rounded sum per key (``kernels._summed``); then each
+    slice's order m - 1 gains f_k (1/m) sqrt(pq)(p - q) the same way.  Errors
+    come from the engine call (an index beyond N first), the fluctuation
+    sums, then the drift's."""
     m = f.order
     keys, values, sliced = _slice_formula(model, f)
     fluct = {s: _made(s, *_summed(rows[:, 1:], v)) for s, (rows, v) in sliced.items()}
@@ -217,21 +221,14 @@ def _jm_blocks(model: ProbabilityModel, f: Kernel) -> tuple:
     # The slice rows come lead by lead, each lead's first row where it changes.
     leads = keys[np.flatnonzero(np.diff(keys[:, 0], prepend=-1)), 0]
 
-    def norms(order, rows, sums):
-        """Each lead's squared norm of the rows under it, ``norm_sq``'s
-        arithmetic: order! times the run sum of its squared coefficients."""
+    def column(order, rows, sums):
+        """Each lead's squared norm of the rows under it."""
         stable = np.argsort(rows[:, 0], kind="stable")
-        with np.errstate(over="ignore"):
-            squares = sums[stable] * sums[stable]
         ends = np.searchsorted(rows[stable, 0], leads, "right").tolist()
-        return [math.factorial(order) * s for s in run_sums(squares, [0, *ends], ends)]
+        return _norms_sq(order, sums[stable], [0, *ends], ends)
 
-    slices = norms(m - 1, keys, values)
-    runs = {s: norms(s, *order_rows) for s, order_rows in sliced.items()}
-    return fluct, [
-        (x + 1, slices[i], {s: run[i] for s, run in runs.items()})
-        for i, x in enumerate(leads.tolist())
-    ]
+    columns = {s: column(s, *order_rows) for s, order_rows in sliced.items()}
+    return fluct, leads, column(m - 1, keys, values), columns
 
 
 def jm_bound(
@@ -257,17 +254,17 @@ def jm_bound(
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     var = math.factorial(m) * norm_sq(f)
 
-    kernels, slices = _jm_blocks(model, f)
+    kernels, leads, slices, columns = _jm_blocks(model, f)
     fluct = stable_sum(math.factorial(s) * norm_sq(g) for s, g in kernels.items())
     t3 = diff_f * math.sqrt(m * m * fluct)
 
-    per_k = []
-    for k, fk, norms in slices:
-        pieces = [(math.factorial(m - 1) * fk) ** 2]
-        pieces += [math.factorial(s) * v for s, v in norms.items()]
-        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
-        if math.isinf(per_k[-1]):
-            raise OverflowError(f"the coordinate block of slice {k} overflows")
+    with np.errstate(over="ignore"):
+        pieces = [np.square(math.factorial(m - 1) * slices)]
+        pieces += [math.factorial(s) * column for s, column in columns.items()]
+        per_k = stable_sums(np.column_stack(pieces)) / (model.p * model.q)[leads]
+    if np.isinf(per_k).any():
+        k = leads[np.isinf(per_k).argmax()] + 1
+        raise OverflowError(f"the coordinate block of slice {k} overflows")
     t4 = diff_f * math.sqrt(var) * math.sqrt(m ** 3 * stable_sum(per_k))
 
     t1 = sup_f * abs(lam - float(shift))
@@ -451,14 +448,10 @@ def j2_example_machinery(n: int) -> J2Example:
     1e-12 relative."""
     model, f = j2_example_kernel(n)
     lam = 2.0 * norm_sq(f)
-    fluct, slices = _jm_blocks(model, f)
+    fluct, leads, slices, columns = _jm_blocks(model, f)
     a3, a4 = norm_sq(fluct[1]), norm_sq(fluct[2])
-    parts = []
-    for k, fk, norms in slices:  # no slice is zero
-        pq = model.p[k - 1] * model.q[k - 1]
-        squares = (fk ** 2, norms.get(2, 0.0), norms[1])
-        parts.append([x / pq for x in squares])
-    a5, a6, a7 = (stable_sum(column) for column in zip(*parts))
+    pq = (model.p * model.q)[leads]
+    a5, a6, a7 = (stable_sum(x / pq) for x in (np.square(slices), columns[2], columns[1]))
     return _j2_example_record(n, lam, abs(lam - 0.0), a3, a4, a5, a6, a7)
 
 

@@ -18,6 +18,7 @@ so the order in which the terms come does not matter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,6 +29,7 @@ from .model import ENUMERATION_CAP, _frozen, _integer, run_sums, stable_sum
 
 _TAIL_EPS = 1e-14
 _TERM_EPS = 1e-22
+_NORMAL_MIN = sys.float_info.min
 # The most entries a Poisson range or a count array may have: as many as one
 # value table at the enumeration cap.
 _RANGE_LIMIT = 1 << ENUMERATION_CAP
@@ -67,14 +69,21 @@ def poisson_pmf_vector(lam: float, k_max: int) -> np.ndarray:
 
 
 def poisson_tail(lam: float, k: int) -> float:
-    """P(Po(lam) >= k), summed upward until terms vanish."""
+    """P(Po(lam) >= k): the pmf summed upward until terms vanish, from the
+    first j >= k whose pmf is a normal float.  Below lam the pmf rises in j,
+    so where e^-lam underflows that j is found by bisection; each term
+    skipped is below 2^-1022."""
     lam = _check_lambda(lam)
     k = _integer(k, "k")
     if k <= 0:
         return 1.0
+    t, j, top = poisson_pmf(lam, k), k, math.floor(lam)
+    if t < _NORMAL_MIN and k < top and poisson_pmf(lam, top) >= _NORMAL_MIN:
+        while top - j > 1:
+            mid = (j + top) // 2
+            j, top = (mid, top) if poisson_pmf(lam, mid) < _NORMAL_MIN else (j, mid)
+        j, t = top, poisson_pmf(lam, top)
     terms = []
-    t = poisson_pmf(lam, k)
-    j = k
     while t > 0.0 and (j <= lam or t > _TERM_EPS * 1e-3):
         terms.append(t)
         j += 1

@@ -10,8 +10,8 @@ parent's for ``scaled`` and :func:`slice_kernel`); row-by-row sums and
 first-bad-key errors follow it, and an operation that needs sorted keys sorts
 inside itself.  ``entries``, {1-based index tuple: value}, is a read-only
 view derived from the arrays for readers outside the package.  Norms and
-inner products are taken over all of N^n, so a squared kernel norm is n!
-times the sum of squared stored coefficients.
+inner products are taken over all of N^n: a squared norm is n! times the
+sum of squared coefficients, by one rule (:func:`_norms_sq`).
 
 Contractions identify r argument pairs between two kernels and sum l of the
 identified pairs over off-diagonal l-tuples.  Intermediate results need be
@@ -202,13 +202,17 @@ class RawTensor:
         return not self.entries
 
 
+def _norms_sq(order: int, values: np.ndarray, starts, stops) -> np.ndarray:
+    """Squared norms over N^order of the runs ``values[start:stop]``: order!
+    times each run's correctly rounded sum of squares (``run_sums``), or inf."""
+    with np.errstate(over="ignore"):
+        return math.factorial(order) * np.array(run_sums(values * values, starts, stops))
+
+
 def norm_sq(t) -> float:
-    """Squared l2 norm over all of N^order: for a Kernel, order! times the
-    correctly rounded sum (``run_sums``) of its squared coefficients."""
+    """Squared l2 norm over all of N^order, for a Kernel by :func:`_norms_sq`."""
     if isinstance(t, Kernel):
-        with np.errstate(over="ignore"):
-            squares = t.values * t.values
-        return math.factorial(t.order) * run_sums(squares, [0], [len(squares)])[0]
+        return _norms_sq(t.order, t.values, [0], [len(t.values)]).item()
     return stable_sum(v * v for v in t.entries.values())
 
 

@@ -313,7 +313,11 @@ class DistributionTable:
     pmf: dict
 
     def __post_init__(self):
-        if any(int(k) != k or k < 0 for k in self.pmf):
+        try:
+            bad = any(int(k) != k or k < 0 for k in self.pmf)
+        except (OverflowError, ValueError):  # int() of inf or nan
+            bad = True
+        if bad:
             raise ValueError("support must consist of nonnegative integers")
         pmf = {int(k): float(v) for k, v in self.pmf.items()}
         if any(v < 0.0 for v in pmf.values()):

@@ -659,19 +659,25 @@ def _drifted(model, slices, special, m):
 
 def _slice_pieces(model, f, slices, sums, special):
     """Each slice's coordinate-block summand of the J_m bound from its
-    squared norms."""
+    squared norms: the squared slice norm, then each order's norm as
+    ``sums`` holds the orders, order m - 1 with its drift summand
+    (``special``), summed by ``math.fsum`` slice by slice, raising at the
+    first sum that fails; then an OverflowError names the first slice
+    whose summand is inf."""
     m = f.order
     per_k = []
     for k, fk in slices:
-        pieces = [(math.factorial(m - 1) * norm_sq(fk)) ** 2]
+        root = math.factorial(m - 1) * norm_sq(fk)
+        pieces = [root * root]
         for s, entries in sums.items():
-            if s != m - 1:
+            if s == m - 1:
+                kernel = Kernel(s, special.get(k - 1, {}))
+            else:
                 kernel = Kernel(s, {key: v for (x, key), v in entries.items() if x == k - 1})
-                pieces.append(math.factorial(s) * norm_sq(kernel))
-        kernel = Kernel(m - 1, special.get(k - 1, {}))
-        pieces.append(math.factorial(m - 1) * norm_sq(kernel))
+            pieces.append(math.factorial(s) * norm_sq(kernel))
         per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
-        if math.isinf(per_k[-1]):
+    for (k, _), summand in zip(slices, per_k):
+        if math.isinf(summand):
             raise OverflowError(f"the coordinate block of slice {k} overflows")
     return per_k
 
@@ -1067,3 +1073,33 @@ def loop_solve(lam, target, k_max):
     ind = np.array([1.0 if target.contains(int(k)) else 0.0 for k in ks])
     pi = poisson_set_prob(lam, target)
     return values, lam * values[1:] - ks * values[:-1] - (ind - pi)
+
+
+def log_space_poisson_tail(lam, k):
+    """P(Po(lam) >= k) as one ``math.fsum`` of the pmf terms for j = k up to
+    lam + 40 sqrt(lam) + 60, each formed in log space on its own, so that no
+    term depends on another."""
+    top = math.ceil(lam + 40.0 * math.sqrt(lam) + 60.0)
+    log_lam = math.log(lam)
+    return math.fsum(
+        math.exp(-lam + j * log_lam - math.lgamma(j + 1)) for j in range(k, top)
+    )
+
+
+def loop_j1_remainders(model, f, lam):
+    """(remainder, monotone variant) of ``j1_bound`` coordinate by
+    coordinate on Python floats: (c^2 + d c)|c| / sigma and
+    (|c|^3 + d c^2) / sigma with d = sigma (p - q), each summed by
+    ``stable_sum`` and scaled by the Chen-Stein factor.  An OverflowError
+    names the first coordinate, in f's row order, whose remainder term is
+    inf."""
+    diff_f = -math.expm1(-lam) / lam
+    per_k, per_k_abs = [], []
+    for (k,), c in f.entries.items():
+        sigma = float(model.sigma[k - 1])
+        drift = sigma * float(model.p[k - 1] - model.q[k - 1])
+        per_k.append((c * c + drift * c) * abs(c) / sigma)
+        if math.isinf(per_k[-1]):
+            raise OverflowError(f"the remainder of coordinate {k} overflows")
+        per_k_abs.append((abs(c) ** 3 + drift * c * c) / sigma)
+    return diff_f * stable_sum(per_k), diff_f * stable_sum(per_k_abs)

@@ -37,7 +37,7 @@ from radstein.errors import (
     NonIntegerValue,
     OrderTooSmall,
 )
-from radstein.kernels import Kernel, _contract_rows, _made
+from radstein.kernels import Kernel, _contract_rows, _made, norm_sq, slice_kernel
 from radstein.model import (
     FunctionalTable,
     build_model,
@@ -381,6 +381,48 @@ class TestJ1Bound:
         with pytest.raises(NonIntegerValue):
             j1_bound(model, f, 0.0, 1.0)
 
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_equals_the_per_coordinate_loop(self, data):
+        """The remainder and its monotone variant in float.hex, or the same
+        error, as the loop over coordinates on Python floats
+        (``oracles.loop_j1_remainders``)."""
+        size = data.draw(st.integers(1, 12), label="N")
+        p = data.draw(st.lists(st.floats(0.05, 0.95), min_size=size, max_size=size))
+        huge = st.sampled_from([1e103, -6e102, 5.7e102, 3e102, 1e80, -1e160])
+        coefficient = st.one_of(TestSliceProductKernels.MODERATE, huge)
+        entries = data.draw(
+            st.dictionaries(st.integers(1, size).map(lambda k: (k,)), coefficient, min_size=1)
+        )
+        model, f = build_model(p), Kernel(1, entries)
+        lam = data.draw(st.floats(0.1, 20.0), label="lambda")
+
+        def run(route):
+            try:
+                return [t.hex() for t in route()]
+            except OverflowError as err:
+                return type(err), str(err)
+
+        def terms():
+            report = j1_bound(model, f, 1.0, lam, check_integer=False)
+            return report.term_remainder, report.detail["term_remainder_monotone_variant"]
+
+        want = run(lambda: oracles.loop_j1_remainders(model, f, lam))
+        if isinstance(want, list) and float.fromhex(want[0]) < 0:
+            # Small signed coefficients: a report refuses the negative term.
+            with pytest.raises(ValueError, match="^bound terms must be nonnegative"):
+                terms()
+            return
+        assert run(terms) == want
+
+    def test_overflowing_coordinate_raises_without_a_warning(self):
+        model = build_model([0.3, 0.5])
+        f = Kernel(1, {(1,): 1.0, (2,): 1e103})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^the remainder of coordinate 2 overflows$"):
+                j1_bound(model, f, 1.0, 1.5, check_integer=False)
+
 
 class TestBernoulliBound:
     def test_frozen_example(self):
@@ -462,12 +504,17 @@ class TestFixedOrderBounds:
             assert a.total == pytest.approx(b.total, abs=1e-13)
 
     def test_overflowing_slice_raises_without_a_warning(self):
-        model = build_model([0.3, 0.5, 0.3])
-        f = Kernel(2, {(1, 2): 1e77, (2, 3): 1e77})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="slice 1 overflows"):
-                jm_bound(model, f, 1.0, 1.5, check_integer=False)
+        # The second kernel's squared slice norm, 1e320, is the one overflow.
+        cases = (
+            ([0.3, 0.5, 0.3], {(1, 2): 1e77, (2, 3): 1e77}),
+            ([0.5, 0.5], {(1, 2): 1e80}),
+        )
+        message = "^the coordinate block of slice 1 overflows$"
+        for p, entries in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match=message):
+                    jm_bound(build_model(p), Kernel(2, entries), 1.0, 1.5, check_integer=False)
 
     def test_order_three_runs_and_is_consistent(self):
         rng = random.Random(90)
@@ -1063,6 +1110,37 @@ class TestArrayRoute:
             return detail["term_fluctuation"], detail["term_coordinate_block"]
 
         assert run(terms) == run(lambda: oracles.kernel_route_jm_terms(model, f, lam))
+
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_columns_are_the_kernel_route_norms(self, data):
+        """``_jm_blocks``' arrays in float.hex: the leads are the nonzero
+        slices', the slice-norm column holds ``norm_sq(slice_kernel(f, k))``
+        and each order's column the ``norm_sq`` of each slice's kernel of
+        the Kernel route (``oracles.slice_grouped_kernels``), order m - 1
+        with its drift summand (``oracles._drifted``)."""
+        model, f = TestSliceProductKernels.draw_setup(data, TestSliceProductKernels.MODERATE)
+        if f.max_index() > model.size:
+            return
+        m = f.order
+        _, leads, slice_norms, columns = _jm_blocks(model, f)
+        slices, sums = oracles.slice_grouped_kernels(model, f)
+        special = oracles._drifted(model, slices, sums.get(m - 1, {}), m)
+        ks = [k for k, _ in slices]
+
+        def slice_kernels(s):
+            if s == m - 1:
+                return [Kernel(s, special.get(k - 1, {})) for k in ks]
+            entries = sums.get(s, {})
+            return [Kernel(s, {y: v for (x, y), v in entries.items() if x == k - 1}) for k in ks]
+
+        def hexed(norms):
+            return [float(x).hex() for x in norms]
+
+        assert (leads + 1).tolist() == ks
+        assert hexed(slice_norms) == hexed(norm_sq(slice_kernel(f, k)) for k in ks)
+        for s, column in columns.items():
+            assert hexed(column) == hexed(map(norm_sq, slice_kernels(s)))
 
 
 class TestIndexBeyondN:

@@ -59,6 +59,16 @@ class TestPoissonUtilities:
             head = stable_sum(poisson_pmf(lam, k) for k in range(12))
             assert head + poisson_tail(lam, 12) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("lam", [745.2, 800.0, 1000.0, 5000.0])
+    def test_tail_where_the_first_terms_underflow(self, lam):
+        """Above lam of about 700, pmf(lam, k) is 0 or subnormal for k well
+        below lam: the tail starts at the first normal term, not at a zero."""
+        ks = (1, 2, 10, math.floor(lam / 2), math.floor(lam))
+        tails = {k: oracles.log_space_poisson_tail(lam, k) for k in ks}
+        for k, want in tails.items():
+            assert abs(poisson_tail(lam, k) - want) < 1e-10
+        assert abs(poisson_set_prob(lam, TargetSet(frozenset(), 1)) - tails[1]) < 1e-10
+
     @pytest.mark.parametrize("function", [poisson_pmf, poisson_tail, poisson_pmf_vector])
     @pytest.mark.parametrize("k", [1.5, True, 2.0, "3", 2.5])
     def test_refuses_k_that_is_not_an_integer(self, function, k):
@@ -135,6 +145,12 @@ class TestSolve:
             members = frozenset(k for k in range(11) if rng.random() < 0.5)
             sol = solve(lam, TargetSet(members), truncation_point(lam, 10))
             assert float(np.max(np.abs(sol.equation_residuals()))) < 1e-12
+
+    @pytest.mark.parametrize("lam", [800.0, 1000.0])
+    def test_equation_residual_where_the_first_tail_terms_underflow(self, lam):
+        """P(Po(lam) >= 1) is about 1 though pmf(lam, 1) underflows to 0."""
+        sol = solve(lam, TargetSet(frozenset(), 1), truncation_point(lam, 0))
+        assert float(np.max(np.abs(sol.equation_residuals()))) < 1e-10
 
     @given(st.floats(min_value=0.05, max_value=50.0))
     @settings(max_examples=40)

@@ -257,11 +257,14 @@ def _integer_rule_inputs():
             MalformedField,
             "component index must be an integer, got 1.5",
         ),
-        (
-            "support_1.5",
-            lambda: DistributionTable({1.5: 1.0}),
-            ValueError,
-            "support must consist of nonnegative integers",
+        *(
+            (
+                f"support_{value}",
+                lambda value=value: DistributionTable({value: 1.0}),
+                ValueError,
+                "support must consist of nonnegative integers",
+            )
+            for value in (1.5, math.inf, math.nan)
         ),
         ("slice_1.5", lambda: slice_kernel(f, 1.5), ValueError, index + "1.5"),
         ("slice_True", lambda: slice_kernel(f, True), ValueError, index + "True"),
