@@ -261,7 +261,12 @@ def jm_bound(
     with np.errstate(over="ignore"):
         pieces = [np.square(math.factorial(m - 1) * slices)]
         pieces += [math.factorial(s) * column for s, column in columns.items()]
-        per_k = stable_sums(np.column_stack(pieces)) / (model.p * model.q)[leads]
+        block = np.column_stack(pieces)
+        try:
+            sums = stable_sums(block)
+        except OverflowError:  # the summands are nonnegative: a raising row overflows
+            sums = [_sum_or_inf(row) for row in block]
+        per_k = sums / (model.p * model.q)[leads]
     if np.isinf(per_k).any():
         k = leads[np.isinf(per_k).argmax()] + 1
         raise OverflowError(f"the coordinate block of slice {k} overflows")
@@ -277,6 +282,14 @@ def jm_bound(
         "jm",
         {"term_fluctuation": t3, "term_coordinate_block": t4, "order": m},
     )
+
+
+def _sum_or_inf(row: np.ndarray) -> float:
+    """:func:`stable_sum` of ``row``, inf where that overflows."""
+    try:
+        return stable_sum(row)
+    except OverflowError:
+        return math.inf
 
 
 def j2_bound(

@@ -354,10 +354,14 @@ def _pairs_by_shared_count(tf, tg, counts, lead=None) -> dict:
     lo = np.searchsorted(index, tf.ravel(), "left")
     size = np.searchsorted(index, tf.ravel(), "right") - lo
     # The t-th meeting of an index of f (from 0) is with its posting lo + t.
-    first = np.repeat(lo - np.cumsum(size) + size, size)
-    g_row = postings[np.arange(len(first)) + first] // width_g
-    f_row = np.repeat(np.arange(size.size) // width_f, size)
-    pair, shared = np.unique(f_row * len(tg) + g_row, return_counts=True)
+    # Arrays of one value per meeting set the peak: each is reused or freed once used.
+    meeting = np.repeat(lo - np.cumsum(size) + size, size)
+    meeting += np.arange(len(meeting))
+    key = postings[meeting]  # the g row's entry, then the pair's key
+    del meeting
+    key //= width_g
+    key += np.repeat(np.arange(size.size) // width_f * len(tg), size)
+    pair, shared = np.unique(key, return_counts=True)
     return {r: np.divmod(pair[shared == r + extra], len(tg)) for r in counts}
 
 

@@ -7,14 +7,13 @@ equals +1; outcomes are always iterated by ascending bitmask.
 Sums are correctly rounded, by this module alone: :func:`stable_sum`,
 :func:`stable_sums` (per row), :func:`run_sums` (per run) and
 :func:`sums_by_key` (per key) return the bits of ``math.fsum`` over each sum's
-terms.  Arrays are summed exactly per (row, binary exponent) with
-``np.bincount`` over the high 27 and the low 26 bits of each significand; the
-bins add up exactly to the row's sum, and one ``math.fsum`` over them rounds
-it once.  ``math.fsum`` runs on the values themselves for short input (rows
-or runs below 512 values, or fewer than 2048 values in all), non-finite input
-and input with an exponent outside +-990.  A key of one or two values whose
-IEEE sum is finite and nonzero takes that sum, which is the correctly
-rounded one.
+terms.  Arrays are summed by error-free level extraction (Rump, Ogita and
+Oishi 2008): each block splits into a few levels whose per-row sums are exact
+in any order, and one ``math.fsum`` over a row's level sums rounds it once.
+``math.fsum`` runs on the values themselves for calls of fewer than 512
+values, non-finite input and input too near the overflow threshold.  A key of
+one or two values whose IEEE sum is finite and nonzero takes that sum, which
+is the correctly rounded one.
 
 The package's other value rules live here too: a model derives its arrays
 once from the validated p, and models and tables hold them read-only
@@ -47,18 +46,20 @@ INTEGER_TOLERANCE = 1e-9
 COUNT_LIMIT = 2.0**53
 
 
-# stable_sums bins each row by binary exponent.  frexp writes x = m 2^e with
-# 0.5 <= |m| < 1 and a 53-bit m, so m 2^27 = hi + lo with hi an integer of
-# magnitude at most 2^27 and lo a multiple of 2^-26 in [0, 1).  A block holds
-# at most SUM_BLOCK (< 2^26) values, so the sums of hi and of lo per (row, e)
-# are exact in binary64, and so are those sums scaled by 2^(e-27) while |e|
-# stays within _BINNED_EXPONENT: no overflow, and no bit falls below the
-# subnormal range.
-_BINNED_MIN_ROW = 512  # for shorter rows, or fewer values in all, fsum
-_BINNED_MIN_SIZE = 2048  # over tolist() is faster
-_BINNED_EXPONENT = 990
+# stable_sums extracts levels (Rump, Ogita and Oishi, Accurate floating-point
+# summation, part I, SIAM J. Sci. Comput. 31, 2008).  In a block of n columns
+# with max|x| < 2^e, 2^M >= n + 2 and sigma = 2^(e+M), q = (sigma + x) - sigma
+# is x rounded to a multiple of 2^(e+M-53), |q| <= 2^e and x - q is exact, so a
+# row's partial sums of q are multiples of 2^(e+M-53) below 2^(e+M): exact in
+# any order numpy's reduction takes.  The residual x - q lies below
+# 2^(e+M-52), so sigma drops by 2^(52-M) per level until the residual is zero;
+# past _LEVEL_CAP levels its values join the row's level sums.  With
+# max|x| < 2^(1023-M) for M of the whole row, no prefix sum of the row
+# overflows, so math.fsum over its level sums raises where it would over x.
+_LEVEL_CAP = 8
+_FSUM_SIZE = 512  # calls with fewer values go to math.fsum, which is faster there
 # Values per block of stable_sums and per batch fed to it: 2^14 keeps a
-# block's temporaries in a core's L2 cache, and ran faster than 2^13 or 2^16.
+# block's temporaries in a core's L2 cache.
 SUM_BLOCK = 1 << 14
 
 
@@ -75,60 +76,52 @@ def stable_sums(rows) -> list:
     """Correctly rounded sum of each row of a 2-D float array, exactly
     ``[math.fsum(r) for r in rows.tolist()]``.
 
-    Each row's values are split into exact per-exponent bins (see
-    ``_exponent_bins``), which add up exactly to the row's sum, so one
-    ``math.fsum`` over a row's 2 x (exponent span) bin values rounds that sum
-    once, correctly, like ``math.fsum`` over the row.  The work goes in blocks
-    of at most 2^14 values.  ``math.fsum`` sums the rows directly when they
-    are shorter than 512 values or hold fewer than 2048 in all (it is faster
-    there), when a value is non-finite, and when a binary exponent lies
-    outside +-990 (where a scaled bin could round).
+    Each block of at most SUM_BLOCK values gives each of its rows a few
+    exact level sums (``_level_sums``), so one ``math.fsum`` over a row's
+    level sums rounds its sum once, and a zero sum takes fsum's sign rule
+    (``_zero_row_sum``).  Calls of fewer than 512 values, and calls with a
+    non-finite value or one too near the overflow threshold, go to
+    ``math.fsum`` over the values.
     """
     rows = np.asarray(rows, dtype=float)
     count, n = rows.shape
-    if n < _BINNED_MIN_ROW or count * n < _BINNED_MIN_SIZE:
-        return [stable_sum(r) for r in rows.tolist()]
+    if count * n < _FSUM_SIZE:
+        return [math.fsum(r) for r in rows.tolist()]
     width = min(n, SUM_BLOCK)
     step = max(1, SUM_BLOCK // n)
+    limit = 2.0 ** (1023 - (n + 1).bit_length())
     parts = [[] for _ in range(count)]
     for start in range(0, count, step):
         for col in range(0, n, width):
-            bins = _exponent_bins(rows[start : start + step, col : col + width])
-            if bins is None:
+            levels = _level_sums(rows[start : start + step, col : col + width], limit)
+            if levels is None:
                 return [math.fsum(memoryview(r)) for r in rows]
-            for part, row_bins in zip(parts[start : start + step], bins.tolist()):
-                part += row_bins
-    sums = [stable_sum(part) for part in parts]
-    for i, s in enumerate(sums):
-        if s == 0.0:
-            sums[i] = _zero_row_sum(rows[i])
-    return sums
+            for part, row_levels in zip(parts[start : start + step], levels):
+                part += row_levels
+    return [math.fsum(part) or _zero_row_sum(rows[i]) for i, part in enumerate(parts)]
 
 
-def _exponent_bins(block: np.ndarray):
-    """Per row of ``block``, the exact values sum(hi) 2^(e-27) and
-    sum(lo) 2^(e-27) for every e from the block's least to its greatest
-    exponent, as a (rows, 2 x span) array; None if a value is non-finite or
-    an exponent lies outside the guard."""
-    m, e = np.frexp(block)
-    low, high = int(e.min()), int(e.max())
-    if low < -_BINNED_EXPONENT or high > _BINNED_EXPONENT:
+def _level_sums(block: np.ndarray, limit: float):
+    """Per row of ``block``, its exact level sums, then its residual values
+    if the level cap is reached, as lists; None if a value is non-finite or
+    max|x| is not below ``limit``."""
+    x = np.array(block)
+    q = np.abs(x)
+    top = q.max()
+    if not top < limit:
         return None
-    span = high - low + 1
-    rows = block.shape[0]
-    e += (np.arange(rows, dtype=e.dtype) * span - low)[:, None]
-    lo = np.multiply(m, 2.0**27, out=m)
-    hi = np.floor(lo)
-    with np.errstate(invalid="ignore"):  # inf - inf marks a non-finite value
-        lo -= hi
-    index, size = e.ravel(), rows * span
-    bins = np.concatenate(
-        (np.bincount(index, hi.ravel(), size), np.bincount(index, lo.ravel(), size))
-    )
-    if not np.isfinite(bins).all():
-        return None
-    scaled = np.ldexp(bins.reshape(2, rows, span), np.arange(low - 27, high - 26))
-    return scaled.transpose(1, 0, 2).reshape(rows, 2 * span)
+    m = (x.shape[1] + 1).bit_length()
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+    levels = []
+    for _ in range(_LEVEL_CAP):
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        levels.append(q.sum(axis=1))
+        if not x.any():
+            return np.array(levels).T.tolist()
+        sigma *= 2.0 ** (m - 52)
+    return np.column_stack((*levels, x)).tolist()
 
 
 def _zero_row_sum(row: np.ndarray) -> float:
@@ -146,7 +139,7 @@ def run_sums(values: np.ndarray, starts, stops) -> list:
     view = memoryview(values)
     return [
         math.fsum(view[start:stop])
-        if stop - start < _BINNED_MIN_ROW
+        if stop - start < _FSUM_SIZE
         else stable_sums(values[None, start:stop])[0]
         for start, stop in zip(starts, stops)
     ]

@@ -661,9 +661,9 @@ def _slice_pieces(model, f, slices, sums, special):
     """Each slice's coordinate-block summand of the J_m bound from its
     squared norms: the squared slice norm, then each order's norm as
     ``sums`` holds the orders, order m - 1 with its drift summand
-    (``special``), summed by ``math.fsum`` slice by slice, raising at the
-    first sum that fails; then an OverflowError names the first slice
-    whose summand is inf."""
+    (``special``), summed by ``math.fsum`` slice by slice, inf where that
+    sum overflows (the pieces are nonnegative); then an OverflowError names
+    the first slice whose summand is inf."""
     m = f.order
     per_k = []
     for k, fk in slices:
@@ -675,7 +675,11 @@ def _slice_pieces(model, f, slices, sums, special):
             else:
                 kernel = Kernel(s, {key: v for (x, key), v in entries.items() if x == k - 1})
             pieces.append(math.factorial(s) * norm_sq(kernel))
-        per_k.append(stable_sum(pieces) / float(model.p[k - 1] * model.q[k - 1]))
+        try:
+            total = math.fsum(pieces)
+        except OverflowError:
+            total = math.inf
+        per_k.append(total / float(model.p[k - 1] * model.q[k - 1]))
     for (k, _), summand in zip(slices, per_k):
         if math.isinf(summand):
             raise OverflowError(f"the coordinate block of slice {k} overflows")

@@ -516,6 +516,22 @@ class TestFixedOrderBounds:
                 with pytest.raises(OverflowError, match=message):
                     jm_bound(build_model(p), Kernel(2, entries), 1.0, 1.5, check_integer=False)
 
+    @pytest.mark.parametrize(
+        "p, named",
+        [
+            # Slice 2's summands 4 a^4 and 4 a^4 are finite, their sum is not.
+            ([0.5, 0.5, 0.5], 2),
+            # Slice 1's a^4 / (p q) is inf and comes first in slice order.
+            ([0.01, 0.5, 0.5], 1),
+        ],
+    )
+    def test_slice_whose_finite_summands_overflow_is_named(self, p, named):
+        a = 3e307**0.25  # about 7.4e76
+        f = Kernel(2, {(1, 2): a, (2, 3): a})
+        message = f"^the coordinate block of slice {named} overflows$"
+        with pytest.raises(OverflowError, match=message):
+            jm_bound(build_model(p), f, 1.0, 1.5, check_integer=False)
+
     def test_order_three_runs_and_is_consistent(self):
         rng = random.Random(90)
         model = build_model(oracles.rand_model_p(rng, 6))

@@ -561,6 +561,28 @@ class TestPairSearch:
         assert got == {1: ([1, 2, 3], [size + 1, size + 2, size + 2]), 2: ([0], [size])}
         assert peak < 64 << 20
 
+    def test_peak_memory_per_meeting(self):
+        # A seeded 20,000-entry order-2 kernel at N = 3,000 meets itself
+        # 573,826 times.  With each meeting array freed or reused once used,
+        # the search peaks near 48 bytes per meeting; with all of them alive
+        # at once it took 66.
+        size, nnz = 3_000, 20_000
+        rng = np.random.default_rng(0)
+        keys = np.sort(rng.integers(1, size + 1, (2 * nnz, 2)), axis=1)
+        keys = keys[keys[:, 0] < keys[:, 1]]
+        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])[:nnz]
+        f = Kernel(2, dict(zip(map(tuple, keys[first].tolist()), [1.0] * nnz)))
+        meetings = int(np.square(np.bincount(f.keys.ravel()).astype(np.int64)).sum())
+        tracemalloc.start()
+        try:
+            pairs = kernels._pairs_by_shared_count(f.keys, f.keys, {1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert meetings == 573_826
+        assert {r: len(a) for r, (a, _) in pairs.items()} == {1: 533_826, 2: nnz}
+        assert peak < 56 * meetings
+
 
 class TestEngineBuiltKernels:
     def test_entries_equal_public_construction(self):

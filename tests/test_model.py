@@ -414,12 +414,13 @@ SPECIALS = [
 
 
 @st.composite
-def row_batches(draw):
+def row_batches(draw, lengths=st.sampled_from(ROW_LENGTHS), counts=st.integers(1, 5)):
     """A (rows, length) float array: random significands times 2^e for e in
-    [low, low + spread], clipped to the finite range, plus special values."""
+    [low, low + spread], clipped to the finite range, plus special values;
+    one row if the length passes 2^14."""
     seed = draw(st.integers(0, 2**32 - 1))
-    length = draw(st.sampled_from(ROW_LENGTHS))
-    count = draw(st.integers(1, 5)) if length <= 1 << 14 else 1
+    length = draw(lengths)
+    count = draw(counts) if length <= 1 << 14 else 1
     low = draw(st.integers(-1090, 1030))
     spread = draw(st.sampled_from([0, 1, 4, 30, 120, 700, 2200]))
     specials = draw(st.sets(st.sampled_from(SPECIALS), max_size=2))
@@ -498,6 +499,75 @@ class TestStableSums:
             )
         )
         assert same_sums(stable_sums(rows), fsum_rows(rows))
+
+    # 1-200 rows of 1-511 values: calls on both sides of the 512-value rule.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rows=row_batches(st.integers(1, 511), st.integers(1, 200)))
+    def test_short_row_batches_equal_live_fsum(self, rows):
+        assert same_sums(kernel_sums(rows), fsum_rows(rows))
+
+    @pytest.mark.parametrize("bits", range(3, 15))
+    def test_full_blocks_of_one_sign(self, bits):
+        # 2^bits - 2 columns is the widest block for its M = bits, and values
+        # near the top of one sign bring each row's level sum above
+        # 2^(e+M-1): its partial sums are exact with sigma = 2^(e+M), not
+        # with half of it.
+        rng = np.random.default_rng(bits)
+        n = (1 << bits) - 2
+        rows = np.ldexp(rng.uniform(0.75, 1.0, (max(8, 8192 // n), n)), 1000 - bits)
+        rows[1::2] *= -1.0
+        assert same_sums(stable_sums(rows), fsum_rows(rows))
+
+    @pytest.mark.parametrize("shape", [(3, 700), (2, 1 << 14), (1, 40_000)])
+    def test_blocks_past_the_level_cap(self, shape, monkeypatch):
+        # Exponents spread over 2000 binades need far more levels than the
+        # cap: the residual values join the level sums.
+        import radstein.model as model_mod
+
+        levels = []
+
+        def spy(block, limit):
+            result = level_sums(block, limit)
+            levels.extend(map(len, result))
+            return result
+
+        level_sums = model_mod._level_sums
+        monkeypatch.setattr(model_mod, "_level_sums", spy)
+        rng = np.random.default_rng(shape[1])
+        rows = np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(-1074, 960, shape))
+        rows[0, :: shape[1] // 3] = 2.0**950  # a gap above the rest
+        assert same_sums(stable_sums(rows), fsum_rows(rows))
+        assert min(levels) > model_mod._LEVEL_CAP
+
+    @pytest.mark.parametrize("length", [600, 5000, 1 << 14, 40_000])
+    def test_tops_from_990_to_the_overflow_guard(self, length, monkeypatch):
+        # The block's top exponent e: levels up to e + M = 1023, where M is
+        # the bit length of the row's length + 1, and math.fsum above it.
+        import radstein.model as model_mod
+
+        taken = []
+
+        def spy(block, limit):
+            result = level_sums(block, limit)
+            taken.append(result is not None)
+            return result
+
+        level_sums = model_mod._level_sums
+        monkeypatch.setattr(model_mod, "_level_sums", spy)
+        guard = 1023 - (length + 1).bit_length()
+        rng = np.random.default_rng(length)
+        for top in (991, 1000, guard - 1, guard, guard + 1):
+            for signs in ("mixed", "one", "cancel"):
+                taken.clear()
+                rows = np.ldexp(rng.uniform(0.5, 1.0, (2, length)), top)
+                rows[:, 1:] = np.ldexp(rows[:, 1:], -rng.integers(0, 80, (2, length - 1)))
+                if signs != "one":
+                    rows *= rng.choice([-1.0, 1.0], rows.shape)
+                if signs == "cancel":
+                    half = length // 2
+                    rows[:, half : 2 * half] = -rows[:, :half]
+                assert same_sums(kernel_sums(rows), fsum_rows(rows)), (top, signs)
+                assert all(taken) == (top <= guard) and taken, (top, signs)
 
     def test_stable_sum_passes_lists_and_generators_to_fsum(self, monkeypatch):
         import radstein.model as model_mod
