@@ -311,13 +311,49 @@ def j2_bound(
     return replace(jm_bound(model, f, shift, lam, check_integer), method="j2")
 
 
-def _weighted_sums(a: np.ndarray, tables: np.ndarray) -> list:
-    """[fsum(a * t) for t in tables], in batches of about SUM_BLOCK doubles."""
-    step = max(1, SUM_BLOCK // a.size)
-    sums = []
-    for i in range(0, len(tables), step):
-        sums += stable_sums(a * tables[i : i + step])
-    return sums
+def _batched_sums(rows, count: int, width: int) -> list:
+    """fsum of each row of rows(s), for consecutive slices s of range(count)
+    of about SUM_BLOCK values each, at ``width`` values per item."""
+    step = max(1, SUM_BLOCK // width)
+    return [x for i in range(0, count, step) for x in stable_sums(rows(slice(i, i + step)))]
+
+
+def _pair_sums(products, n: int, width: int) -> np.ndarray:
+    """The symmetric (n, n) array of the row sums of products(j, k), with j and
+    k the index arrays of a batch of the pairs j <= k < n, in row-major order."""
+    j, k = np.divmod(np.arange(n * n), n)
+    js, ks = j[j <= k], k[j <= k]
+    out = np.empty((n, n))
+    out[js, ks] = out[ks, js] = _batched_sums(lambda s: products(js[s], ks[s]), len(js), width)
+    return out
+
+
+def _second_moments(model: ProbabilityModel, grads: np.ndarray) -> np.ndarray:
+    """m2(l, j, k) = E[(D_l D_j F)^2 (D_l D_k F)^2], indexed [l - 1, j - 1, k - 1].
+    For one l at a time, D_l D_j F (j < l) and D_j D_l F (j > l; the orders
+    round apart) are formed where omega_l = -1, as they do not depend on it,
+    and each pair j <= k is summed once with the two omega_l halves of the
+    weights added.  m2(l, l, k) is 0, or NaN where (D_l D_k F)^2 is not finite."""
+    n = model.size
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # row el: all but el
+    sq = np.empty((n - 1, model.num_outcomes // 2))
+    m2 = np.zeros((n, n, n))
+    for el, other in enumerate(others):
+        g = grads[:el].reshape(el, sq.shape[1] >> el, 2, 1 << el)
+        below = sq[:el].reshape(g[:, :, 0].shape)
+        np.subtract(g[:, :, 1], g[:, :, 0], out=below)
+        below *= model.sigma[el]
+        for j, row in zip(range(el + 1, n), sq[el:]):
+            # Axes 1 and 3 hold omega_j and omega_l; omega_l = -1 is read.
+            g = grads[el].reshape(-1, 2, 1 << (j - 1 - el), 2, 1 << el)[:, :, :, 0]
+            diff = model.sigma[j] * (g[:, 1] - g[:, 0])
+            row.reshape(-1, 2, 1 << (j - 1))[...] = diff.reshape(-1, 1, 1 << (j - 1))
+        np.multiply(sq, sq, out=sq)
+        halves = model.outcome_weights.reshape(-1, 2, 1 << el)
+        w = (halves[:, 0] + halves[:, 1]).ravel()
+        m2[el, other[:, None], other] = _pair_sums(lambda j, k: w * sq[j] * sq[k], n - 1, len(w))
+        m2[el, el, other] = m2[el, other, el] = 0.0 * sq.max(axis=1)  # D_l D_l F = 0
+    return m2
 
 
 def second_order_bound(
@@ -325,72 +361,49 @@ def second_order_bound(
 ) -> BoundReport:
     """Second-order bound from first and second gradient moments only.
 
-    No chaos decomposition enters: all five terms are moments of D_k F and
-    D_l D_k F, each computed exactly by enumeration.  The moments
-    m2(l, j, k) = E[(D_l D_j F)^2 (D_l D_k F)^2] are streamed over l: only
-    the N - 1 tables (D_l D_j F)^2, j != l, of one l are held at a time
-    (D_l D_l F = 0, so m2(l, l, k) and m2(l, j, l) are exact zeros, or NaN
-    where the other factor is infinite).  m1 and each l's m2 are (N, N)
-    arrays, summed whole into the triple terms.  Memory: the N first-gradient tables
-    D_k F, their squares until the first moments are summed, one l's N - 1
-    tables, and batches of about 2^14 doubles: about 2N tables of 2^N
-    doubles plus under 2 MiB (tracemalloc: 35 tables at N = 14 and 16).
+    All five terms are moments of D_k F and D_l D_k F, summed exactly by
+    enumeration in batches of about 2^14 doubles; m1 and m2 once per pair
+    j <= k.  The m2 of :func:`_second_moments` take N^2 (N - 1) / 2 sums of
+    2^(N-1) values on the half omega_l = -1, not 2 N (N - 1)^2 of 2^N, so
+    the triple terms, remainder and total may differ from full-space sums by
+    a few ulp (budget 4, at most 2 seen); t1, t2 and the coordinate term keep
+    their bits.  Memory: the N tables D_k F, then one l's N - 1 half tables:
+    about 1.5 N tables of 2^N doubles (tracemalloc: 24.6 at N = 14, 25.4 at
+    N = 16).
     """
     lam = _check_lambda(lam)
     integer_values(table)
     factors = stein_factors(lam)
     sup_f, diff_f = factors.sup_bound, factors.diff_bound
     w = model.outcome_weights
-    n = model.size
+    n, size = model.size, model.num_outcomes
     mean = expectation(model, table)
     var = variance(model, table)
 
-    grads = np.empty((n, model.num_outcomes))
+    grads = np.empty((n, size))
     for k in range(1, n + 1):
         _gradient_into(grads[k - 1], model, table.values, k)
-    grad_sq = grads * grads
-    m1 = np.empty((n, n))
-    per_k = []
-    for j in range(n):
-        weighted = w * grad_sq[j]
-        m1[j, j:] = m1[j:, j] = _weighted_sums(weighted, grad_sq[j:])
-        sigma = model.sigma[j]
-        drift = sigma * (model.p[j] - model.q[j])
-        quartic = stable_sum(weighted * (grads[j] + drift) ** 2)
-        quadratic = stable_sum(weighted)
-        per_k.append(math.sqrt(max(quartic, 0.0) * max(quadratic, 0.0)) / sigma)
-    t5 = diff_f * stable_sum(per_k)
-    del grad_sq
+    drift = (model.sigma * (model.p - model.q))[:, None]
 
-    mixed, scaled = [], []
-    second_sq = np.empty((n - 1, model.num_outcomes))
-    for el in range(n):
-        others = [j for j in range(n) if j != el]
-        for row, j in zip(second_sq, others):
-            # D_l D_j F for j < l and D_j D_l F for j > l: the two orders round apart.
-            inner, outer = (j, el) if j < el else (el, j)
-            _gradient_into(row, model, grads[inner], outer + 1)
-        np.multiply(second_sq, second_sq, out=second_sq)
-        m2 = np.zeros((n, n))
-        for row, j in zip(second_sq, others):
-            m2[j, others] = _weighted_sums(w * row, second_sq)
-        cross = np.where(np.isinf(second_sq).any(axis=1), np.nan, 0.0)
-        m2[others, el] = m2[el, others] = cross
-        mixed.append(np.sqrt(np.maximum(m1, 0.0) * np.maximum(m2, 0.0)))
-        scaled.append(m2 / (model.p[el] * model.q[el]))
-    t3 = diff_f * math.sqrt(3.75 * stable_sum(np.ravel(mixed)))
-    t4 = diff_f * math.sqrt(0.75 * max(stable_sum(np.ravel(scaled)), 0.0))
+    def coordinate_rows(s):
+        weighted = w * grads[s] ** 2
+        return np.stack((weighted * (grads[s] + drift[s]) ** 2, weighted), 1).reshape(-1, size)
+
+    m1 = _pair_sums(lambda j, k: w * grads[j] ** 2 * grads[k] ** 2, n, size)
+    quartic, quadratic = np.reshape(_batched_sums(coordinate_rows, n, 2 * size), (n, 2)).T
+    per_k = np.sqrt(np.maximum(quartic, 0.0) * np.maximum(quadratic, 0.0)) / model.sigma
+    t5 = diff_f * stable_sum(per_k)
+
+    m2 = _second_moments(model, grads)
+    mixed = np.sqrt(np.maximum(m1, 0.0) * np.maximum(m2, 0.0))
+    t3 = diff_f * math.sqrt(3.75 * stable_sum(mixed.ravel()))
+    scaled = stable_sum((m2 / (model.p * model.q)[:, None, None]).ravel())
+    t4 = diff_f * math.sqrt(0.75 * max(scaled, 0.0))
 
     t1 = sup_f * abs(lam - mean)
     t2 = diff_f * abs(lam - var)
-    return _report(
-        lam,
-        t1,
-        t2,
-        stable_sum((t3, t4, t5)),
-        "second_order",
-        {"term_mixed_triple": t3, "term_scaled_triple": t4, "term_coordinate": t5},
-    )
+    detail = {"term_mixed_triple": t3, "term_scaled_triple": t4, "term_coordinate": t5}
+    return _report(lam, t1, t2, stable_sum((t3, t4, t5)), "second_order", detail)
 
 
 @dataclass(frozen=True)

@@ -116,11 +116,13 @@ def _block_rows(n: int) -> int:
 
 def _sample_signs(p: np.ndarray, seed: int, first: int, rows: int) -> np.ndarray:
     """Sign rows ``first``.. ``first + rows - 1`` of the stream keyed by
-    ``seed``, as int8.  Philox4x64 yields four uniforms per counter step and
-    ``first`` is a multiple of 4, so starting at counter ``first * N // 4``
-    reads exactly the uniforms one sequential generator would give these rows."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=first * p.size // 4))
-    signs = (gen.random((rows, p.size)) < p).view(np.int8)
+    ``seed``, as int8.  Philox4x64 yields four words per counter step and
+    ``first`` is a multiple of 4, so counter ``first * N // 4`` starts at these
+    rows' words.  numpy's uniform from word w is (w >> 11) 2^-53, below p exactly
+    when w < ceil(p 2^53) 2^11 (under 2^64 as p < 1): the raw words are compared."""
+    limits = np.ceil(p * 2.0**53).astype(np.uint64) << np.uint64(11)
+    words = np.random.Philox(key=seed, counter=first * p.size // 4).random_raw((rows, p.size))
+    signs = (words < limits).view(np.int8)
     signs *= 2
     signs -= 1
     return signs

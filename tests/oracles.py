@@ -996,6 +996,14 @@ def columnwise_evaluate_on_signs(model, expansion, signs):
     return out
 
 
+def uniform_sample_signs(p, seed, first, rows):
+    """``distance._sample_signs`` by numpy's uniforms: rows ``first``..
+    ``first + rows - 1`` of the Philox stream keyed by ``seed``, +1 where
+    the row's uniform is below p, as int8."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=first * p.size // 4))
+    return np.where(gen.random((rows, p.size)) < p, 1, -1).astype(np.int8)
+
+
 def sequential_tv_monte_carlo(model, evaluator, lam, samples, seed):
     """Monte Carlo total variation from one Philox generator keyed by the
     seed, drawn, evaluated and counted in whole blocks of

@@ -402,6 +402,34 @@ class TestBlockStream:
         else:
             assert got == want
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_signs_equal_the_uniform_rule(self, data):
+        """Comparing raw Philox words with ceil(p 2^53) 2^11 gives the signs of
+        numpy's uniform < p, byte for byte, at the edges of that rule too."""
+        edges = [1.0 - 2.0**-53, 0.5, 0.25, 2.0**-40, 3 * 2.0**-53, 1e-300, 5e-324]
+        n = data.draw(st.integers(1, 12), label="n")
+        p = np.array(
+            [
+                data.draw(st.one_of(st.sampled_from(edges), st.floats(5e-324, 1 - 2.0**-53)))
+                for _ in range(n)
+            ]
+        )
+        seed = data.draw(st.sampled_from([0, 5, 2**128 - 1]), label="seed")
+        first = 4 * data.draw(st.integers(0, 10**6), label="first / 4")
+        rows = data.draw(st.integers(1, 4_000), label="rows")
+        # Some p_c is at, or one double above, a uniform (w >> 11) 2^-53 that
+        # the stream draws for column c, from a word w whose low 11 bits are
+        # zero where there is one: there w equals the limit.
+        words = np.random.Philox(key=seed, counter=first * n // 4).random_raw((rows, n))
+        edge = np.flatnonzero(words % 2048 == 0).tolist()
+        r, c = divmod(edge[0] if edge else data.draw(st.integers(0, words.size - 1)), n)
+        u = float(words[r, c] >> np.uint64(11)) * 2.0**-53
+        p[c] = u if data.draw(st.booleans(), label="at") else np.nextafter(u, 1.0)
+        got = distance._sample_signs(p, seed, first, rows)
+        want = oracles.uniform_sample_signs(p, seed, first, rows)
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+
     def test_memory_is_one_block_not_one_chunk(self):
         model = build_model([0.1] * 40)
         expansion = ChaosExpansion(
